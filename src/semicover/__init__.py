@@ -14,8 +14,7 @@ from .cover import (CoverViolation, DartMapping, ResourceLimit,
 from .deciders import (UnsupportedFamily, Verdict, decide_bipartite_bars,
                        decide_colored_one_vertex, decide_one_vertex,
                        decide_two_vertex_nonregular,
-                       decide_two_vertex_regular_2sat,
-                       general_perfect_matching)
+                       decide_two_vertex_regular_2sat)
 from .dichotomy import (Classification, FamilyShape, OutOfScope, classify,
                         decide_colored, recognize_shape, shade_vertex_colors)
 from .disconnected import (CoveringPattern, Decision, build_pattern, decide,
@@ -44,7 +43,6 @@ __all__ = [
     "UnsupportedFamily", "Verdict",
     "decide_bipartite_bars", "decide_colored_one_vertex", "decide_one_vertex",
     "decide_two_vertex_nonregular", "decide_two_vertex_regular_2sat",
-    "general_perfect_matching",
     "Classification", "FamilyShape", "OutOfScope",
     "classify", "decide_colored", "recognize_shape", "shade_vertex_colors",
     "CoveringPattern", "Decision", "build_pattern", "decide",

@@ -46,15 +46,6 @@ class Verdict:
     reason: str = ""
 
 
-def general_perfect_matching(g: Graph) -> list[int] | None:
-    """Spanning set of links covering each vertex exactly once, or None.
-
-    Semi-edges may saturate their own vertex; loops are unusable.  Sorted
-    link ids.
-    """
-    return exact_link_cover(g)
-
-
 def _stitched(g: Graph, h: Graph, dart_map: dict[int, int],
               vertex_map: list[int], method: str) -> Verdict:
     f = DartMapping(tuple(dart_map[d] for d in range(g.n_darts)), tuple(vertex_map))

@@ -2,13 +2,13 @@
 
 Bipartite matchings are computed by augmenting paths over explicit link
 lists, so parallel links keep their identity.  General graphs go through
-networkx's blossom implementation.  Regular multigraphs are split into
-spanning factors by Eulerian orientation plus repeated perfect matchings.
+an in-package cardinality blossom search (Edmonds, "Paths, trees, and
+flowers", 1965) after a greedy warm start.  Regular multigraphs are split
+into spanning factors by Eulerian orientation plus repeated perfect
+matchings.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from .graph import EDGE, LOOP, SEMI, Graph
 
@@ -25,19 +25,32 @@ def kuhn_matching(n_left: int, n_right: int,
     for u, w, lid in links:
         adj[u].append((w, lid))
     match_right: list[tuple[int, int] | None] = [None] * n_right
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for w, lid in adj[u]:
-            if seen[w]:
+    seen_by = [-1] * n_right    # the root whose search last visited w
+    for root in range(n_left):
+        # Depth-first search for an augmenting path with an explicit stack:
+        # stack[i] is a left vertex with its remaining links, via[i] the
+        # (right, link) that stack[i] is trying through stack[i + 1].
+        stack = [(root, iter(adj[root]))]
+        via: list[tuple[int, int]] = []
+        while stack:
+            u, rest = stack[-1]
+            for w, lid in rest:
+                if seen_by[w] != root:
+                    seen_by[w] = root
+                    break
+            else:
+                stack.pop()
+                if via:
+                    via.pop()
                 continue
-            seen[w] = True
-            if match_right[w] is None or augment(match_right[w][0], seen):
+            if match_right[w] is None:
                 match_right[w] = (u, lid)
-                return True
-        return False
-
-    for u in range(n_left):
-        augment(u, [False] * n_right)
+                for (x, _), (y, yid) in zip(stack, via):
+                    match_right[y] = (x, yid)
+                break
+            via.append((w, lid))
+            nxt = match_right[w][0]
+            stack.append((nxt, iter(adj[nxt])))
     match_left: list[int | None] = [None] * n_left
     for w, entry in enumerate(match_right):
         if entry is not None:
@@ -85,74 +98,142 @@ def exact_link_cover(g: Graph, *, force_all_semis: bool = False) -> list[int] | 
     for l in range(g.n_links):
         if g.link_kind(l) == SEMI:
             semis_at[g.vertex_of[g.links[l][0]]].append(l)
-
-    if force_all_semis:
-        if any(len(s) > 1 for s in semis_at):
-            return None
-        saturated = {v for v in range(g.n) if semis_at[v]}
-        need = [v for v in range(g.n) if v not in saturated]
-        matching = _perfect_matching_over(g, set(need))
-        if matching is None:
-            return None
-        return sorted(matching + [s[0] for s in semis_at if s])
-
-    optional = {v for v in range(g.n) if semis_at[v]}
-    matching = _matching_saturating(g, optional)
-    if matching is None:
+    if force_all_semis and any(len(s) > 1 for s in semis_at):
         return None
-    covered = {v for l in matching for v in g.link_ends(l)}
-    return sorted(matching + [semis_at[v][0] for v in range(g.n)
-                              if v in optional and v not in covered])
 
-
-def _edge_choices(g: Graph, allowed: set[int]) -> dict[tuple[int, int], int]:
-    """Lowest link id per unordered vertex pair, edges inside allowed only."""
-    choice: dict[tuple[int, int], int] = {}
+    # A vertex without semi-edges needs an edge.  Under force_all_semis the
+    # others are covered by their semi-edge, so only edges between two needy
+    # vertices are usable; otherwise an edge helps if it covers one needy
+    # vertex, and a vertex with semi-edges that no edge covers takes its
+    # first semi-edge.
+    usable = all if force_all_semis else any
+    needy = [not s for s in semis_at]
+    choice: dict[tuple[int, int], int] = {}   # lowest link id per vertex pair
+    adj: list[list[int]] = [[] for _ in range(g.n)]
     for l in range(g.n_links):
-        if g.link_kind(l) != EDGE:
-            continue
-        u, w = g.link_ends(l)
-        if u in allowed and w in allowed:
-            key = (min(u, w), max(u, w))
-            if key not in choice:
-                choice[key] = l
-    return choice
-
-
-def _perfect_matching_over(g: Graph, need: set[int]) -> list[int] | None:
-    """Perfect matching on the induced edge graph over `need`, as link ids."""
-    if not need:
-        return []
-    choice = _edge_choices(g, need)
-    gx = nx.Graph()
-    gx.add_nodes_from(sorted(need))
-    gx.add_edges_from(sorted(choice))
-    matching = nx.max_weight_matching(gx, maxcardinality=True)
-    if 2 * len(matching) != len(need):
+        if g.link_kind(l) == EDGE:
+            u, w = sorted(g.link_ends(l))
+            if (u, w) not in choice and usable((needy[u], needy[w])):
+                choice[(u, w)] = l
+                adj[u].append(w)
+                adj[w].append(u)
+    mate = _cardinality_matching(adj, [v for v in range(g.n) if needy[v]])
+    if mate is None:
         return None
-    return [choice[(min(u, w), max(u, w))] for u, w in matching]
+    return sorted([choice[(u, w)] for u, w in enumerate(mate) if u < w]
+                  + [s[0] for v, s in enumerate(semis_at) if s and mate[v] < 0])
 
 
-def _matching_saturating(g: Graph, optional: set[int]) -> list[int] | None:
-    """Matching covering every vertex outside `optional`, or None.
+def _cardinality_matching(adj: list[list[int]], need: list[int]) -> list[int] | None:
+    """A matching that saturates every vertex in `need`, or None.
 
-    Maximizing total edge weight with weight = number of non-optional ends
-    maximizes the number of saturated non-optional vertices.
+    Returns mate[v] (-1 when v is exposed).  Vertices outside `need` are
+    optional: they may end exposed.  After a greedy warm start, each exposed
+    vertex of `need` gets one Edmonds search; it succeeds on reaching an
+    exposed vertex (augment) or an outer optional vertex (flip the even
+    alternating path to it, which exposes that vertex instead).  This is
+    exact: for a matching M and one M* saturating `need`, the component of
+    M xor M* at an M-exposed vertex of `need` is a path ending at an
+    M-exposed vertex or, after an even number of steps, at a vertex outside
+    `need`.  A failed search therefore means no such M* exists.
     """
-    need = [v for v in range(g.n) if v not in optional]
-    if not need:
-        return []
-    choice = _edge_choices(g, set(range(g.n)))
-    gx = nx.Graph()
-    gx.add_nodes_from(range(g.n))
-    for (u, w), _ in sorted(choice.items()):
-        gx.add_edge(u, w, weight=(u not in optional) + (w not in optional))
-    matching = nx.max_weight_matching(gx)
-    saturated = {v for pair in matching for v in pair}
-    if any(v not in saturated for v in need):
-        return None
-    return [choice[(min(u, w), max(u, w))] for u, w in matching
-            if (u not in optional) or (w not in optional)]
+    n = len(adj)
+    mate = [-1] * n
+    for v in range(n):
+        if mate[v] < 0:
+            for w in adj[v]:
+                if mate[w] < 0:
+                    mate[v], mate[w] = w, v
+                    break
+    required = [False] * n
+    for v in need:
+        required[v] = True
+    parent = [-1] * n
+    base = list(range(n))
+    outer = [False] * n
+    for root in need:
+        if mate[root] < 0 and not _blossom_search(root, adj, mate, required,
+                                                  parent, base, outer):
+            return None
+    return mate
+
+
+def _blossom_search(root: int, adj: list[list[int]], mate: list[int],
+                    required: list[bool], parent: list[int], base: list[int],
+                    outer: list[bool]) -> bool:
+    """One Edmonds search from the exposed vertex root, updating mate.
+
+    parent, base and outer are scratch arrays, all at their rest values
+    (-1, identity, False) on entry and again on return.  parent[v] of an
+    inner vertex is the outer vertex it was reached from; blossom
+    contraction also sets it on outer vertices inside a blossom, so that
+    parent and mate trace an even alternating path from every outer vertex
+    back to the root.
+    """
+    outer[root] = True
+    tree = [root]        # every vertex whose scratch entries were touched
+    queue = [root]
+    start = -1           # first vertex of the path to flip, once found
+    for v in queue:
+        if not required[v]:
+            start = mate[v]
+            mate[v] = -1
+            break
+        for w in adj[v]:
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if outer[w]:
+                # v-w closes an odd cycle.  b is the first base shared by
+                # the tree paths of v and w to the root; the cycle through b
+                # contracts into one blossom with base b.
+                seen = set()
+                a = v
+                while True:
+                    a = base[a]
+                    seen.add(a)
+                    if a == root:
+                        break
+                    a = parent[mate[a]]
+                b = w
+                while base[b] not in seen:
+                    b = parent[mate[base[b]]]
+                b = base[b]
+                merged: set[int] = set()
+                for x, child in ((v, w), (w, v)):
+                    while base[x] != b:
+                        merged.add(base[x])
+                        merged.add(base[mate[x]])
+                        parent[x] = child
+                        child = mate[x]
+                        x = parent[child]
+                for x in tree:
+                    if base[x] in merged:
+                        base[x] = b
+                        if not outer[x]:
+                            outer[x] = True
+                            queue.append(x)
+            elif parent[w] < 0:
+                parent[w] = v
+                tree.append(w)
+                if mate[w] < 0:
+                    start = w
+                    break
+                x = mate[w]
+                outer[x] = True
+                tree.append(x)
+                queue.append(x)
+        if start >= 0:
+            break
+    while start >= 0:
+        p = parent[start]
+        nxt = mate[p]
+        mate[start], mate[p] = p, start
+        start = nxt
+    for x in tree:
+        parent[x] = -1
+        base[x] = x
+        outer[x] = False
+    return mate[root] >= 0
 
 
 def eulerian_orientation(g: Graph, link_ids: list[int]) -> dict[int, tuple[int, int]]:

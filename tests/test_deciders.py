@@ -9,9 +9,9 @@ from semicover.cover import find_cover
 from semicover.deciders import (UnsupportedFamily, decide_bipartite_bars,
                                 decide_colored_one_vertex, decide_one_vertex,
                                 decide_two_vertex_nonregular,
-                                decide_two_vertex_regular_2sat,
-                                general_perfect_matching)
+                                decide_two_vertex_regular_2sat)
 from semicover.graph import LOOP, GraphBuilder, disjoint_union, type_signature
+from semicover.matching import exact_link_cover
 from util import assert_cover_ok, perturb, random_graph, random_lift
 
 METHODS = {"regularity", "matching", "2-factor", "bipartite-decomposition",
@@ -256,8 +256,8 @@ def test_hard_two_vertex_raises():
 # ------------------------------------------------------ perfect matching
 
 def test_general_perfect_matching():
-    assert general_perfect_matching(cycle(6)) is not None
-    assert general_perfect_matching(cycle(5)) is None
+    assert exact_link_cover(cycle(6)) is not None
+    assert exact_link_cover(cycle(5)) is None
     b = GraphBuilder()
     for _ in range(5):
         b.add_vertex()
@@ -265,7 +265,7 @@ def test_general_perfect_matching():
         b.add_edge(i, (i + 1) % 5)
     b.add_semi(0)
     g = b.build()
-    cover = general_perfect_matching(g)
+    cover = exact_link_cover(g)
     assert cover is not None
     counts = [0] * g.n
     for l in cover:

@@ -2,10 +2,14 @@
 
 import random
 
-from semicover.build import complete, cycle, path
-from semicover.graph import GraphBuilder
+import networkx as nx
+
+from semicover.build import build_F, complete, cycle, path
+from semicover.dichotomy import decide_colored
+from semicover.graph import EDGE, LOOP, SEMI, GraphBuilder
 from semicover.matching import (exact_link_cover, konig_split, kuhn_matching,
                                 two_factor_orientations)
+from util import assert_cover_ok, perturb, random_graph, random_lift
 
 
 def test_kuhn_basic():
@@ -28,6 +32,55 @@ def test_kuhn_parallel_links_keep_identity():
     links = [(0, 0, 7), (0, 0, 9)]
     m = kuhn_matching(1, 1, links)
     assert m[0] in (7, 9)
+
+
+def _kuhn_recursive(n_left, n_right, links):
+    """kuhn_matching with its augmenting search written recursively: the
+    reference whose matchings the iterative search must reproduce."""
+    adj = [[] for _ in range(n_left)]
+    for u, w, lid in links:
+        adj[u].append((w, lid))
+    match_right = [None] * n_right
+
+    def augment(u, seen):
+        for w, lid in adj[u]:
+            if seen[w]:
+                continue
+            seen[w] = True
+            if match_right[w] is None or augment(match_right[w][0], seen):
+                match_right[w] = (u, lid)
+                return True
+        return False
+
+    for u in range(n_left):
+        augment(u, [False] * n_right)
+    match_left = [None] * n_left
+    for w, entry in enumerate(match_right):
+        if entry is not None:
+            match_left[entry[0]] = entry[1]
+    return match_left
+
+
+def test_kuhn_matches_recursive_reference():
+    rng = random.Random(17)
+    for trial in range(600):
+        n_left = rng.randrange(1, 60 if trial % 10 == 0 else 12)
+        n_right = rng.randrange(1, n_left + 3)
+        ids = list(range(rng.randrange(3 * n_left + 1)))
+        rng.shuffle(ids)
+        links = [(rng.randrange(n_left), rng.randrange(n_right), lid) for lid in ids]
+        assert kuhn_matching(n_left, n_right, links) == \
+            _kuhn_recursive(n_left, n_right, links)
+
+
+def test_deep_augmenting_paths_need_no_recursion():
+    # Splitting this lift's 2-factors walks augmenting paths longer than
+    # the interpreter's default recursion limit.
+    h = build_F(1, 2)
+    g = random_lift(h, 1500, random.Random(1))
+    verdict = decide_colored(g, h)
+    assert verdict.answer
+    assert_cover_ok(g, h, verdict.witness)
 
 
 def test_konig_split_k33():
@@ -208,3 +261,74 @@ def test_random_regular_two_factors():
         factors = two_factor_orientations(g)
         assert factors is not None, "2c-regular multigraph must split"
         assert len(factors) == c
+
+
+def _reference_cover_exists(g, force_all_semis):
+    """Whether an exact link cover exists, decided with networkx's weighted
+    blossom as a cardinality oracle: the reference for exact_link_cover."""
+    semis = [0] * g.n
+    choice = {}
+    for l in range(g.n_links):
+        if g.link_kind(l) == SEMI:
+            semis[g.vertex_of[g.links[l][0]]] += 1
+        elif g.link_kind(l) == EDGE:
+            u, w = g.link_ends(l)
+            choice.setdefault((min(u, w), max(u, w)), l)
+    gx = nx.Graph()
+    if force_all_semis:
+        if max(semis, default=0) > 1:
+            return False
+        need = {v for v in range(g.n) if not semis[v]}
+        gx.add_nodes_from(sorted(need))
+        gx.add_edges_from(uw for uw in sorted(choice) if set(uw) <= need)
+        return 2 * len(nx.max_weight_matching(gx, maxcardinality=True)) == len(need)
+    optional = {v for v in range(g.n) if semis[v]}
+    gx.add_nodes_from(range(g.n))
+    for u, w in sorted(choice):
+        gx.add_edge(u, w, weight=(u not in optional) + (w not in optional))
+    saturated = {v for pair in nx.max_weight_matching(gx) for v in pair}
+    return all(v in saturated or v in optional for v in range(g.n))
+
+
+def _check_against_reference(g):
+    for force in (False, True):
+        chosen = exact_link_cover(g, force_all_semis=force)
+        assert (chosen is not None) == _reference_cover_exists(g, force)
+        if chosen is None:
+            continue
+        assert chosen == sorted(set(chosen))
+        assert all(g.link_kind(l) != LOOP for l in chosen)
+        assert cover_counts(g, chosen) == [1] * g.n
+        if force:
+            assert all(l in chosen for l in range(g.n_links)
+                       if g.link_kind(l) == SEMI)
+
+
+def test_exact_link_cover_matches_networkx_on_all_small_graphs():
+    # Every graph on at most 5 vertices, up to isomorphism, with a
+    # semi-edge at each vertex of every subset.
+    for gx in nx.graph_atlas_g():
+        n = gx.number_of_nodes()
+        if n > 5:
+            break
+        for semis in range(1 << n):
+            gb = GraphBuilder()
+            for v in range(n):
+                gb.add_vertex()
+                if semis >> v & 1:
+                    gb.add_semi(v)
+            for u, w in gx.edges():
+                gb.add_edge(u, w)
+            _check_against_reference(gb.build())
+
+
+def test_exact_link_cover_matches_networkx_on_random_multigraphs():
+    rng = random.Random(23)
+    for trial in range(1000):
+        if trial % 2:
+            g = random_graph(rng, rng.randrange(1, 41), rng.randrange(0, 80))
+        else:
+            g = random_lift(build_F(1, rng.randrange(2)), rng.randrange(1, 40), rng)
+            if trial % 4:
+                g = perturb(g, rng)
+        _check_against_reference(g)
