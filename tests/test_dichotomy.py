@@ -1,5 +1,6 @@
 """Complexity classification and the colored dispatch decider."""
 
+import itertools
 import random
 
 import pytest
@@ -175,3 +176,57 @@ def test_decide_colored_scope_and_budget():
     big = random_lift(build_F(3, 0), 6, random.Random(2))
     with pytest.raises(ResourceLimit):
         decide_colored(big, build_F(3, 0), budget=10)
+
+
+# Link types of the small-target corpus: semis and loops in mono colours 0
+# and 1 at either vertex, directed loops of the colour pair (1, 2), bars in
+# mono colours, and directed bars in both directions.
+VERTEX_LINKS = [(kind, c) for kind in ("semi", "loop") for c in (0, 1)] + [("loop", (1, 2))]
+BAR_LINKS = [("bar", 0), ("bar", 1), ("bar", (1, 2)), ("bar", (2, 1))]
+
+
+def _small_target(n, links):
+    b = GraphBuilder()
+    for _ in range(n):
+        b.add_vertex()
+    for kind, c, *at in links:
+        cols = c if isinstance(c, tuple) else (c, c)
+        if kind == "semi":
+            b.add_semi(at[0], color=c)
+        elif kind == "loop":
+            b.add_loop(at[0], colors=cols)
+        else:
+            b.add_edge(0, 1, colors=cols)
+    return b.build()
+
+
+def small_targets(max_links):
+    """Every connected target on one or two vertices with at most
+    max_links links drawn from the corpus link types."""
+    one = [t + (0,) for t in VERTEX_LINKS]
+    two = [t + (v,) for v in (0, 1) for t in VERTEX_LINKS] + BAR_LINKS
+    for size in range(max_links + 1):
+        for links in itertools.combinations_with_replacement(one, size):
+            yield _small_target(1, links)
+        for links in itertools.combinations_with_replacement(two, size):
+            if any(kind == "bar" for kind, *_ in links):
+                yield _small_target(2, links)
+
+
+def test_classify_agrees_with_deciders_on_small_targets():
+    rng = random.Random(61)
+    seen = poly = 0
+    for h in small_targets(4):
+        seen += 1
+        cls = classify(h)
+        assert cls.polynomial == (decide_colored(h, h).method != "brute-force-fallback"), h.links
+        if not cls.polynomial:
+            continue
+        poly += 1
+        lift = random_lift(h, 2, rng)
+        for g in (lift, perturb(lift, rng)):
+            v = decide_colored(g, h)
+            assert v.answer == (find_cover(g, h) is not None), (h.links, g.links)
+            if v.answer:
+                assert_cover_ok(g, h, v.witness)
+    assert seen > 1000 and 0 < poly < seen
