@@ -2,17 +2,18 @@
 
 Covering F(k, m), one vertex with k semi-edges and m loops, never needs
 exhaustive search when k <= 1 (any number of loops) or (k, m) = (2, 0);
-each such case reduces to degrees, matchings or 2-factors.  The decider
+each such case reduces to degrees, matchings or 2-factors.  The front
+door decide_colored picks the decider from the dichotomy table and
 reports which reduction it used.
 """
 
-from semicover import (build_F, cycle, decide_one_vertex, disjoint_union,
+from semicover import (build_F, cycle, decide_colored, disjoint_union,
                        petersen, verify_cover)
 
 
 def show(name, g, fk, fm):
     h = build_F(fk, fm)
-    v = decide_one_vertex(g, fk, fm)
+    v = decide_colored(g, h)
     line = f"{name:>14} -> F({fk},{fm}): {'yes' if v.answer else 'no '}"
     line += f"  via {v.method}"
     if not v.answer and v.reason:

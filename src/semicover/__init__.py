@@ -11,20 +11,18 @@ from .build import (build_F, build_W, build_WD, complete, complete_bipartite,
 from .canon import CanonicalSet, isomorphic, refinement_invariant
 from .cover import (CoverViolation, DartMapping, ResourceLimit,
                     enumerate_covers, find_cover, verify_cover, witness_json)
-from .deciders import (UnsupportedFamily, Verdict, decide_bipartite_bars,
-                       decide_colored_one_vertex, decide_one_vertex,
+from .deciders import (UnsupportedFamily, Verdict, decide_colored_one_vertex,
                        decide_two_vertex_nonregular,
                        decide_two_vertex_regular_2sat)
-from .dichotomy import (Classification, FamilyShape, OutOfScope, classify,
-                        decide_colored, recognize_shape, shade_vertex_colors)
+from .dichotomy import Classification, OutOfScope, classify, decide_colored
 from .disconnected import (CoveringPattern, Decision, build_pattern, decide,
                            decide_equitable, decide_lbhom, decide_surjective,
                            max_bipartite_matching)
 from .generate import connected_regular_graphs, connected_simple_graphs
 from .graph import (EDGE, LOOP, SEMI, Graph, GraphBuilder, GraphFormatError,
-                    components, degree_signature, disjoint_union,
-                    induced_link_subgraph, induced_vertex_subgraph,
-                    is_bipartite, is_connected, is_regular, is_simple,
+                    components, disjoint_union, induced_link_subgraph,
+                    induced_vertex_subgraph, is_bipartite, is_connected,
+                    is_regular, is_simple,
                     parse_graph, serialize_graph, type_signature, validate)
 from .matching import (exact_link_cover, konig_split, kuhn_matching,
                        two_factor_orientations)
@@ -41,15 +39,14 @@ __all__ = [
     "CoverViolation", "DartMapping", "ResourceLimit",
     "enumerate_covers", "find_cover", "verify_cover", "witness_json",
     "UnsupportedFamily", "Verdict",
-    "decide_bipartite_bars", "decide_colored_one_vertex", "decide_one_vertex",
+    "decide_colored_one_vertex",
     "decide_two_vertex_nonregular", "decide_two_vertex_regular_2sat",
-    "Classification", "FamilyShape", "OutOfScope",
-    "classify", "decide_colored", "recognize_shape", "shade_vertex_colors",
+    "Classification", "OutOfScope", "classify", "decide_colored",
     "CoveringPattern", "Decision", "build_pattern", "decide",
     "decide_equitable", "decide_lbhom", "decide_surjective",
     "max_bipartite_matching",
     "connected_regular_graphs", "connected_simple_graphs",
-    "components", "degree_signature", "disjoint_union",
+    "components", "disjoint_union",
     "induced_link_subgraph", "induced_vertex_subgraph",
     "is_bipartite", "is_connected", "is_regular", "is_simple",
     "parse_graph", "serialize_graph", "type_signature", "validate",

@@ -147,19 +147,16 @@ def _fiber_violations(g: Graph, h: Graph, f: DartMapping) -> list[CoverViolation
     return out
 
 
-def preimage_profile(f: DartMapping, h: Graph) -> dict[int, int]:
-    """Number of source vertices over each target vertex."""
-    prof = {w: 0 for w in range(h.n)}
-    for w in f.vertex_map:
-        prof[w] += 1
-    return prof
-
-
 def witness_json(g: Graph, h: Graph, f: DartMapping) -> dict:
+    """The witness as JSON, with the number of source vertices over each
+    target vertex."""
+    fibers = [0] * h.n
+    for w in f.vertex_map:
+        fibers[w] += 1
     return {
         "vertex_map": list(f.vertex_map),
         "dart_map": list(f.dart_map),
-        "fiber_sizes": {h.names[w]: c for w, c in sorted(preimage_profile(f, h).items())},
+        "fiber_sizes": {h.names[w]: c for w, c in enumerate(fibers)},
     }
 
 

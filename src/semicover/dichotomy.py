@@ -2,9 +2,12 @@
 
 Every connected colored target on one or two vertices defines a covering
 problem that is either polynomial or NP-complete, decided piece by piece
-over its color classes.  classify names the fired rules; decide_colored
-dispatches to the matching polynomial decider, or to bounded exact search
-when the classification is NP-complete.
+over its color classes.  The case split lives in one place,
+deciders.dichotomy_table, which gives each piece a verdict, a rule and a
+decider.  classify reads that table and adds one header rule per case;
+decide_colored dispatches to the polynomial decider of the case, whose
+pieces follow the same rows, or to bounded exact search when the
+classification is NP-complete.
 """
 
 from __future__ import annotations
@@ -12,21 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cover import find_cover
-from .deciders import (Verdict, _h_pieces, _MonoPiece,
-                       decide_colored_one_vertex,
+from .deciders import (Verdict, decide_colored_one_vertex,
                        decide_two_vertex_nonregular,
-                       decide_two_vertex_regular_2sat)
-from .graph import Graph, GraphBuilder, is_connected, type_signature
+                       decide_two_vertex_regular_2sat, dichotomy_table)
+from .graph import Graph, is_connected, type_signature
 
 
 class OutOfScope(ValueError):
     """The target is outside the classified domain."""
-
-
-@dataclass(frozen=True)
-class FamilyShape:
-    kind: str  # "F" | "W" | "WD" | "other"
-    params: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -40,85 +36,6 @@ class Classification:
         return self.verdict == "P"
 
 
-def _pair(a: int, b: int) -> int:
-    return (a + b) * (a + b + 1) // 2 + b
-
-
-def shade_vertex_colors(g: Graph) -> Graph:
-    """Fold vertex colors into dart colors and zero the vertex colors.
-
-    Dart colors become an injective encoding of (dart color, vertex color),
-    so covering answers are preserved for graphs without isolated vertices;
-    isolated vertices lose their colors.
-    """
-    b = GraphBuilder()
-    for u in range(g.n):
-        b.add_vertex(name=g.names[u])
-
-    def shade(d: int) -> int:
-        return _pair(g.dart_color[d], g.vertex_color[g.vertex_of[d]])
-
-    for l in range(g.n_links):
-        cell = g.links[l]
-        if len(cell) == 1:
-            b.add_semi(g.vertex_of[cell[0]], color=shade(cell[0]))
-        else:
-            d1, d2 = cell
-            u, w = g.vertex_of[d1], g.vertex_of[d2]
-            if u == w:
-                b.add_loop(u, colors=(shade(d1), shade(d2)))
-            else:
-                b.add_edge(u, w, colors=(shade(d1), shade(d2)))
-    return b.build()
-
-
-def recognize_shape(piece: Graph) -> FamilyShape:
-    """Name a one-class piece: F(b,c), W(k,m,l,p,q) or WD(m,l,m2).
-
-    Anything mixed-class, disconnected on two vertices, or directionally
-    unbalanced comes back as "other".
-    """
-    if piece.n == 0 or piece.n > 2:
-        raise OutOfScope(f"{piece.n} vertices")
-    groups = _h_pieces(piece)
-    if not groups:
-        if piece.n == 1:
-            return FamilyShape("F", (0, 0))
-        return FamilyShape("other", ())
-    if len(groups) != 1:
-        return FamilyShape("other", ())
-    p = groups[0]
-    if isinstance(p, _MonoPiece):
-        if piece.n == 1:
-            return FamilyShape("F", (len(p.semis[0]), len(p.loops[0])))
-        ell = len(p.bars)
-        if ell == 0:
-            return FamilyShape("other", ())
-        k, m = len(p.semis[0]), len(p.loops[0])
-        q, qp = len(p.semis[1]), len(p.loops[1])
-        if (k, m) < (q, qp):
-            k, m, q, qp = q, qp, k, m
-        return FamilyShape("W", (k, m, ell, qp, q))
-    if piece.n == 1:
-        return FamilyShape("other", ())
-    if len(p.bars_fwd) != len(p.bars_bwd):
-        return FamilyShape("other", ())
-    ell = len(p.bars_fwd)
-    m, m2 = len(p.loops[0]), len(p.loops[1])
-    if ell == 0:
-        return FamilyShape("other", ())
-    if m < m2:
-        m, m2 = m2, m
-    return FamilyShape("WD", (m, ell, m2))
-
-
-def _f_rule(tag: str, b: int, c: int) -> tuple[str, str]:
-    if b <= 1 or (b, c) == (2, 0):
-        return "P", f"{tag}: F({b},{c}) is polynomial ({b} <= 1 or ({b},{c}) = (2,0))"
-    return ("NP-complete",
-            f"{tag}: F({b},{c}) is NP-complete ({b} >= 2 and {b}+{c} = {b + c} >= 3)")
-
-
 def classify(h: Graph) -> Classification:
     """P or NP-complete for the covering problem onto connected h.
 
@@ -126,104 +43,24 @@ def classify(h: Graph) -> Classification:
     always are).  Two distinguishable vertices: the vertex map is forced
     and each side reduces to the one-vertex test.  Two indistinguishable
     vertices: the side choice is a 2-SAT instance iff every class stays
-    inside the polynomial two-vertex families.
+    inside the polynomial two-vertex families.  The rules after the first
+    are the rows of dichotomy_table.
     """
     if h.n == 0 or h.n > 2:
         raise OutOfScope(f"{h.n} vertices")
     if not is_connected(h):
         raise OutOfScope("disconnected target")
-    rules: list[str] = []
-    pieces: dict[str, str] = {}
-    bad = False
-
-    def record(key: str, verdict: str, rule: str):
-        nonlocal bad
-        pieces[key] = verdict
-        rules.append(rule)
-        if verdict != "P":
-            bad = True
-
+    rows = dichotomy_table(h)
     if h.n == 1:
-        rules.append("target has one vertex: polynomial iff every color class is")
-        for p in _h_pieces(h):
-            if isinstance(p, _MonoPiece):
-                b, c = len(p.semis[0]), len(p.loops[0])
-                v, r = _f_rule(f"color {p.color}", b, c)
-                record(f"color {p.color}", v, r)
-            else:
-                key = f"colors ({p.lo},{p.hi})"
-                record(key, "P",
-                       f"{key}: directed loops at one vertex are always polynomial")
-        return Classification("NP-complete" if bad else "P", tuple(rules), pieces)
-
-    if type_signature(h, 0) != type_signature(h, 1):
-        rules.append("target vertices are distinguishable by color or dart "
-                     "type signature: the vertex map is forced")
-        for p in _h_pieces(h):
-            for s in (0, 1):
-                if isinstance(p, _MonoPiece):
-                    b, c = len(p.semis[s]), len(p.loops[s])
-                    if b == 0 and c == 0:
-                        continue
-                    key = f"vertex {s} color {p.color}"
-                    v, r = _f_rule(key, b, c)
-                    record(key, v, r)
-                else:
-                    if not p.loops[s]:
-                        continue
-                    key = f"vertex {s} colors ({p.lo},{p.hi})"
-                    record(key, "P",
-                           f"{key}: directed loops at one vertex are always polynomial")
-        rules.append("cross edges split by color pair into regular bipartite "
-                     "multigraphs: polynomial")
-        return Classification("NP-complete" if bad else "P", tuple(rules), pieces)
-
-    rules.append("target is regular on two vertices: the side choice reduces to 2-SAT")
-    for p in _h_pieces(h):
-        if isinstance(p, _MonoPiece):
-            key = f"color {p.color}"
-            k, m = len(p.semis[0]), len(p.loops[0])
-            q, qp = len(p.semis[1]), len(p.loops[1])
-            ell = len(p.bars)
-            t = k + 2 * m
-            if ell == 0:
-                if k <= 1 and q <= 1:
-                    record(key, "P",
-                           f"{key}: F({k},{m})+F({q},{qp}) with no bars: polynomial "
-                           "(each component has at most one semi-edge)")
-                elif t == 2:
-                    record(key, "P",
-                           f"{key}: F({k},{m})+F({q},{qp}) with no bars: polynomial "
-                           "(degree two)")
-                else:
-                    record(key, "NP-complete",
-                           f"{key}: F({k},{m})+F({q},{qp}) with no bars is NP-complete "
-                           f"(a component has {max(k, q)} >= 2 semi-edges and degree "
-                           f"{t} >= 3)")
-            elif t == 0:
-                record(key, "P", f"{key}: W(0,0,{ell},0,0) bars only: polynomial (k+2m = 0)")
-            elif t + ell <= 2:
-                record(key, "P", f"{key}: W({k},{m},{ell},{qp},{q}): polynomial "
-                                 f"(k+2m+l = {t + ell} < 3)")
-            else:
-                record(key, "NP-complete",
-                       f"{key}: W({k},{m},{ell},{qp},{q}) is NP-complete (l = {ell} >= 1, "
-                       f"k+2m = q+2p = {t} > 0 and k+2m+l = {t + ell} >= 3)")
-        else:
-            key = f"colors ({p.lo},{p.hi})"
-            m = len(p.loops[0])
-            ell = len(p.bars_fwd)
-            if ell == 0:
-                record(key, "P", f"{key}: directed loops with no cross edges: polynomial")
-            elif m == 0:
-                record(key, "P", f"{key}: WD(0,{ell},0) directed bars only: polynomial (m = 0)")
-            elif m + ell <= 2:
-                record(key, "P", f"{key}: WD(1,1,1): polynomial (m+l = 2 < 3)")
-            else:
-                record(key, "NP-complete",
-                       f"{key}: WD({m},{ell},{m}) is NP-complete (l = {ell} >= 1, "
-                       f"m = {m} > 0 and m+l = {m + ell} >= 3)")
-    return Classification("NP-complete" if bad else "P", tuple(rules), pieces)
+        header = "target has one vertex: polynomial iff every color class is"
+    elif rows[-1].kind == "cross bars":
+        header = ("target vertices are distinguishable by color or dart "
+                  "type signature: the vertex map is forced")
+    else:
+        header = "target is regular on two vertices: the side choice reduces to 2-SAT"
+    verdict = "P" if all(r.verdict == "P" for r in rows) else "NP-complete"
+    return Classification(verdict, (header, *(r.rule for r in rows)),
+                          {r.key: r.verdict for r in rows if r.key is not None})
 
 
 def decide_colored(g: Graph, h: Graph, *, budget: int | None = None) -> Verdict:

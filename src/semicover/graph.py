@@ -191,13 +191,9 @@ def validate(g: Graph) -> list[Violation]:
     return out
 
 
-def degree_signature(g: Graph, v: int) -> tuple[int, tuple[int, ...]]:
-    """Vertex color together with the sorted dart colors at v."""
-    return g.vertex_color[v], tuple(sorted(g.dart_color[d] for d in g.darts_at[v]))
-
-
 def type_signature(g: Graph, v: int) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """Refinement of degree_signature by the color set of each dart's link.
+    """Vertex color together with the sorted (dart color, link color set)
+    types of the darts at v.
 
     Any covering projection preserves, per vertex, the count of darts of
     each (dart color, link color set) type, so equal type signatures are a

@@ -9,6 +9,7 @@ first failure is a minimum-order counterexample.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 from dataclasses import dataclass
 from typing import Iterator
@@ -32,10 +33,8 @@ def _check_base(a: Graph) -> int:
 
 def _candidates(a: Graph, n_max: int) -> Iterator[Graph]:
     d = _check_base(a)
-    for n in range(1, n_max + 1):
-        if n % a.n:
-            continue
-        yield from connected_regular_graphs(n, d)
+    return (g for n in range(1, n_max + 1) if n % a.n == 0
+            for g in connected_regular_graphs(n, d))
 
 
 def enumerate_simple_covers(a: Graph, n_max: int) -> Iterator[Graph]:
@@ -68,39 +67,28 @@ class StrongerReport:
         return out
 
 
-def _test_pair(args) -> tuple[bool, bool]:
+def _test_pair(args) -> tuple[Graph, DartMapping | None, bool]:
+    """The candidate, its cover onto a or None, and whether it covers b."""
     g, a, b = args
     wa = find_cover(g, a)
-    if wa is None:
-        return False, True
-    return True, find_cover(g, b) is not None
+    return g, wa, wa is not None and find_cover(g, b) is not None
 
 
 def check_stronger(a: Graph, b: Graph, n_max: int, jobs: int = 1) -> StrongerReport:
     """Does every connected simple cover of a (up to n_max) also cover b?"""
     generated = 0
     covers = 0
-
-    def outcomes():
-        cands = _candidates(a, n_max)
-        if jobs <= 1:
-            for g in cands:
-                yield g, _test_pair((g, a, b))
-        else:
-            with multiprocessing.Pool(jobs) as pool:
-                tasks = ((g, a, b) for g in cands)
-                for g, res in zip(_candidates(a, n_max),
-                                  pool.imap(_test_pair, tasks, chunksize=4)):
-                    yield g, res
-
-    for g, (covers_a, covers_b) in outcomes():
-        generated += 1
-        if not covers_a:
-            continue
-        covers += 1
-        if not covers_b:
-            return StrongerReport(False, n_max, generated, covers,
-                                  counterexample=g, witness=find_cover(g, a))
+    tasks = ((g, a, b) for g in _candidates(a, n_max))
+    with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        results = pool.imap(_test_pair, tasks, chunksize=4) if pool else map(_test_pair, tasks)
+        for g, wa, covers_b in results:
+            generated += 1
+            if wa is None:
+                continue
+            covers += 1
+            if not covers_b:
+                return StrongerReport(False, n_max, generated, covers,
+                                      counterexample=g, witness=wa)
     return StrongerReport(True, n_max, generated, covers)
 
 

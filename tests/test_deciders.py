@@ -6,10 +6,10 @@ import pytest
 
 from semicover.build import build_F, build_W, build_WD, complete, cycle, path, petersen
 from semicover.cover import find_cover
-from semicover.deciders import (UnsupportedFamily, decide_bipartite_bars,
-                                decide_colored_one_vertex, decide_one_vertex,
+from semicover.deciders import (UnsupportedFamily, decide_colored_one_vertex,
                                 decide_two_vertex_nonregular,
                                 decide_two_vertex_regular_2sat)
+from semicover.dichotomy import decide_colored
 from semicover.graph import LOOP, GraphBuilder, disjoint_union, type_signature
 from semicover.matching import exact_link_cover
 from util import assert_cover_ok, perturb, random_graph, random_lift
@@ -29,87 +29,97 @@ def check_verdict(v, g, h):
 
 def test_one_loop_takes_any_cycle():
     for n in range(1, 8):
-        v = decide_one_vertex(cycle(n), 0, 1)
+        v = decide_colored(cycle(n), build_F(0, 1))
         check_verdict(v, cycle(n), build_F(0, 1))
         assert v.answer
 
 
 def test_one_loop_rejects_paths():
     for n in range(2, 6):
-        assert not decide_one_vertex(path(n), 0, 1).answer
+        assert not decide_colored(path(n), build_F(0, 1)).answer
 
 
 def test_one_semi_is_perfect_matching():
-    yes = decide_one_vertex(path(2), 1, 0)
+    yes = decide_colored(path(2), build_F(1, 0))
     check_verdict(yes, path(2), build_F(1, 0))
     assert yes.answer
-    assert not decide_one_vertex(path(3), 1, 0).answer
+    assert not decide_colored(path(3), build_F(1, 0)).answer
 
 
 def test_semi_plus_loop_on_cubic_graphs():
     for g in (complete(4), petersen()):
-        v = decide_one_vertex(g, 1, 1)
+        v = decide_colored(g, build_F(1, 1))
         check_verdict(v, g, build_F(1, 1))
         assert v.answer
         assert v.method == "matching"
 
 
 def test_two_semis_wants_even_cycles():
-    assert decide_one_vertex(cycle(4), 2, 0).answer
-    assert decide_one_vertex(cycle(6), 2, 0).answer
-    assert not decide_one_vertex(cycle(3), 2, 0).answer
-    assert not decide_one_vertex(cycle(5), 2, 0).answer
-    v = decide_one_vertex(path(4, semi_ends=True), 2, 0)
+    f20 = build_F(2, 0)
+    assert decide_colored(cycle(4), f20).answer
+    assert decide_colored(cycle(6), f20).answer
+    assert not decide_colored(cycle(3), f20).answer
+    assert not decide_colored(cycle(5), f20).answer
+    v = decide_colored(path(4, semi_ends=True), f20)
     check_verdict(v, path(4, semi_ends=True), build_F(2, 0))
     assert v.answer
 
 
 def test_two_loops_needs_two_factor_split():
-    v = decide_one_vertex(complete(5), 0, 2)
+    v = decide_colored(complete(5), build_F(0, 2))
     check_verdict(v, complete(5), build_F(0, 2))
     assert v.answer
     assert v.method == "2-factor"
-    assert not decide_one_vertex(cycle(5), 0, 2).answer
+    assert not decide_colored(cycle(5), build_F(0, 2)).answer
 
 
 def test_hard_families_raise():
     g = complete(4)
     with pytest.raises(UnsupportedFamily):
-        decide_one_vertex(g, 2, 1)
-    with pytest.raises(UnsupportedFamily):
-        decide_one_vertex(g, 3, 0)
+        decide_colored_one_vertex(g, build_F(3, 0))
+    # a degree mismatch is a plain no before any family analysis
+    assert not decide_colored_one_vertex(g, build_F(2, 1)).answer
+    # the front door falls back to exact search on both
+    v = decide_colored(g, build_F(3, 0))
+    assert v.answer and v.method == "brute-force-fallback"
+    check_verdict(v, g, build_F(3, 0))
+    v = decide_colored(g, build_F(2, 1))
+    assert not v.answer and v.method == "brute-force-fallback"
 
 
 def test_empty_source_is_vacuous_yes():
     empty = GraphBuilder().build()
-    assert decide_one_vertex(empty, 0, 1).answer
-    assert decide_bipartite_bars(empty, 2).answer
+    assert decide_colored(empty, build_F(0, 1)).answer
+    assert decide_colored(empty, build_W(0, 0, 2, 0, 0)).answer
     assert decide_colored_one_vertex(empty, build_F(1, 1)).answer
 
 
 # ----------------------------------------------------------------- bars
 
 def test_bars_on_cycles():
-    assert decide_bipartite_bars(cycle(4), 2).answer
-    assert decide_bipartite_bars(cycle(6), 2).answer
-    assert not decide_bipartite_bars(cycle(3), 2).answer
-    assert not decide_bipartite_bars(cycle(5), 2).answer
+    w2 = build_W(0, 0, 2, 0, 0)
+    assert decide_colored(cycle(4), w2).answer
+    assert decide_colored(cycle(6), w2).answer
+    assert not decide_colored(cycle(3), w2).answer
+    assert not decide_colored(cycle(5), w2).answer
 
 
 def test_bars_on_cubic_graphs():
     from semicover.build import complete_bipartite
     k33 = complete_bipartite(3, 3)
-    v = decide_bipartite_bars(k33, 3)
-    check_verdict(v, k33, build_W(0, 0, 3, 0, 0))
+    w3 = build_W(0, 0, 3, 0, 0)
+    v = decide_colored(k33, w3)
+    check_verdict(v, k33, w3)
     assert v.answer
-    assert not decide_bipartite_bars(complete(4), 3).answer
-    assert not decide_bipartite_bars(petersen(), 3).answer
+    assert not decide_colored(complete(4), w3).answer
+    assert not decide_colored(petersen(), w3).answer
 
 
 def test_bars_degree_mismatch():
-    assert not decide_bipartite_bars(cycle(4), 3).answer
+    assert not decide_colored(cycle(4), build_W(0, 0, 3, 0, 0)).answer
+    # two vertices without bars are a disconnected target
     with pytest.raises(ValueError):
-        decide_bipartite_bars(cycle(4), 0)
+        decide_colored(cycle(4), disjoint_union([build_F(0, 0), build_F(0, 0)]))
 
 
 # ------------------------------------------------------- colored targets
@@ -294,7 +304,7 @@ def test_one_vertex_fuzz_against_search():
                              semis=rng.random() < 0.5)
         if g.n_darts > 16:
             continue
-        v = decide_one_vertex(g, b, c)
+        v = decide_colored(g, h)
         check_verdict(v, g, h)
         expect = find_cover(g, h) is not None
         assert v.answer == expect, (b, c, g.links)
@@ -329,7 +339,7 @@ def test_two_vertex_fuzz_against_search():
 
 def test_disjoint_sources_still_decide():
     g = disjoint_union([cycle(3), cycle(4)])
-    assert decide_one_vertex(g, 0, 1).answer
-    assert not decide_one_vertex(g, 2, 0).answer
+    assert decide_colored(g, build_F(0, 1)).answer
+    assert not decide_colored(g, build_F(2, 0)).answer
     g2 = disjoint_union([cycle(4), cycle(6)])
     assert decide_two_vertex_regular_2sat(g2, build_W(0, 0, 2, 0, 0)).answer

@@ -7,9 +7,7 @@ import pytest
 
 from semicover.build import build_F, build_W, build_WD, cycle, path
 from semicover.cover import find_cover
-from semicover.dichotomy import (Classification, FamilyShape, OutOfScope,
-                                 classify, decide_colored, recognize_shape,
-                                 shade_vertex_colors)
+from semicover.dichotomy import Classification, OutOfScope, classify, decide_colored
 from semicover.graph import GraphBuilder, disjoint_union
 from util import assert_cover_ok, perturb, random_lift
 
@@ -66,75 +64,6 @@ def test_classify_scope():
         classify(GraphBuilder().build())
     with pytest.raises(OutOfScope):
         classify(disjoint_union([build_F(0, 1), build_F(0, 1)]))
-
-
-def test_recognize_family_shapes():
-    assert recognize_shape(build_F(1, 1)) == FamilyShape("F", (1, 1))
-    assert recognize_shape(build_F(0, 0)) == FamilyShape("F", (0, 0))
-    assert recognize_shape(build_W(1, 0, 2, 0, 1)) == FamilyShape("W", (1, 0, 2, 0, 1))
-    assert recognize_shape(build_WD(2, 1, 1)) == FamilyShape("WD", (2, 1, 1))
-    assert recognize_shape(build_WD(1, 2, 1)) == FamilyShape("WD", (1, 2, 1))
-
-
-def test_recognize_w_orders_heavier_side_first():
-    shape = recognize_shape(build_W(0, 0, 1, 1, 1))
-    assert shape.kind == "W"
-    assert shape.params == (1, 1, 1, 0, 0)
-
-
-def test_recognize_other_shapes():
-    b = GraphBuilder()
-    b.add_vertex()
-    b.add_loop(0, colors=(1, 1))
-    b.add_loop(0, colors=(2, 2))
-    assert recognize_shape(b.build()).kind == "other"
-    b = GraphBuilder()
-    b.add_vertex()
-    b.add_vertex()
-    b.add_semi(0)
-    b.add_semi(1)
-    assert recognize_shape(b.build()).kind == "other"
-    with pytest.raises(OutOfScope):
-        recognize_shape(cycle(3))
-
-
-def test_shading_zeroes_vertex_colors():
-    b = GraphBuilder()
-    b.add_vertex(color=1)
-    b.add_vertex(color=2)
-    b.add_edge(0, 1)
-    b.add_loop(0)
-    b.add_semi(1)
-    g = b.build()
-    s = shade_vertex_colors(g)
-    assert all(c == 0 for c in s.vertex_color)
-    assert s.n_links == g.n_links and s.n_darts == g.n_darts
-    darts0 = {s.dart_color[d] for d in s.darts_at[0]}
-    darts1 = {s.dart_color[d] for d in s.darts_at[1]}
-    assert darts0.isdisjoint(darts1)
-
-
-def test_shading_preserves_cover_answers():
-    rng = random.Random(53)
-    b = GraphBuilder()
-    b.add_vertex(color=1)
-    b.add_vertex(color=2)
-    b.add_edge(0, 1)
-    b.add_edge(0, 1)
-    b.add_semi(0)
-    b.add_semi(1)
-    h = b.build()
-    agree = yes = 0
-    for _ in range(40):
-        g = random_lift(h, rng.randrange(1, 3), rng)
-        if rng.random() < 0.5:
-            g = perturb(g, rng)
-        before = find_cover(g, h) is not None
-        after = find_cover(shade_vertex_colors(g), shade_vertex_colors(h)) is not None
-        assert before == after
-        agree += 1
-        yes += before
-    assert agree == 40 and 0 < yes
 
 
 def test_decide_colored_dispatch_methods():
