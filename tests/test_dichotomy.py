@@ -16,8 +16,26 @@ POLY_TARGETS = ([build_F(0, c) for c in range(4)]
                 + [build_F(2, 0)]
                 + [build_W(0, 0, k, 0, 0) for k in (1, 2, 3)])
 
+
+def barred_pair(k, m, q, p):
+    """Two vertices joined by a bar of color 1, with k semis and m loops at
+    one and q semis and p loops at the other in color 0."""
+    b = GraphBuilder()
+    b.add_vertex()
+    b.add_vertex()
+    b.add_edge(0, 1, colors=(1, 1))
+    for v, semis, loops in ((0, k, m), (1, q, p)):
+        for _ in range(semis):
+            b.add_semi(v)
+        for _ in range(loops):
+            b.add_loop(v)
+    return b.build()
+
+
+# the last two are regular targets whose color-0 class has no bars
 HARD_TARGETS = [build_F(2, 1), build_F(3, 0), build_W(1, 1, 1, 1, 1),
-                build_WD(1, 2, 1), build_W(2, 2, 2, 1, 1)]
+                build_WD(1, 2, 1), build_W(2, 2, 2, 1, 1),
+                barred_pair(1, 1, 3, 0), barred_pair(2, 1, 2, 1)]
 
 
 def test_polynomial_table():
