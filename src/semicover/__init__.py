@@ -8,9 +8,9 @@ biject onto its image's darts and links land on links.
 
 from .build import (build_F, build_W, build_WD, complete, complete_bipartite,
                     cycle, double_cover, gen_binpacking, path, petersen)
-from .canon import CanonicalSet, isomorphic, refinement_invariant
-from .cover import (CoverViolation, DartMapping, ResourceLimit,
-                    enumerate_covers, find_cover, verify_cover, witness_json)
+from .canon import CanonicalSet, isomorphic
+from .cover import (CoverViolation, DartMapping, ResourceLimit, find_cover,
+                    verify_cover, witness_json)
 from .deciders import (UnsupportedFamily, Verdict, decide_colored_one_vertex,
                        decide_two_vertex_nonregular,
                        decide_two_vertex_regular_2sat)
@@ -35,9 +35,9 @@ __version__ = "0.1.0"
 __all__ = [
     "EDGE", "LOOP", "SEMI",
     "Graph", "GraphBuilder", "GraphFormatError",
-    "CanonicalSet", "isomorphic", "refinement_invariant",
+    "CanonicalSet", "isomorphic",
     "CoverViolation", "DartMapping", "ResourceLimit",
-    "enumerate_covers", "find_cover", "verify_cover", "witness_json",
+    "find_cover", "verify_cover", "witness_json",
     "UnsupportedFamily", "Verdict",
     "decide_colored_one_vertex",
     "decide_two_vertex_nonregular", "decide_two_vertex_regular_2sat",

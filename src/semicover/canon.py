@@ -64,12 +64,6 @@ def _refine(g: Graph, coloring: list[int]) -> tuple[list[int], tuple]:
         coloring = new
 
 
-def refinement_invariant(g: Graph) -> tuple:
-    """Isomorphism-invariant fingerprint (complete for most inputs, not all)."""
-    _, feats = _refine(g, _initial_coloring(g))
-    return (g.n, g.n_darts, feats)
-
-
 def _match_profiles(g: Graph):
     """Per-vertex loop/semi profile and per-pair edge profile, computed once."""
     selfp = []

@@ -4,7 +4,8 @@ Decision subcommands print one JSON object on stdout; graph-producing
 subcommands print a graph file.  Human-oriented notes go to stderr.
 
 Exit codes: 0 yes/success, 1 no/counterexample, 2 usage or validation
-error, 3 target classified NP-complete, 4 search budget exhausted.
+error, 3 target classified NP-complete, 4 search budget or recursion
+depth exhausted.
 """
 
 from __future__ import annotations
@@ -14,13 +15,15 @@ import json
 import sys
 
 from . import build
-from .cover import ResourceLimit, find_cover, witness_json
-from .dichotomy import OutOfScope, classify, decide_colored
+from .cover import ResourceLimit, witness_json
+from .dichotomy import classify, decide_colored
 from .disconnected import build_pattern, decide
 from .graph import Graph, GraphFormatError, is_connected, parse_graph, serialize_graph
 from .stronger import check_stronger
 
 SEMANTICS = ("cover", "lbhom", "surjective", "equitable")
+BUDGET_HELP = ("exit 4 instead of running exact search on a source (or source "
+               "component) with more darts than this; polynomial deciders ignore it")
 
 
 def _load(path: str) -> Graph:
@@ -49,18 +52,13 @@ def _cmd_check(args) -> int:
         if h.n and not is_connected(h):
             return _fail(2, "cover semantics needs a connected target; "
                             "use lbhom, surjective or equitable instead")
-        try:
-            v = decide_colored(g, h, budget=args.budget)
-            answer, method, wit = v.answer, v.method, v.witness
-        except OutOfScope:
-            wit = find_cover(g, h, budget=args.budget)
-            answer, method = wit is not None, "exhaustive-search"
-        out = {"semantics": "cover", "answer": answer, "method": method}
-        if args.witness and wit is not None:
-            out["witness"] = witness_json(g, h, wit)
+        v = decide_colored(g, h, budget=args.budget)
+        out = {"semantics": "cover", "answer": v.answer, "method": v.method}
+        if args.witness and v.witness is not None:
+            out["witness"] = witness_json(g, h, v.witness)
         _emit(out)
-        _note("covers" if answer else "does not cover")
-        return 0 if answer else 1
+        _note("covers" if v.answer else "does not cover")
+        return 0 if v.answer else 1
     dec = decide(g, h, args.semantics, want_witness=args.witness,
                  budget=args.budget)
     out = dec.as_json()
@@ -199,14 +197,13 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--semantics", choices=SEMANTICS, default="cover")
     c.add_argument("--witness", action="store_true",
                    help="include a covering witness in the output")
-    c.add_argument("--budget", type=int, default=None,
-                   help="search node budget for exhaustive fallbacks")
+    c.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
     c.set_defaults(func=_cmd_check)
 
     c = sub.add_parser("pattern", help="covering pattern between components")
     c.add_argument("g", metavar="G")
     c.add_argument("h", metavar="H")
-    c.add_argument("--budget", type=int, default=None)
+    c.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
     c.set_defaults(func=_cmd_pattern)
 
     c = sub.add_parser("classify", help="complexity of covering a target")
@@ -250,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(2, f"graph format error: {e}")
     except ResourceLimit as e:
         return _fail(4, f"resource limit: {e}")
+    except RecursionError:
+        return _fail(4, "recursion depth exhausted; the input is too large "
+                        "for exact search")
     except OSError as e:
         return _fail(2, str(e))
     except ValueError as e:

@@ -6,6 +6,9 @@ onto a link.  Consequences used here: a semi-edge of the source maps to a
 semi-edge, a loop maps to a loop, and an ordinary edge maps to an edge, a
 loop, or collapses onto a semi-edge (both darts to the same image dart).
 Colors, when present, must be preserved on darts and on vertices.
+find_cover returns the first cover of a deterministic backtracking search;
+dichotomy.decide_colored calls it for every target without a polynomial
+decider.
 """
 
 from __future__ import annotations
@@ -160,23 +163,23 @@ def witness_json(g: Graph, h: Graph, f: DartMapping) -> dict:
     }
 
 
-def _search(g: Graph, h: Graph, max_count: int | None) -> list[DartMapping]:
-    """Backtracking search for covering projections onto a connected target.
+def _search(g: Graph, h: Graph) -> DartMapping | None:
+    """Backtracking search for a covering projection onto a connected target.
 
     Deterministic: components are anchored at their lowest vertex and
-    candidate target darts are tried in increasing id, so the first cover
-    found (and the enumeration order) is reproducible.
+    candidate target darts are tried in increasing id, so the cover found
+    is reproducible.
     """
     if h.n == 0:
-        return [DartMapping((), ())] if g.n == 0 else []
+        return DartMapping((), ()) if g.n == 0 else None
     if g.n == 0:
         # The empty mapping is locally bijective everywhere, vacuously.
-        return [DartMapping((), ())]
+        return DartMapping((), ())
 
     comps = components(g)
     for comp in comps:
         if len(comp.vertex_ids) % h.n != 0:
-            return []
+            return None
     h_sigs = {}
     for w in range(h.n):
         h_sigs.setdefault(type_signature(h, w), []).append(w)
@@ -184,13 +187,12 @@ def _search(g: Graph, h: Graph, max_count: int | None) -> list[DartMapping]:
     for u in range(g.n):
         anchor_cands.append(h_sigs.get(type_signature(g, u), []))
         if not anchor_cands[u]:
-            return []
+            return None
 
     fv = [-1] * g.n
     fd = [-1] * g.n_darts
     used = [0] * g.n
     pending: list[int] = []
-    results: list[DartMapping] = []
 
     def assign_dart(d: int, e: int, trail: list) -> bool:
         u = g.vertex_of[d]
@@ -261,29 +263,24 @@ def _search(g: Graph, h: Graph, max_count: int | None) -> list[DartMapping]:
                     continue
                 plen = len(pending)
                 trail: list = []
-                if assign_dart(d, e, trail):
-                    if solve(pi, ci):
-                        undo(trail, plen)
-                        return True
+                if assign_dart(d, e, trail) and solve(pi, ci):
+                    return True     # keep the assignment: it is the cover
                 undo(trail, plen)
             return False
         if ci == len(comps):
-            results.append(DartMapping(tuple(fd), tuple(fv)))
-            return max_count is not None and len(results) >= max_count
+            return True
         a = comps[ci].vertex_ids[0]
         for w in anchor_cands[a]:
             plen = len(pending)
             fv[a] = w
             pending.extend(g.darts_at[a])
-            stop = solve(pi, ci + 1)
+            if solve(pi, ci + 1):
+                return True
             del pending[plen:]
             fv[a] = -1
-            if stop:
-                return True
         return False
 
-    solve(0, 0)
-    return results
+    return DartMapping(tuple(fd), tuple(fv)) if solve(0, 0) else None
 
 
 def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping | None:
@@ -296,12 +293,4 @@ def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping 
         raise ValueError("target must be connected")
     if budget is not None and g.n_darts > budget:
         raise ResourceLimit(f"{g.n_darts} darts exceeds the search budget {budget}")
-    found = _search(g, h, 1)
-    return found[0] if found else None
-
-
-def enumerate_covers(g: Graph, h: Graph, limit: int | None = None) -> list[DartMapping]:
-    """All covering projections from g onto connected h, in search order."""
-    if h.n > 0 and len(components(h)) != 1:
-        raise ValueError("target must be connected")
-    return _search(g, h, limit)
+    return _search(g, h)

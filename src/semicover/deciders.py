@@ -241,7 +241,7 @@ def _decide_f(g: Graph, semis: list[int], loops: list[tuple[int, int]],
         # The target's one semi-edge pulls back to all semi-edges of g plus
         # a perfect matching of the semi-free vertices; what remains is
         # 2c-regular and semi-free, hence splits into c spanning 2-factors.
-        m = exact_link_cover(g, force_all_semis=True)
+        m = exact_link_cover(g)
         if m is None:
             return None
         used = set(m)

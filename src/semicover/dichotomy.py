@@ -4,10 +4,10 @@ Every connected colored target on one or two vertices defines a covering
 problem that is either polynomial or NP-complete, decided piece by piece
 over its color classes.  The case split lives in one place,
 deciders.dichotomy_table, which gives each piece a verdict, a rule and a
-decider.  classify reads that table and adds one header rule per case;
-decide_colored dispatches to the polynomial decider of the case, whose
-pieces follow the same rows, or to bounded exact search when the
-classification is NP-complete.
+decider.  classify reads that table and adds one header rule per case.
+decide_colored is the one place that picks an algorithm for a connected
+target: the polynomial decider of the case, whose pieces follow the same
+rows, or bounded exact search for every other target.
 """
 
 from __future__ import annotations
@@ -64,17 +64,18 @@ def classify(h: Graph) -> Classification:
 
 
 def decide_colored(g: Graph, h: Graph, *, budget: int | None = None) -> Verdict:
-    """Cover g onto connected h with at most two vertices.
+    """Cover g onto the connected target h.
 
-    Polynomial targets go to the matching decider; NP-complete ones fall
-    back to exact search under the dart budget.
+    A target on one or two vertices that classify marks polynomial goes to
+    its decider; every other target, the empty one included, falls back to
+    exact search under the dart budget.  A disconnected target raises
+    ValueError.
     """
-    cls = classify(h)
-    if not cls.polynomial:
-        f = find_cover(g, h, budget=budget)
-        return Verdict(f is not None, "brute-force-fallback", f)
-    if h.n == 1:
-        return decide_colored_one_vertex(g, h)
-    if type_signature(h, 0) != type_signature(h, 1):
-        return decide_two_vertex_nonregular(g, h)
-    return decide_two_vertex_regular_2sat(g, h)
+    if h.n in (1, 2) and classify(h).polynomial:
+        if h.n == 1:
+            return decide_colored_one_vertex(g, h)
+        if type_signature(h, 0) != type_signature(h, 1):
+            return decide_two_vertex_nonregular(g, h)
+        return decide_two_vertex_regular_2sat(g, h)
+    f = find_cover(g, h, budget=budget)
+    return Verdict(f is not None, "brute-force-fallback", f)

@@ -6,15 +6,17 @@ additionally for surjectivity, or for all target vertex fibers to share
 one size, gives the surjective and equitable variants.  All three reduce
 to questions about the covering pattern: the bipartite graph recording
 which source component covers which target component, weighted by the
-vertex-count ratio.
+vertex-count ratio.  Each component-vs-component question is one call of
+dichotomy.decide_colored, which picks the algorithm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cover import DartMapping, ResourceLimit, find_cover, verify_cover
-from .dichotomy import OutOfScope, decide_colored
+# find_cover is unused here but stays bound: perfbench's tracer wraps it at this name.
+from .cover import DartMapping, ResourceLimit, find_cover, verify_cover  # noqa: F401
+from .dichotomy import decide_colored
 from .graph import Component, Graph, components
 from .matching import kuhn_matching
 
@@ -74,30 +76,15 @@ class Decision:
         return out
 
 
-def _component_decider(budget: int | None):
-    """Cover decider for connected pieces: polynomial for targets with at
-    most two vertices, exact search (with the dart budget) above."""
-    def decide(gi: Graph, hj: Graph) -> DartMapping | None:
-        if hj.n <= 2:
-            try:
-                return decide_colored(gi, hj, budget=budget).witness
-            except OutOfScope:
-                pass
-        return find_cover(gi, hj, budget=budget)
-    return decide
+def build_pattern(g: Graph, h: Graph, *, budget: int | None = None,
+                  ) -> tuple[CoveringPattern, list[Component], list[Component]]:
+    """Resolve all component-vs-component cover queries with decide_colored.
 
-
-def build_pattern(g: Graph, h: Graph, decider=None, *,
-                  budget: int | None = None) -> tuple[CoveringPattern, list[Component], list[Component]]:
-    """Resolve all component-vs-component cover queries.
-
-    decider(gi, hj) must return a DartMapping or None; by default targets
-    with at most two vertices use the polynomial deciders and the rest run
-    exact search under the budget.  Pairs failing the divisibility filter
-    are skipped outright.
+    Every target component is connected and non-empty, so decide_colored
+    answers each pair: by a polynomial decider where one applies, by exact
+    search under the dart budget elsewhere.  Pairs failing the
+    divisibility filter are skipped outright.
     """
-    if decider is None:
-        decider = _component_decider(budget)
     comps_g = components(g)
     comps_h = components(h)
     pattern = CoveringPattern(tuple(c.graph.n for c in comps_g),
@@ -107,7 +94,7 @@ def build_pattern(g: Graph, h: Graph, decider=None, *,
             if ch.graph.n == 0 or cg.graph.n % ch.graph.n != 0:
                 continue
             try:
-                w = decider(cg.graph, ch.graph)
+                w = decide_colored(cg.graph, ch.graph, budget=budget).witness
             except ResourceLimit as e:
                 raise ResourceLimit(f"component pair ({i},{j}): {e}") from e
             if w is not None:
@@ -118,8 +105,8 @@ def build_pattern(g: Graph, h: Graph, decider=None, *,
 
 def max_bipartite_matching(pattern: CoveringPattern) -> dict[int, int]:
     """Maximum matching over pattern edges, as {g_i: h_j}; deterministic."""
-    links = [(i, j, idx) for idx, (i, j) in enumerate(sorted(pattern.edges))]
     ordered = sorted(pattern.edges)
+    links = [(i, j, idx) for idx, (i, j) in enumerate(ordered)]
     match = kuhn_matching(pattern.p, max(pattern.q, 1), links)
     return {i: ordered[lid][1] for i, lid in enumerate(match) if lid is not None}
 
@@ -173,9 +160,9 @@ def decide_equitable(pattern: CoveringPattern, n_g: int, n_h: int,
     levels = [{start: (None, -1)}]
     for i in range(pattern.p):
         nxt: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+        choices = [(j, pattern.edges[(i, j)]) for j in pattern.neighbors(i)]
         for state in levels[i]:
-            for j in pattern.neighbors(i):
-                r = pattern.edges[(i, j)]
+            for j, r in choices:
                 if state[j] + r > k:
                     continue
                 new = state[:j] + (state[j] + r,) + state[j + 1:]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .build import cycle
 from .canon import CanonicalSet
 from .graph import Graph, GraphBuilder, is_connected
 
@@ -165,7 +166,7 @@ def connected_regular_graphs(n: int, d: int) -> list[Graph]:
     if d == 1:
         return [_from_masks(2, [2, 1])] if n == 2 else []
     if d == 2:
-        return [] if n < 3 else [_cycle_graph(n)]
+        return [] if n < 3 else [cycle(n)]
     if d >= 4 and n - 1 - d < d:
         # complement search is shallower; complement preserves iso classes
         comp = _all_regular_graphs(n, n - 1 - d)
@@ -181,15 +182,6 @@ def connected_regular_graphs(n: int, d: int) -> list[Graph]:
                 out.append(cand)
         return out
     return _regular_connected_search(n, d)
-
-
-def _cycle_graph(n: int) -> Graph:
-    b = GraphBuilder()
-    for _ in range(n):
-        b.add_vertex()
-    for u in range(n):
-        b.add_edge(u, (u + 1) % n)
-    return b.build()
 
 
 def connected_simple_graphs(n: int) -> list[Graph]:

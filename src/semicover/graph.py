@@ -285,19 +285,23 @@ def components(g: Graph) -> list[Component]:
         order.append(sorted(verts))
     out = []
     for verts in order:
-        vmap = {v: i for i, v in enumerate(verts)}
         darts = sorted(d for v in verts for d in g.darts_at[v])
-        dmap = {d: i for i, d in enumerate(darts)}
-        links = sorted({g.link_of[d] for d in darts})
-        lmap = {l: i for i, l in enumerate(links)}
-        sub = Graph(len(verts),
-                    [vmap[g.vertex_of[d]] for d in darts],
-                    [lmap[g.link_of[d]] for d in darts],
-                    [g.dart_color[d] for d in darts],
-                    [g.vertex_color[v] for v in verts],
-                    [g.names[v] for v in verts])
-        out.append(Component(sub, tuple(verts), tuple(darts)))
+        out.append(Component(_subgraph(g, verts, darts), tuple(verts), tuple(darts)))
     return out
+
+
+def _subgraph(g: Graph, verts: Sequence[int], darts: Sequence[int]) -> Graph:
+    """The graph on the given vertices and darts of g, renumbered in the
+    order given; links keep the order of their original ids."""
+    vmap = {v: i for i, v in enumerate(verts)}
+    links = sorted({g.link_of[d] for d in darts})
+    lmap = {l: i for i, l in enumerate(links)}
+    return Graph(len(verts),
+                 [vmap[g.vertex_of[d]] for d in darts],
+                 [lmap[g.link_of[d]] for d in darts],
+                 [g.dart_color[d] for d in darts],
+                 [g.vertex_color[v] for v in verts],
+                 [g.names[v] for v in verts])
 
 
 def induced_link_subgraph(g: Graph, colors: Callable[[frozenset[int]], bool] | Iterable[int],
@@ -314,15 +318,7 @@ def induced_link_subgraph(g: Graph, colors: Callable[[frozenset[int]], bool] | I
         allowed = frozenset(colors)
         keep = lambda cs: cs <= allowed
     darts = [d for d in range(g.n_darts) if keep(g.link_colorset(g.link_of[d]))]
-    dmap = {d: i for i, d in enumerate(darts)}
-    links = sorted({g.link_of[d] for d in darts})
-    lmap = {l: i for i, l in enumerate(links)}
-    sub = Graph(g.n,
-                [g.vertex_of[d] for d in darts],
-                [lmap[g.link_of[d]] for d in darts],
-                [g.dart_color[d] for d in darts],
-                g.vertex_color, g.names)
-    return sub, tuple(darts)
+    return _subgraph(g, range(g.n), darts), tuple(darts)
 
 
 def induced_vertex_subgraph(g: Graph, vertices: Iterable[int],
@@ -330,22 +326,12 @@ def induced_vertex_subgraph(g: Graph, vertices: Iterable[int],
     """Subgraph on a vertex subset, keeping links with every end inside it."""
     verts = sorted(set(vertices))
     vset = set(verts)
-    vmap = {v: i for i, v in enumerate(verts)}
     darts = []
     for d in range(g.n_darts):
         l = g.link_of[d]
         if all(e in vset for e in g.link_ends(l)):
             darts.append(d)
-    dmap = {d: i for i, d in enumerate(darts)}
-    links = sorted({g.link_of[d] for d in darts})
-    lmap = {l: i for i, l in enumerate(links)}
-    sub = Graph(len(verts),
-                [vmap[g.vertex_of[d]] for d in darts],
-                [lmap[g.link_of[d]] for d in darts],
-                [g.dart_color[d] for d in darts],
-                [g.vertex_color[v] for v in verts],
-                [g.names[v] for v in verts])
-    return sub, tuple(verts), tuple(darts)
+    return _subgraph(g, verts, darts), tuple(verts), tuple(darts)
 
 
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:
@@ -390,6 +376,14 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(ln, f"reference to undeclared vertex {tok!r}")
         return ids[tok]
 
+    def color(tok: str, ln: int) -> int:
+        if not tok.startswith("color="):
+            raise GraphFormatError(ln, f"expected color=<n>, got {tok!r}")
+        try:
+            return int(tok[len("color="):])
+        except ValueError:
+            raise GraphFormatError(ln, f"bad color in {tok!r}") from None
+
     def colorpair(tok: str, ln: int) -> tuple[int, int]:
         if not tok.startswith("colors="):
             raise GraphFormatError(ln, f"expected colors=<i>,<j>, got {tok!r}")
@@ -412,15 +406,8 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError(ln, "vertex takes an id and an optional color")
             if args[0] in ids:
                 raise GraphFormatError(ln, f"duplicate vertex {args[0]!r}")
-            color = 0
-            if len(args) == 2:
-                if not args[1].startswith("color="):
-                    raise GraphFormatError(ln, f"expected color=<n>, got {args[1]!r}")
-                try:
-                    color = int(args[1][len("color="):])
-                except ValueError:
-                    raise GraphFormatError(ln, f"bad color in {args[1]!r}") from None
-            ids[args[0]] = b.add_vertex(color, args[0])
+            c = color(args[1], ln) if len(args) == 2 else 0
+            ids[args[0]] = b.add_vertex(c, args[0])
         elif kw == "edge":
             if len(args) not in (2, 3):
                 raise GraphFormatError(ln, "edge takes two vertices and optional colors")
@@ -437,15 +424,8 @@ def parse_graph(text: str) -> Graph:
         elif kw == "semi":
             if len(args) not in (1, 2):
                 raise GraphFormatError(ln, "semi takes one vertex and an optional color")
-            color = 0
-            if len(args) == 2:
-                if not args[1].startswith("color="):
-                    raise GraphFormatError(ln, f"expected color=<i>, got {args[1]!r}")
-                try:
-                    color = int(args[1][len("color="):])
-                except ValueError:
-                    raise GraphFormatError(ln, f"bad color in {args[1]!r}") from None
-            b.add_semi(vertex(args[0], ln), color)
+            c = color(args[1], ln) if len(args) == 2 else 0
+            b.add_semi(vertex(args[0], ln), c)
         else:
             raise GraphFormatError(ln, f"unknown directive {kw!r}")
     return b.build()

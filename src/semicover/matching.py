@@ -10,7 +10,7 @@ matchings.
 
 from __future__ import annotations
 
-from .graph import EDGE, LOOP, SEMI, Graph
+from .graph import EDGE, SEMI, Graph
 
 
 def kuhn_matching(n_left: int, n_right: int,
@@ -87,33 +87,28 @@ def konig_split(n_left: int, n_right: int, links: list[tuple[int, int, int]],
     return out
 
 
-def exact_link_cover(g: Graph, *, force_all_semis: bool = False) -> list[int] | None:
-    """Links covering every vertex exactly once; semi-edges self-cover.
+def exact_link_cover(g: Graph) -> list[int] | None:
+    """Every semi-edge plus edges covering each remaining vertex exactly once.
 
-    Loops are unusable.  With force_all_semis every semi-edge must be part
-    of the cover (then a vertex carrying two semi-edges is infeasible),
-    which is the exact preimage shape of a single target semi-edge.
+    This is the exact preimage shape of a single target semi-edge: every
+    semi-edge of g is in the cover, so a vertex carrying two semi-edges is
+    infeasible, and the vertices without semi-edges need a perfect
+    matching among themselves.  Loops are unusable.
     """
     semis_at: list[list[int]] = [[] for _ in range(g.n)]
     for l in range(g.n_links):
         if g.link_kind(l) == SEMI:
             semis_at[g.vertex_of[g.links[l][0]]].append(l)
-    if force_all_semis and any(len(s) > 1 for s in semis_at):
+    if any(len(s) > 1 for s in semis_at):
         return None
 
-    # A vertex without semi-edges needs an edge.  Under force_all_semis the
-    # others are covered by their semi-edge, so only edges between two needy
-    # vertices are usable; otherwise an edge helps if it covers one needy
-    # vertex, and a vertex with semi-edges that no edge covers takes its
-    # first semi-edge.
-    usable = all if force_all_semis else any
     needy = [not s for s in semis_at]
     choice: dict[tuple[int, int], int] = {}   # lowest link id per vertex pair
     adj: list[list[int]] = [[] for _ in range(g.n)]
     for l in range(g.n_links):
         if g.link_kind(l) == EDGE:
             u, w = sorted(g.link_ends(l))
-            if (u, w) not in choice and usable((needy[u], needy[w])):
+            if (u, w) not in choice and needy[u] and needy[w]:
                 choice[(u, w)] = l
                 adj[u].append(w)
                 adj[w].append(u)
@@ -121,21 +116,16 @@ def exact_link_cover(g: Graph, *, force_all_semis: bool = False) -> list[int] | 
     if mate is None:
         return None
     return sorted([choice[(u, w)] for u, w in enumerate(mate) if u < w]
-                  + [s[0] for v, s in enumerate(semis_at) if s and mate[v] < 0])
+                  + [s[0] for s in semis_at if s])
 
 
 def _cardinality_matching(adj: list[list[int]], need: list[int]) -> list[int] | None:
     """A matching that saturates every vertex in `need`, or None.
 
-    Returns mate[v] (-1 when v is exposed).  Vertices outside `need` are
-    optional: they may end exposed.  After a greedy warm start, each exposed
-    vertex of `need` gets one Edmonds search; it succeeds on reaching an
-    exposed vertex (augment) or an outer optional vertex (flip the even
-    alternating path to it, which exposes that vertex instead).  This is
-    exact: for a matching M and one M* saturating `need`, the component of
-    M xor M* at an M-exposed vertex of `need` is a path ending at an
-    M-exposed vertex or, after an even number of steps, at a vertex outside
-    `need`.  A failed search therefore means no such M* exists.
+    Returns mate[v] (-1 when v is exposed).  Every edge of adj joins two
+    vertices of `need`.  After a greedy warm start, each exposed vertex of
+    `need` gets one Edmonds search for an augmenting path; by Berge's
+    theorem a failed search means no perfect matching of `need` exists.
     """
     n = len(adj)
     mate = [-1] * n
@@ -145,22 +135,18 @@ def _cardinality_matching(adj: list[list[int]], need: list[int]) -> list[int] | 
                 if mate[w] < 0:
                     mate[v], mate[w] = w, v
                     break
-    required = [False] * n
-    for v in need:
-        required[v] = True
     parent = [-1] * n
     base = list(range(n))
     outer = [False] * n
     for root in need:
-        if mate[root] < 0 and not _blossom_search(root, adj, mate, required,
-                                                  parent, base, outer):
+        if mate[root] < 0 and not _blossom_search(root, adj, mate, parent,
+                                                  base, outer):
             return None
     return mate
 
 
 def _blossom_search(root: int, adj: list[list[int]], mate: list[int],
-                    required: list[bool], parent: list[int], base: list[int],
-                    outer: list[bool]) -> bool:
+                    parent: list[int], base: list[int], outer: list[bool]) -> bool:
     """One Edmonds search from the exposed vertex root, updating mate.
 
     parent, base and outer are scratch arrays, all at their rest values
@@ -173,12 +159,8 @@ def _blossom_search(root: int, adj: list[list[int]], mate: list[int],
     outer[root] = True
     tree = [root]        # every vertex whose scratch entries were touched
     queue = [root]
-    start = -1           # first vertex of the path to flip, once found
+    start = -1           # the exposed end of the augmenting path, once found
     for v in queue:
-        if not required[v]:
-            start = mate[v]
-            mate[v] = -1
-            break
         for w in adj[v]:
             if base[v] == base[w] or mate[v] == w:
                 continue

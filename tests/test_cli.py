@@ -35,7 +35,7 @@ def test_check_cover_yes(capsys, tmp_path):
     code, out = run(capsys, "check", g, h, "--witness")
     assert code == 0
     assert out["answer"] is True
-    assert out["method"] != "exhaustive-search"
+    assert out["method"] != "brute-force-fallback"
     assert "witness" in out and out["witness"]["vertex_map"]
 
 
@@ -146,6 +146,17 @@ def test_budget_exhaustion(capsys, tmp_path):
     code, out = run(capsys, "check", g, h, "--budget", "10")
     assert code == 4
     assert "error" in out
+
+
+def test_recursion_depth_exhaustion(capsys, tmp_path):
+    # Exact search recurses once per dart: a long cycle onto a triangle
+    # runs out of stack, which must exit 4 and not 1 ("no").
+    from semicover.build import cycle
+    g = write_graph(tmp_path, "c3000.g", cycle(3000))
+    h = write_graph(tmp_path, "c3.g", cycle(3))
+    code, out = run(capsys, "check", g, h)
+    assert code == 4
+    assert "recursion" in out["error"]
 
 
 def test_usage_errors(capsys, tmp_path):

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from semicover.build import build_F, build_W, complete, cycle, double_cover, path, petersen
-from semicover.cover import (DartMapping, ResourceLimit, enumerate_covers,
-                             find_cover, verify_cover, witness_json)
+from semicover.cover import (DartMapping, ResourceLimit, find_cover, verify_cover,
+                             witness_json)
 from semicover.graph import GraphBuilder, disjoint_union
 from util import assert_cover_ok, brute_cover_exists, perturb, random_graph, random_lift
 
@@ -63,13 +63,6 @@ def test_open_paths_cover_two_semis():
         f = find_cover(p, f20)
         assert f is not None
         assert_cover_ok(p, f20, f)
-
-
-def test_enumerate_covers_c4_loop():
-    covers = enumerate_covers(cycle(4), build_F(0, 1))
-    assert len(covers) == 2
-    for f in covers:
-        assert_cover_ok(cycle(4), build_F(0, 1), f)
 
 
 def test_known_cubic_targets():

@@ -118,8 +118,13 @@ def test_decide_colored_fuzz_against_search():
 
 def test_decide_colored_scope_and_budget():
     from semicover.cover import ResourceLimit
-    with pytest.raises(OutOfScope):
-        decide_colored(cycle(6), cycle(3))
+    v = decide_colored(cycle(6), cycle(3))
+    assert v.answer and v.method == "brute-force-fallback"
+    assert_cover_ok(cycle(6), cycle(3), v.witness)
+    with pytest.raises(ValueError):
+        decide_colored(cycle(3), disjoint_union([cycle(3), cycle(3)]))
+    with pytest.raises(ValueError):
+        decide_colored(cycle(3), disjoint_union([build_F(0, 1), build_F(0, 1)]))
     big = random_lift(build_F(3, 0), 6, random.Random(2))
     with pytest.raises(ResourceLimit):
         decide_colored(big, build_F(3, 0), budget=10)

@@ -143,15 +143,14 @@ def test_exact_link_cover_force_all_semis():
     gb.add_semi(a)
     gb.add_semi(a)
     g = gb.build()
-    assert exact_link_cover(g, force_all_semis=True) is None
-    assert exact_link_cover(g) is not None  # picking one of them works
+    assert exact_link_cover(g) is None
 
     # odd interior: semis cover the ends, middle vertex is stranded
-    assert exact_link_cover(path(3, semi_ends=True), force_all_semis=True) is None
+    assert exact_link_cover(path(3, semi_ends=True)) is None
 
     # even interior: semis at the ends plus the middle edge
     p4 = path(4, semi_ends=True)
-    chosen = exact_link_cover(p4, force_all_semis=True)
+    chosen = exact_link_cover(p4)
     assert chosen is not None
     assert cover_counts(p4, chosen) == [1] * 4
     assert sorted(len(p4.links[l]) for l in chosen) == [1, 1, 2]
@@ -263,7 +262,7 @@ def test_random_regular_two_factors():
         assert len(factors) == c
 
 
-def _reference_cover_exists(g, force_all_semis):
+def _reference_cover_exists(g):
     """Whether an exact link cover exists, decided with networkx's weighted
     blossom as a cardinality oracle: the reference for exact_link_cover."""
     semis = [0] * g.n
@@ -274,34 +273,24 @@ def _reference_cover_exists(g, force_all_semis):
         elif g.link_kind(l) == EDGE:
             u, w = g.link_ends(l)
             choice.setdefault((min(u, w), max(u, w)), l)
+    if max(semis, default=0) > 1:
+        return False
+    need = {v for v in range(g.n) if not semis[v]}
     gx = nx.Graph()
-    if force_all_semis:
-        if max(semis, default=0) > 1:
-            return False
-        need = {v for v in range(g.n) if not semis[v]}
-        gx.add_nodes_from(sorted(need))
-        gx.add_edges_from(uw for uw in sorted(choice) if set(uw) <= need)
-        return 2 * len(nx.max_weight_matching(gx, maxcardinality=True)) == len(need)
-    optional = {v for v in range(g.n) if semis[v]}
-    gx.add_nodes_from(range(g.n))
-    for u, w in sorted(choice):
-        gx.add_edge(u, w, weight=(u not in optional) + (w not in optional))
-    saturated = {v for pair in nx.max_weight_matching(gx) for v in pair}
-    return all(v in saturated or v in optional for v in range(g.n))
+    gx.add_nodes_from(sorted(need))
+    gx.add_edges_from(uw for uw in sorted(choice) if set(uw) <= need)
+    return 2 * len(nx.max_weight_matching(gx, maxcardinality=True)) == len(need)
 
 
 def _check_against_reference(g):
-    for force in (False, True):
-        chosen = exact_link_cover(g, force_all_semis=force)
-        assert (chosen is not None) == _reference_cover_exists(g, force)
-        if chosen is None:
-            continue
-        assert chosen == sorted(set(chosen))
-        assert all(g.link_kind(l) != LOOP for l in chosen)
-        assert cover_counts(g, chosen) == [1] * g.n
-        if force:
-            assert all(l in chosen for l in range(g.n_links)
-                       if g.link_kind(l) == SEMI)
+    chosen = exact_link_cover(g)
+    assert (chosen is not None) == _reference_cover_exists(g)
+    if chosen is None:
+        return
+    assert chosen == sorted(set(chosen))
+    assert all(g.link_kind(l) != LOOP for l in chosen)
+    assert cover_counts(g, chosen) == [1] * g.n
+    assert all(l in chosen for l in range(g.n_links) if g.link_kind(l) == SEMI)
 
 
 def test_exact_link_cover_matches_networkx_on_all_small_graphs():
