@@ -1,180 +1,190 @@
-"""Isomorphism testing and deduplication for dart multigraphs.
-
-Color refinement produces a canonical vertex partition that is comparable
-across graphs; exact isomorphism is decided by backtracking inside the
-refined classes.  Initial colors fold in each vertex's distance profile,
-which splits regular graphs that plain degree refinement cannot.  A
-CanonicalSet buckets graphs by their refinement invariant and keeps one
-representative per isomorphism class.
+"""Canonical certificates, isomorphism testing and deduplication for dart
+multigraphs.  Two graphs share a certificate exactly when they are
+isomorphic, colors included.  It comes from individualisation-refinement
+(McKay & Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60,
+2014) on vertices: a vertex's self key is its color, the sorted colors of
+its semi-edges and the sorted color pairs of its loops, and each neighbour
+is labelled with the sorted dart-color pairs of the parallel edges to it.
+The initial coloring sorts by self key, degree and distance profile (which
+splits regular graphs early).  The search individualises each vertex of the
+first non-singleton cell in turn, prunes by refinement trace, by twins and
+by automorphisms found from equal leaves, and keeps the best leaf.
 """
 
-from __future__ import annotations
+from itertools import groupby
 
-from .graph import LOOP, SEMI, Graph, _KIND_RANK
-
-
-def _distance_profile(g: Graph, v: int) -> tuple[int, ...]:
-    dist = [-1] * g.n
-    dist[v] = 0
-    queue = [v]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for d in g.darts_at[u]:
-            p = g.partner(d)
-            if p is None:
-                continue
-            w = g.vertex_of[p]
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return tuple(sorted(g.n if x < 0 else x for x in dist))
+from .graph import Graph, components
 
 
-def _initial_coloring(g: Graph) -> list[int]:
-    raw = [(g.vertex_color[v], g.degree(v), _distance_profile(g, v))
-           for v in range(g.n)]
-    idx = {k: i for i, k in enumerate(sorted(set(raw)))}
-    return [idx[r] for r in raw]
-
-
-def _refine(g: Graph, coloring: list[int]) -> tuple[list[int], tuple]:
-    """Refine to a stable partition; class ids are canonical across graphs."""
-    while True:
-        feats = []
-        for v in range(g.n):
-            inc = []
-            for d in g.darts_at[v]:
-                l = g.link_of[d]
-                p = g.partner(d)
-                if p is None:
-                    other = -2
-                elif g.vertex_of[p] == v:
-                    other = -1
-                else:
-                    other = coloring[g.vertex_of[p]]
-                cols = tuple(sorted(g.dart_color[x] for x in g.links[l]))
-                inc.append((g.dart_color[d], _KIND_RANK[g.link_kind(l)], cols, other))
-            feats.append((coloring[v], g.vertex_color[v], tuple(sorted(inc))))
-        idx = {f: i for i, f in enumerate(sorted(set(feats)))}
-        new = [idx[f] for f in feats]
-        if new == coloring:
-            return new, tuple(sorted(feats))
-        coloring = new
-
-
-def _match_profiles(g: Graph):
-    """Per-vertex loop/semi profile and per-pair edge profile, computed once."""
-    selfp = []
-    for v in range(g.n):
-        links = set(g.link_of[d] for d in g.darts_at[v])
-        semis = sorted(g.dart_color[g.links[l][0]]
-                       for l in links if g.link_kind(l) == SEMI)
-        loops = sorted(tuple(sorted(g.dart_color[d] for d in g.links[l]))
-                       for l in links if g.link_kind(l) == LOOP)
-        selfp.append((tuple(semis), tuple(loops)))
-    raw: list[dict[int, list]] = [{} for _ in range(g.n)]
+def _root(g: Graph):
+    """The invariant of g's refined initial coloring (label table, sorted
+    initial keys, trace) and the search state, None if g is disconnected."""
+    n, vo, dc = g.n, g.vertex_of, g.dart_color
+    semis: list[list[int]] = [[] for _ in range(n)]
+    loops: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    pairs: list[dict[int, list]] = [{} for _ in range(n)]
     for ds in g.links:
-        if len(ds) == 2:
-            d1, d2 = ds
-            u, w = g.vertex_of[d1], g.vertex_of[d2]
-            if u != w:
-                raw[u].setdefault(w, []).append((g.dart_color[d1], g.dart_color[d2]))
-                raw[w].setdefault(u, []).append((g.dart_color[d2], g.dart_color[d1]))
-    edgep = [{w: tuple(sorted(lst)) for w, lst in row.items()} for row in raw]
-    return selfp, edgep
-
-
-def _search(g1: Graph, g2: Graph, c1, c2, prof1, prof2) -> bool:
-    selfp1, edgep1 = prof1
-    selfp2, edgep2 = prof2
-    by_class: dict[int, list[int]] = {}
-    for v in range(g2.n):
-        by_class.setdefault(c2[v], []).append(v)
-
-    # Match g1 vertices in an order that keeps the partial map connected
-    # where possible, which makes the edge-profile checks bite early.
-    order: list[int] = []
-    seen = [False] * g1.n
-    for start in range(g1.n):
-        if seen[start]:
+        u, ca = vo[ds[0]], dc[ds[0]]
+        if len(ds) == 1:
+            semis[u].append(ca)
             continue
-        seen[start] = True
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            order.append(u)
-            for w in edgep1[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
+        w, cb = vo[ds[1]], dc[ds[1]]
+        if u == w:
+            loops[u].append((min(ca, cb), max(ca, cb)))
+        else:
+            pairs[u].setdefault(w, []).append((ca, cb))
+            pairs[w].setdefault(u, []).append((cb, ca))
+    labels = [{w: tuple(sorted(ps)) for w, ps in row.items()} for row in pairs]
+    table = tuple(sorted({lab for row in labels for lab in row.values()}))
+    # A vertex's code adds 2 ** (label rank * n + color) per neighbour; as a
+    # color is the first position of its cell, the count for one cell and
+    # label (at most the cell's size k) fits in its k bits: codes are exact.
+    offset = {lab: i * n for i, lab in enumerate(table)}
+    nbrs = [[(w, offset[lab]) for w, lab in row.items()] for row in labels]
+    prof = (nbrs, [1 << i for i in range(n * len(table))])
+    dist = _distances(nbrs)
+    raw = [((g.vertex_color[v], tuple(sorted(semis[v])), tuple(sorted(loops[v]))),
+            len(g.darts_at[v]), tuple(dist[v])) for v in range(n)]
+    col, start = _positions(raw)
+    col, trace = _refine(prof, col, len(start))
+    state = (prof, col, trace) if n == 0 or dist[0][-1] == n else None
+    return (table, tuple(sorted(raw)), trace), state
 
-    mapping: dict[int, int] = {}
-    used = [False] * g2.n
-    empty: tuple = ()
 
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
-        u = order[i]
-        spu = selfp1[u]
-        epu = edgep1[u]
-        for v in by_class.get(c1[u], ()):
-            if used[v] or spu != selfp2[v]:
+def _distances(nbrs: list[list]) -> list[list[int]]:
+    """Distance profiles: for each vertex, the number of vertices within
+    distance 0, 1, 2, ... of it, up to the largest eccentricity."""
+    ball = [1 << v for v in range(len(nbrs))]
+    out: list[list[int]] = [[1] for _ in nbrs]
+    while True:
+        grown = []
+        for nb, b in zip(nbrs, ball):
+            for w, _ in nb:
+                b |= ball[w]
+            grown.append(b)
+        if grown == ball:
+            return out
+        ball = grown
+        for sizes, b in zip(out, ball):
+            sizes.append(b.bit_count())
+
+
+def _positions(keys: list) -> tuple[list[int], dict]:
+    """Each vertex's cell, named by its first position when the vertices
+    are sorted by key, and the first position of each key, in key order."""
+    start: dict = {}
+    for i, k in enumerate(sorted(keys)):
+        start.setdefault(k, i)
+    return [start[k] for k in keys], start
+
+
+def _refine(prof, col: list[int], cells: int):
+    """Split the cells of col by neighbour colors until it is equitable.  The
+    trace is the sorted distinct vertex signatures, one per cell; for a
+    discrete coloring it is the labelled adjacency."""
+    nbrs, power = prof
+    top = len(power)
+    while True:
+        sigs = [col[v] << top | sum([power[col[w] + x] for w, x in nb])
+                for v, nb in enumerate(nbrs)]
+        new, start = _positions(sigs)
+        if len(start) == cells:
+            return col, tuple(start)
+        col, cells = new, len(start)
+
+
+def _best_leaf(prof, col: list[int], trace: tuple) -> tuple:
+    """The adjacency of the best leaf below col: the trace of a discrete
+    coloring.  Leaves compare by the traces along their paths."""
+    n = len(col)
+    best: list = []                     # traces, coloring and path of the best leaf
+    gens: list[list[int]] = []          # automorphisms found from equal leaves
+    adj = [dict(nb) for nb in prof[0]]
+
+    def twins(u: int, v: int) -> bool:
+        """Whether swapping u and v, of one cell, is an automorphism."""
+        a, b = dict(adj[u]), dict(adj[v])
+        return a.pop(v, None) == b.pop(u, None) and a == b
+
+    def visit(c: list[int], path: list[int], traces: tuple):
+        """Search below c, reached by individualising path; returns the
+        depth to jump back to when the rest of a subtree is redundant."""
+        if len(traces[-1]) == n:
+            if best and traces == best[0]:
+                # An automorphism maps the best leaf onto this one and fixes
+                # the common prefix of their paths; the rest of this subtree
+                # is the image of one already searched.
+                order = sorted(range(n), key=c.__getitem__)
+                gens.append([order[p] for p in best[1]])
+                return next(i for i, (u, v) in enumerate(zip(path, best[2])) if u != v)
+            if not best or traces > best[0]:
+                best[:] = traces, c, path
+            return None
+        starts = sorted(set(c)) + [n]
+        s = next(p for p, q in zip(starts, starts[1:]) if q - p > 1)
+        cell = [v for v in range(n) if c[v] == s]
+        orbit = list(range(n))          # orbit labels under the automorphisms fixing path
+        known = 0
+        done: list[int] = []
+        for v in cell:
+            if done:
+                for gam in gens[known:]:
+                    if all(gam[p] == p for p in path):
+                        for u in range(n):
+                            a, b = orbit[u], orbit[gam[u]]
+                            if a != b:
+                                orbit = [a if o == b else o for o in orbit]
+                known = len(gens)
+                if orbit[v] in {orbit[u] for u in done} or any(twins(u, v) for u in done):
+                    continue
+            done.append(v)
+            child = [s + 1 if p == s and u != v else p for u, p in enumerate(c)]
+            child, t = _refine(prof, child, len(traces[-1]) + 1)
+            tr = traces + (t,)
+            if best and tr < best[0][:len(tr)]:
                 continue
-            epv = edgep2[v]
-            ok = True
-            for u2, v2 in mapping.items():
-                if epu.get(u2, empty) != epv.get(v2, empty):
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = v
-                used[v] = True
-                if place(i + 1):
-                    return True
-                del mapping[u]
-                used[v] = False
-        return False
+            jump = visit(child, path + [v], tr)
+            if jump is not None and jump < len(path):
+                return jump
+        return None
 
-    return place(0)
+    visit(col, [], (trace,))
+    return best[0][-1]
+
+
+def _certificate(g: Graph, root: tuple | None = None) -> tuple:
+    """The label table, the sorted self keys (run-length coded) and the best
+    leaf; for a disconnected graph, its components' sorted certificates."""
+    (table, keys, _), state = root or _root(g)
+    if state is None:
+        return (tuple(sorted(_certificate(c.graph) for c in components(g))),)
+    return table, tuple((k, len(list(r))) for k, r in groupby(key[0] for key in keys)), _best_leaf(*state)
 
 
 def isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism of dart multigraphs, colors included."""
+    """Exact isomorphism of dart multigraphs, colors included: equal sizes
+    and root invariants, then equal certificates."""
     if g1.n != g2.n or g1.n_darts != g2.n_darts or g1.n_links != g2.n_links:
         return False
-    c1, f1 = _refine(g1, _initial_coloring(g1))
-    c2, f2 = _refine(g2, _initial_coloring(g2))
-    if f1 != f2:
-        return False
-    return _search(g1, g2, c1, c2, _match_profiles(g1), _match_profiles(g2))
+    root1, root2 = _root(g1), _root(g2)
+    return root1[0] == root2[0] and _certificate(g1, root1) == _certificate(g2, root2)
 
 
 class CanonicalSet:
-    """Collects graphs up to isomorphism; add() reports whether g was new."""
+    """Graphs up to isomorphism: the first representative of each class,
+    in insertion order.  add() reports whether g was new."""
 
     def __init__(self) -> None:
-        self._buckets: dict[tuple, list[tuple]] = {}
-        self.count = 0
+        self._reps: dict[tuple, Graph] = {}
 
     def add(self, g: Graph) -> bool:
-        coloring, feats = _refine(g, _initial_coloring(g))
-        key = (g.n, g.n_darts, g.n_links, feats)
-        bucket = self._buckets.setdefault(key, [])
-        prof = _match_profiles(g)
-        for other, oc, oprof in bucket:
-            if _search(g, other, coloring, oc, prof, oprof):
-                return False
-        bucket.append((g, coloring, prof))
-        self.count += 1
-        return True
+        cert = _certificate(g)
+        new = cert not in self._reps
+        self._reps.setdefault(cert, g)
+        return new
 
     def __iter__(self):
-        for bucket in self._buckets.values():
-            for g, _, _ in bucket:
-                yield g
+        return iter(self._reps.values())
 
     def __len__(self) -> int:
-        return self.count
+        return len(self._reps)

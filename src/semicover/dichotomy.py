@@ -18,7 +18,7 @@ from .cover import find_cover
 from .deciders import (Verdict, decide_colored_one_vertex,
                        decide_two_vertex_nonregular,
                        decide_two_vertex_regular_2sat, dichotomy_table)
-from .graph import Graph, is_connected, type_signature
+from .graph import Graph, is_connected
 
 
 class OutOfScope(ValueError):
@@ -66,16 +66,21 @@ def classify(h: Graph) -> Classification:
 def decide_colored(g: Graph, h: Graph, *, budget: int | None = None) -> Verdict:
     """Cover g onto the connected target h.
 
-    A target on one or two vertices that classify marks polynomial goes to
-    its decider; every other target, the empty one included, falls back to
-    exact search under the dart budget.  A disconnected target raises
-    ValueError.
+    A target on one or two vertices whose dichotomy_table rows are all P
+    goes to the decider of its case: one vertex, a forced vertex map (a
+    "cross bars" last row) or 2-SAT.  Every other target, the empty one
+    included, falls back to exact search under the dart budget.  A
+    disconnected target raises ValueError.
     """
-    if h.n in (1, 2) and classify(h).polynomial:
-        if h.n == 1:
-            return decide_colored_one_vertex(g, h)
-        if type_signature(h, 0) != type_signature(h, 1):
-            return decide_two_vertex_nonregular(g, h)
-        return decide_two_vertex_regular_2sat(g, h)
+    if h.n == 2 and not is_connected(h):
+        raise OutOfScope("disconnected target")
+    if h.n in (1, 2):
+        rows = dichotomy_table(h)
+        if all(r.verdict == "P" for r in rows):
+            if h.n == 1:
+                return decide_colored_one_vertex(g, h)
+            if rows[-1].kind == "cross bars":
+                return decide_two_vertex_nonregular(g, h)
+            return decide_two_vertex_regular_2sat(g, h)
     f = find_cover(g, h, budget=budget)
     return Verdict(f is not None, "brute-force-fallback", f)

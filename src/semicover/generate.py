@@ -5,10 +5,12 @@ vertex 0's neighbors are exactly 1..d, later vertices are discovered in
 consecutive label order, and every vertex is completed before the next
 one starts.  Twin candidates (vertices interchangeable in the partial
 graph) are only ever picked as a prefix of their group, which cuts the
-search without losing classes; leftover duplicates are removed by
-canonical comparison.  General connected graphs are grown by vertex
-augmentation: every connected graph on n vertices arises from a
-connected one on n-1 by attaching a non-cut vertex.
+search without losing classes; leftover duplicates are removed by a
+CanonicalSet, keyed by canonical certificate.  General connected graphs
+are grown by vertex augmentation: every connected graph on n vertices
+arises from a connected one on n-1 by attaching a non-cut vertex.  Each
+generator returns the first graph it built of each class, in the order
+the classes were found.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ def _from_masks(n: int, adjm: list[int]) -> Graph:
     return b.build()
 
 
+def _masks(g: Graph) -> list[int]:
+    """The neighbours of each vertex of the simple graph g, as bitmasks."""
+    return [sum(1 << g.vertex_of[g.partner(d)] for d in ds) for ds in g.darts_at]
+
+
 def _prefix_choices(groups: list[list[int]], take: int) -> list[list[int]]:
     """Subsets of size `take` using only prefixes of each twin group."""
     out: list[list[int]] = []
@@ -57,7 +64,6 @@ def _prefix_choices(groups: list[list[int]], take: int) -> list[list[int]]:
 
 def _regular_connected_search(n: int, d: int) -> list[Graph]:
     found = CanonicalSet()
-    out: list[Graph] = []
     adjm = [0] * n
     deg = [0] * n
     for w in range(1, d + 1):
@@ -82,9 +88,7 @@ def _regular_connected_search(n: int, d: int) -> list[Graph]:
 
     def rec(u: int, labeled: int):
         if u == n:
-            g = _from_masks(n, adjm)
-            if found.add(g):
-                out.append(g)
+            found.add(_from_masks(n, adjm))
             return
         if u >= labeled:
             return
@@ -121,7 +125,7 @@ def _regular_connected_search(n: int, d: int) -> list[Graph]:
                     deg[w] -= 1
 
     rec(1, d + 1)
-    return out
+    return list(found)
 
 
 def _all_regular_graphs(n: int, d: int) -> list[Graph]:
@@ -137,13 +141,9 @@ def _all_regular_graphs(n: int, d: int) -> list[Graph]:
     # multisets of components, ordered by size desc then index desc
     def rec(rest: int, size_cap: int, idx_cap: int, acc: list[Graph]):
         if rest == 0:
-            masks = [0] * n
-            base = 0
+            masks: list[int] = []
             for g in acc:
-                for u in range(g.n):
-                    for dd in g.darts_at[u]:
-                        masks[base + u] |= 1 << (base + g.vertex_of[g.partner(dd)])
-                base += g.n
+                masks += [m << len(masks) for m in _masks(g)]
             out.append(_from_masks(n, masks))
             return
         for k in range(min(rest, size_cap), 0, -1):
@@ -169,18 +169,10 @@ def connected_regular_graphs(n: int, d: int) -> list[Graph]:
         return [] if n < 3 else [cycle(n)]
     if d >= 4 and n - 1 - d < d:
         # complement search is shallower; complement preserves iso classes
-        comp = _all_regular_graphs(n, n - 1 - d)
         full = (1 << n) - 1
-        out = []
-        for g in comp:
-            masks = [full & ~(1 << u) for u in range(n)]
-            for u in range(g.n):
-                for dd in g.darts_at[u]:
-                    masks[u] &= ~(1 << g.vertex_of[g.partner(dd)])
-            cand = _from_masks(n, masks)
-            if is_connected(cand):
-                out.append(cand)
-        return out
+        complements = (_from_masks(n, [full & ~(1 << u | m) for u, m in enumerate(_masks(g))])
+                       for g in _all_regular_graphs(n, n - 1 - d))
+        return [g for g in complements if is_connected(g)]
     return _regular_connected_search(n, d)
 
 
@@ -191,22 +183,14 @@ def connected_simple_graphs(n: int) -> list[Graph]:
     level = [_from_masks(1, [0])]
     for size in range(2, n + 1):
         grown = CanonicalSet()
-        nxt: list[Graph] = []
         for g in level:
-            base = [0] * size
-            for u in range(g.n):
-                for dd in g.darts_at[u]:
-                    base[u] |= 1 << g.vertex_of[g.partner(dd)]
-            verts = list(range(g.n))
+            base = _masks(g) + [0]
             for r in range(1, g.n + 1):
-                for subset in combinations(verts, r):
+                for subset in combinations(range(g.n), r):
                     adj = list(base)
-                    adj.append(0)
                     for w in subset:
                         adj[g.n] |= 1 << w
                         adj[w] |= 1 << g.n
-                    cand = _from_masks(size, adj)
-                    if grown.add(cand):
-                        nxt.append(cand)
-        level = nxt
+                    grown.add(_from_masks(size, adj))
+        level = list(grown)
     return level

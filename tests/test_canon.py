@@ -2,9 +2,11 @@
 
 import random
 
-from semicover.build import build_F, complete, cycle, petersen
+import networkx as nx
+
+from semicover.build import build_F, complete, complete_bipartite, cycle, petersen
 from semicover.canon import CanonicalSet, isomorphic
-from semicover.graph import GraphBuilder, disjoint_union
+from semicover.graph import Graph, GraphBuilder, disjoint_union
 from util import random_graph
 
 
@@ -33,12 +35,110 @@ def shuffled_copy(g, rng):
     return gb.build()
 
 
+def cube():
+    gb = GraphBuilder()
+    for _ in range(8):
+        gb.add_vertex()
+    for u in range(8):
+        for bit in (1, 2, 4):
+            if u < u ^ bit:
+                gb.add_edge(u, u ^ bit)
+    return gb.build()
+
+
+def triple_edge_square():
+    gb = GraphBuilder()
+    for _ in range(4):
+        gb.add_vertex()
+    for u in range(4):
+        for _ in range(3):
+            gb.add_edge(u, (u + 1) % 4)
+    return gb.build()
+
+
+# vertex-transitive or nearly so: the search leans on automorphism pruning
+SYMMETRIC = [complete(6), complete_bipartite(3, 3), cube(), petersen(),
+             disjoint_union([cycle(3), cycle(3)]), build_F(0, 3), triple_edge_square()]
+
+
 def test_isomorphic_relabelings():
     rng = random.Random(3)
     for _ in range(80):
         g = random_graph(rng, rng.randrange(1, 7), rng.randrange(0, 9),
                          colors=(0, 1))
         assert isomorphic(g, shuffled_copy(g, rng))
+    for g in SYMMETRIC:
+        for _ in range(3):
+            assert isomorphic(g, shuffled_copy(g, rng))
+    for i, g in enumerate(SYMMETRIC):
+        for h in SYMMETRIC[i + 1:]:
+            assert not isomorphic(g, h)
+
+
+def test_twins_and_components_keep_the_search_small():
+    # Without twin pruning a star costs about n^2 refinements, and without
+    # the split into components a union of triangles about as many.
+    rng = random.Random(4)
+    for g in (complete_bipartite(1, 300), complete_bipartite(2, 100),
+              disjoint_union([cycle(3)] * 300)):
+        assert isomorphic(g, shuffled_copy(g, rng))
+    assert not isomorphic(disjoint_union([cycle(3)] * 300),
+                          disjoint_union([cycle(3)] * 298 + [cycle(6)]))
+
+
+def incidence_graph(g):
+    """g as a plain labelled graph: vertex, dart and link nodes, with the
+    vertex color, the dart color and the link size as labels."""
+    x = nx.Graph()
+    for v in range(g.n):
+        x.add_node(("v", v), label=("v", g.vertex_color[v]))
+    for l, ds in enumerate(g.links):
+        x.add_node(("l", l), label=("l", len(ds)))
+    for d in range(g.n_darts):
+        x.add_node(("d", d), label=("d", g.dart_color[d]))
+        x.add_edge(("d", d), ("v", g.vertex_of[d]))
+        x.add_edge(("d", d), ("l", g.link_of[d]))
+    return x
+
+
+def nx_isomorphic(g1, g2):
+    return nx.is_isomorphic(incidence_graph(g1), incidence_graph(g2),
+                            node_match=lambda a, b: a["label"] == b["label"])
+
+
+def colored_multigraph(rng):
+    """Random multigraph with loops, semi-edges, parallel edges and colored
+    vertices and darts."""
+    n = rng.randrange(1, 8)
+    g = random_graph(rng, n, rng.randrange(0, 2 * n + 3), colors=(0, 1))
+    return Graph(g.n, g.vertex_of, g.link_of, g.dart_color,
+                 [rng.choice((0, 0, 1)) for _ in range(g.n)])
+
+
+def nudged_copy(g, rng):
+    """g with one dart moved to another vertex or given another color."""
+    d = rng.randrange(g.n_darts)
+    vertex_of, dart_color = list(g.vertex_of), list(g.dart_color)
+    if g.n > 1 and rng.random() < 0.5:
+        vertex_of[d] = rng.choice([v for v in range(g.n) if v != vertex_of[d]])
+    else:
+        dart_color[d] = rng.choice([c for c in (0, 1, 2) if c != dart_color[d]])
+    return Graph(g.n, vertex_of, g.link_of, dart_color, g.vertex_color)
+
+
+def test_isomorphic_matches_networkx():
+    rng = random.Random(17)
+    same = differ = 0
+    for _ in range(300):
+        g = colored_multigraph(rng)
+        h = shuffled_copy(g, rng)
+        if g.n_darts and rng.random() < 0.6:
+            h = shuffled_copy(nudged_copy(g, rng), rng)
+        want = nx_isomorphic(g, h)
+        assert isomorphic(g, h) == want, (g.links, h.links)
+        same += want
+        differ += not want
+    assert same > 100 and differ > 100
 
 
 def test_non_isomorphic_same_degrees():
@@ -99,3 +199,20 @@ def test_canonical_set_counts():
             assert not cs.add(shuffled_copy(g, rng))
     assert len(cs) == 5
     assert sorted(x.n for x in cs) == sorted(g.n for g in base)
+
+
+def test_canonical_set_keeps_first_representatives_in_order():
+    rng = random.Random(8)
+    cs = CanonicalSet()
+    firsts = []
+    for g in SYMMETRIC + [cycle(6), petersen()]:
+        copies = [g] + [shuffled_copy(g, rng) for _ in range(2)]
+        rng.shuffle(copies)
+        new = [cs.add(c) for c in copies]
+        if any(new):
+            assert new == [True, False, False]
+            firsts.append(copies[0])
+        else:
+            assert not any(new)
+    assert len(firsts) == len(SYMMETRIC) + 1
+    assert all(a is b for a, b in zip(cs, firsts)) and len(list(cs)) == len(firsts)
