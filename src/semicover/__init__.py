@@ -11,9 +11,7 @@ from .build import (build_F, build_W, build_WD, complete, complete_bipartite,
 from .canon import CanonicalSet, isomorphic
 from .cover import (CoverViolation, DartMapping, ResourceLimit, find_cover,
                     verify_cover, witness_json)
-from .deciders import (UnsupportedFamily, Verdict, decide_colored_one_vertex,
-                       decide_two_vertex_nonregular,
-                       decide_two_vertex_regular_2sat)
+from .deciders import Verdict
 from .dichotomy import Classification, OutOfScope, classify, decide_colored
 from .disconnected import (CoveringPattern, Decision, build_pattern, decide,
                            decide_equitable, decide_lbhom, decide_surjective,
@@ -38,9 +36,7 @@ __all__ = [
     "CanonicalSet", "isomorphic",
     "CoverViolation", "DartMapping", "ResourceLimit",
     "find_cover", "verify_cover", "witness_json",
-    "UnsupportedFamily", "Verdict",
-    "decide_colored_one_vertex",
-    "decide_two_vertex_nonregular", "decide_two_vertex_regular_2sat",
+    "Verdict",
     "Classification", "OutOfScope", "classify", "decide_colored",
     "CoveringPattern", "Decision", "build_pattern", "decide",
     "decide_equitable", "decide_lbhom", "decide_surjective",

@@ -98,6 +98,8 @@ def path(n: int, *, semi_ends: bool = False) -> Graph:
 
 
 def complete(n: int) -> Graph:
+    if n < 0:
+        raise ValueError("complete graph needs a non-negative size")
     gb = GraphBuilder()
     vs = [gb.add_vertex() for _ in range(n)]
     for i in range(n):
@@ -107,6 +109,8 @@ def complete(n: int) -> Graph:
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
+    if min(a, b) < 0:
+        raise ValueError("complete bipartite graph needs non-negative sides")
     gb = GraphBuilder()
     left = [gb.add_vertex() for _ in range(a)]
     right = [gb.add_vertex() for _ in range(b)]

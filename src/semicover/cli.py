@@ -5,7 +5,8 @@ subcommands print a graph file.  Human-oriented notes go to stderr.
 
 Exit codes: 0 yes/success, 1 no/counterexample, 2 usage or validation
 error, 3 target classified NP-complete, 4 search budget or recursion
-depth exhausted.
+depth exhausted, 5 internal check failed (a library self-check, such as
+the re-verification of a witness, caught a wrong result).
 """
 
 from __future__ import annotations
@@ -250,6 +251,8 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         return _fail(4, "recursion depth exhausted; the input is too large "
                         "for exact search")
+    except RuntimeError as e:
+        return _fail(5, f"internal check failed: {e}")
     except OSError as e:
         return _fail(2, str(e))
     except ValueError as e:

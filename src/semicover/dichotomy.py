@@ -6,8 +6,8 @@ over its color classes.  The case split lives in one place,
 deciders.dichotomy_table, which gives each piece a verdict, a rule and a
 decider.  classify reads that table and adds one header rule per case.
 decide_colored is the one place that picks an algorithm for a connected
-target: the polynomial decider of the case, whose pieces follow the same
-rows, or bounded exact search for every other target.
+target: the polynomial decider of the case, handed the rows it has
+already read, or bounded exact search for every other target.
 """
 
 from __future__ import annotations
@@ -67,10 +67,10 @@ def decide_colored(g: Graph, h: Graph, *, budget: int | None = None) -> Verdict:
     """Cover g onto the connected target h.
 
     A target on one or two vertices whose dichotomy_table rows are all P
-    goes to the decider of its case: one vertex, a forced vertex map (a
-    "cross bars" last row) or 2-SAT.  Every other target, the empty one
-    included, falls back to exact search under the dart budget.  A
-    disconnected target raises ValueError.
+    goes to the decider of its case with those rows: one vertex, a forced
+    vertex map (a "cross bars" last row) or 2-SAT.  Every other target,
+    the empty one included, falls back to exact search under the dart
+    budget.  A disconnected target raises ValueError.
     """
     if h.n == 2 and not is_connected(h):
         raise OutOfScope("disconnected target")
@@ -78,9 +78,9 @@ def decide_colored(g: Graph, h: Graph, *, budget: int | None = None) -> Verdict:
         rows = dichotomy_table(h)
         if all(r.verdict == "P" for r in rows):
             if h.n == 1:
-                return decide_colored_one_vertex(g, h)
+                return decide_colored_one_vertex(g, h, rows)
             if rows[-1].kind == "cross bars":
-                return decide_two_vertex_nonregular(g, h)
-            return decide_two_vertex_regular_2sat(g, h)
+                return decide_two_vertex_nonregular(g, h, rows)
+            return decide_two_vertex_regular_2sat(g, h, rows)
     f = find_cover(g, h, budget=budget)
     return Verdict(f is not None, "brute-force-fallback", f)

@@ -11,7 +11,7 @@ vertex is the number of darts in it, so a loop contributes two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 SEMI = "semi"
 LOOP = "loop"
@@ -292,7 +292,11 @@ def components(g: Graph) -> list[Component]:
 
 def _subgraph(g: Graph, verts: Sequence[int], darts: Sequence[int]) -> Graph:
     """The graph on the given vertices and darts of g, renumbered in the
-    order given; links keep the order of their original ids."""
+    order given; links keep the order of their original ids.  All of g in
+    order is g itself."""
+    whole = len(verts) == g.n and len(darts) == g.n_darts
+    if whole and list(verts) == list(range(g.n)) and list(darts) == list(range(g.n_darts)):
+        return g
     vmap = {v: i for i, v in enumerate(verts)}
     links = sorted({g.link_of[d] for d in darts})
     lmap = {l: i for i, l in enumerate(links)}
@@ -304,20 +308,12 @@ def _subgraph(g: Graph, verts: Sequence[int], darts: Sequence[int]) -> Graph:
                  [g.names[v] for v in verts])
 
 
-def induced_link_subgraph(g: Graph, colors: Callable[[frozenset[int]], bool] | Iterable[int],
+def induced_link_subgraph(g: Graph, colors: frozenset[int],
                           ) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph keeping all vertices and the links whose dart color set is selected.
-
-    ``colors`` is either a collection of colors (a link is kept when its
-    color set is a subset) or a predicate on the link's color frozenset.
-    Returns the subgraph and the original dart id for each new dart.
-    """
-    if callable(colors):
-        keep = colors
-    else:
-        allowed = frozenset(colors)
-        keep = lambda cs: cs <= allowed
-    darts = [d for d in range(g.n_darts) if keep(g.link_colorset(g.link_of[d]))]
+    """Subgraph keeping all vertices and the links whose dart color set is
+    exactly ``colors``; also the original dart id for each new dart."""
+    keep = [g.link_colorset(l) == colors for l in range(g.n_links)]
+    darts = [d for d in range(g.n_darts) if keep[g.link_of[d]]]
     return _subgraph(g, range(g.n), darts), tuple(darts)
 
 

@@ -8,7 +8,12 @@ DELETED = [
     ("semicover.cover", "enumerate_covers"),
     ("semicover.canon", "refinement_invariant"),
     ("semicover.disconnected", "_component_decider"),
+    ("semicover.deciders", "UnsupportedFamily"),
 ]
+
+# only decide_colored calls these; they stay in semicover.deciders
+INTERNAL = ["decide_colored_one_vertex", "decide_two_vertex_nonregular",
+            "decide_two_vertex_regular_2sat"]
 
 
 def test_every_exported_name_resolves():
@@ -20,4 +25,6 @@ def test_every_exported_name_resolves():
 def test_deleted_names_are_gone():
     for module, name in DELETED:
         assert not hasattr(importlib.import_module(module), name), (module, name)
+        assert not hasattr(semicover, name) and name not in semicover.__all__, name
+    for name in INTERNAL:
         assert not hasattr(semicover, name) and name not in semicover.__all__, name

@@ -66,6 +66,10 @@ def test_complete_graphs():
     k23 = complete_bipartite(2, 3)
     assert is_bipartite(k23)
     assert sorted(k23.degree(v) for v in range(5)) == [2, 2, 2, 3, 3]
+    for bad in (lambda: complete(-2), lambda: complete_bipartite(-1, 2),
+                lambda: complete_bipartite(2, -1)):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_petersen_structure():

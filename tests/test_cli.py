@@ -159,6 +159,16 @@ def test_recursion_depth_exhaustion(capsys, tmp_path):
     assert "recursion" in out["error"]
 
 
+def test_failed_self_check_exits_5(capsys, tmp_path, monkeypatch):
+    import semicover.deciders
+    monkeypatch.setattr(semicover.deciders, "verify_cover", lambda *a, **k: ["forced"])
+    g = gen_to_file(capsys, tmp_path, "c4.g", "cycle", "4")
+    h = gen_to_file(capsys, tmp_path, "f01.g", "f", "0", "1")
+    code, out = run(capsys, "check", g, h)
+    assert code == 5
+    assert "internal check failed" in out["error"]
+
+
 def test_usage_errors(capsys, tmp_path):
     missing = str(tmp_path / "nope.g")
     h = gen_to_file(capsys, tmp_path, "f01.g", "f", "0", "1")
@@ -169,4 +179,5 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
     assert "error" in out
     assert run(capsys, "gen", "cycle", "0")[0] == 2
+    assert run(capsys, "gen", "complete", "-2")[0] == 2
     assert run(capsys, "gen", "binpacking", "2,2", "1")[0] == 2

@@ -6,11 +6,8 @@ import pytest
 
 from semicover.build import build_F, build_W, build_WD, complete, cycle, path, petersen
 from semicover.cover import find_cover
-from semicover.deciders import (UnsupportedFamily, decide_colored_one_vertex,
-                                decide_two_vertex_nonregular,
-                                decide_two_vertex_regular_2sat)
 from semicover.dichotomy import decide_colored
-from semicover.graph import LOOP, GraphBuilder, disjoint_union, type_signature
+from semicover.graph import LOOP, GraphBuilder, disjoint_union
 from semicover.matching import exact_link_cover
 from util import assert_cover_ok, perturb, random_graph, random_lift
 
@@ -75,10 +72,6 @@ def test_two_loops_needs_two_factor_split():
 
 def test_hard_families_raise():
     g = complete(4)
-    with pytest.raises(UnsupportedFamily):
-        decide_colored_one_vertex(g, build_F(3, 0))
-    # a degree mismatch is a plain no before any family analysis
-    assert not decide_colored_one_vertex(g, build_F(2, 1)).answer
     # the front door falls back to exact search on both
     v = decide_colored(g, build_F(3, 0))
     assert v.answer and v.method == "brute-force-fallback"
@@ -91,7 +84,7 @@ def test_empty_source_is_vacuous_yes():
     empty = GraphBuilder().build()
     assert decide_colored(empty, build_F(0, 1)).answer
     assert decide_colored(empty, build_W(0, 0, 2, 0, 0)).answer
-    assert decide_colored_one_vertex(empty, build_F(1, 1)).answer
+    assert decide_colored(empty, build_F(1, 1)).answer
 
 
 # ----------------------------------------------------------------- bars
@@ -148,14 +141,14 @@ def test_directed_loop_takes_consistent_orientations():
     h = one_vertex_directed_loop()
     for n in (1, 2, 3, 5):
         g = directed_cycle(n)
-        v = decide_colored_one_vertex(g, h)
+        v = decide_colored(g, h)
         check_verdict(v, g, h)
         assert v.answer
 
 
 def test_directed_loop_rejects_flipped_edge():
     h = one_vertex_directed_loop()
-    assert not decide_colored_one_vertex(directed_cycle(4, flip=(1,)), h).answer
+    assert not decide_colored(directed_cycle(4, flip=(1,)), h).answer
 
 
 def test_colored_classes_decided_independently():
@@ -167,7 +160,7 @@ def test_colored_classes_decided_independently():
     rng = random.Random(5)
     for k in (1, 2, 3):
         g = random_lift(h, k, rng)
-        v = decide_colored_one_vertex(g, h)
+        v = decide_colored(g, h)
         check_verdict(v, g, h)
         assert v.answer
 
@@ -179,7 +172,7 @@ def test_colored_signature_mismatch_is_no():
     b.add_semi(0, color=2)
     h = b.build()
     g = cycle(4)
-    assert not decide_colored_one_vertex(g, h).answer
+    assert not decide_colored(g, h).answer
 
 
 # ------------------------------------------------- two-vertex, separated
@@ -192,15 +185,10 @@ def test_separated_sides_forced_by_degree():
     b.add_edge(0, 1)
     b.add_semi(0)
     g = b.build()
-    v = decide_two_vertex_nonregular(g, h)
+    v = decide_colored(g, h)
     check_verdict(v, g, h)
     assert v.answer
-    assert not decide_two_vertex_nonregular(path(2), h).answer
-
-
-def test_separated_rejects_regular_target():
-    with pytest.raises(ValueError):
-        decide_two_vertex_nonregular(cycle(4), build_W(0, 0, 2, 0, 0))
+    assert not decide_colored(path(2), h).answer
 
 
 def test_separated_lifts_cover():
@@ -210,7 +198,7 @@ def test_separated_lifts_cover():
     for h in targets:
         for k in (1, 2, 3):
             g = random_lift(h, k, rng)
-            v = decide_two_vertex_nonregular(g, h)
+            v = decide_colored(g, h)
             check_verdict(v, g, h)
             assert v.answer, (h.n_links, k)
 
@@ -220,26 +208,26 @@ def test_separated_lifts_cover():
 def test_two_bars_takes_even_cycles():
     h = build_W(0, 0, 2, 0, 0)
     for n in (4, 6, 8):
-        v = decide_two_vertex_regular_2sat(cycle(n), h)
+        v = decide_colored(cycle(n), h)
         check_verdict(v, cycle(n), h)
         assert v.answer
     for n in (3, 5, 7):
-        assert not decide_two_vertex_regular_2sat(cycle(n), h).answer
+        assert not decide_colored(cycle(n), h).answer
 
 
 def test_semi_bar_target():
     h = build_W(1, 0, 1, 0, 1)
     g = path(2, semi_ends=True)
-    v = decide_two_vertex_regular_2sat(g, h)
+    v = decide_colored(g, h)
     check_verdict(v, g, h)
     assert v.answer
     # interior edges may collapse onto the semi when both ends share a side
     g4 = path(4, semi_ends=True)
-    v4 = decide_two_vertex_regular_2sat(g4, h)
+    v4 = decide_colored(g4, h)
     check_verdict(v4, g4, h)
     assert v4.answer
-    assert not decide_two_vertex_regular_2sat(cycle(3), h).answer
-    assert not decide_two_vertex_regular_2sat(path(3, semi_ends=True), h).answer
+    assert not decide_colored(cycle(3), h).answer
+    assert not decide_colored(path(3, semi_ends=True), h).answer
 
 
 def test_directed_target_small():
@@ -247,20 +235,20 @@ def test_directed_target_small():
     rng = random.Random(23)
     for k in (1, 2, 3):
         g = random_lift(h, k, rng)
-        v = decide_two_vertex_regular_2sat(g, h)
+        v = decide_colored(g, h)
         check_verdict(v, g, h)
         assert v.answer
 
 
 def test_hard_two_vertex_raises():
     h1 = build_W(1, 1, 1, 1, 1)
-    with pytest.raises(UnsupportedFamily):
-        decide_two_vertex_regular_2sat(h1, h1)
     h2 = build_WD(1, 2, 1)
-    with pytest.raises(UnsupportedFamily):
-        decide_two_vertex_regular_2sat(h2, h2)
-    # a degree mismatch is a plain no before any family analysis
-    assert not decide_two_vertex_regular_2sat(cycle(4), h1).answer
+    # NP-complete targets go to exact search, which finds the identity
+    for h in (h1, h2):
+        v = decide_colored(h, h)
+        assert v.answer and v.method == "brute-force-fallback"
+        check_verdict(v, h, h)
+    assert not decide_colored(cycle(4), h1).answer
 
 
 # ------------------------------------------------------ perfect matching
@@ -320,16 +308,13 @@ def test_two_vertex_fuzz_against_search():
     hits = 0
     for trial in range(180):
         h = targets[trial % len(targets)]
-        regular = type_signature(h, 0) == type_signature(h, 1)
         if rng.random() < 0.6:
             g = random_lift(h, rng.randrange(1, 4), rng)
         else:
             g = perturb(random_lift(h, rng.randrange(1, 3), rng), rng)
         if g.n_darts > 16:
             continue
-        decider = (decide_two_vertex_regular_2sat if regular
-                   else decide_two_vertex_nonregular)
-        v = decider(g, h)
+        v = decide_colored(g, h)
         check_verdict(v, g, h)
         expect = find_cover(g, h) is not None
         assert v.answer == expect
@@ -342,4 +327,4 @@ def test_disjoint_sources_still_decide():
     assert decide_colored(g, build_F(0, 1)).answer
     assert not decide_colored(g, build_F(2, 0)).answer
     g2 = disjoint_union([cycle(4), cycle(6)])
-    assert decide_two_vertex_regular_2sat(g2, build_W(0, 0, 2, 0, 0)).answer
+    assert decide_colored(g2, build_W(0, 0, 2, 0, 0)).answer

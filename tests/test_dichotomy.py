@@ -181,4 +181,9 @@ def test_classify_agrees_with_deciders_on_small_targets():
             assert v.answer == (find_cover(g, h) is not None), (h.links, g.links)
             if v.answer:
                 assert_cover_ok(g, h, v.witness)
+        # a 3-fold lift puts three source vertices over each target vertex
+        g = random_lift(h, 3, rng)
+        v = decide_colored(g, h)
+        assert v.answer, (h.links, g.links)
+        assert_cover_ok(g, h, v.witness)
     assert seen > 1000 and 0 < poly < seen

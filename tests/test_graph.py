@@ -143,10 +143,10 @@ def test_induced_link_subgraph():
     gb.add_edge(a, b, colors=(2, 2))
     gb.add_semi(a, color=1)
     g = gb.build()
-    sub, darts = induced_link_subgraph(g, [1])
+    sub, darts = induced_link_subgraph(g, {1})
     assert sub.n == 2 and sub.n_links == 2
     assert all(g.dart_color[d] == 1 for d in darts)
-    sub2, _ = induced_link_subgraph(g, [2])
+    sub2, _ = induced_link_subgraph(g, {2})
     assert sub2.n_links == 1
 
 
