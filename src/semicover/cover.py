@@ -6,16 +6,20 @@ onto a link.  Consequences used here: a semi-edge of the source maps to a
 semi-edge, a loop maps to a loop, and an ordinary edge maps to an edge, a
 loop, or collapses onto a semi-edge (both darts to the same image dart).
 Colors, when present, must be preserved on darts and on vertices.
-find_cover returns the first cover of a deterministic backtracking search;
+find_cover returns the first cover of a deterministic backtracking search,
+one loop over an explicit stack of choice points whose options come from a
+table built once per call, so no source is too deep for it;
 dichotomy.decide_colored calls it for every target without a polynomial
 decider.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .graph import EDGE, LOOP, SEMI, Graph, components, type_signature
+from .graph import (EDGE, LOOP, SEMI, Graph, _component_labels, is_connected,
+                    type_signature)
 
 
 class ResourceLimit(RuntimeError):
@@ -166,9 +170,18 @@ def witness_json(g: Graph, h: Graph, f: DartMapping) -> dict:
 def _search(g: Graph, h: Graph) -> DartMapping | None:
     """Backtracking search for a covering projection onto a connected target.
 
-    Deterministic: components are anchored at their lowest vertex and
-    candidate target darts are tried in increasing id, so the cover found
-    is reproducible.
+    One loop over an explicit stack of choice points, so the depth of the
+    source costs heap, not Python stack.  A choice point picks the image of
+    one source dart from a row of an option table built once: per (dart
+    colour, link kind), the darts of each target vertex in increasing id
+    that it may land on (a semi-edge or loop only on its own kind, an edge
+    on any link).  Choosing a dart also maps its link mate and fixes the
+    image of every vertex reached for the first time; the trail records
+    each of these so backtracking can undo them.  A component is anchored
+    at its lowest vertex, whose first dart takes the rows of the candidate
+    vertices in order.  Components share nothing, so a finished one is
+    final and a component that has no cover ends the search.  The order is
+    deterministic, so the cover found is reproducible.
     """
     if h.n == 0:
         return DartMapping((), ()) if g.n == 0 else None
@@ -176,111 +189,81 @@ def _search(g: Graph, h: Graph) -> DartMapping | None:
         # The empty mapping is locally bijective everywhere, vacuously.
         return DartMapping((), ())
 
-    comps = components(g)
-    for comp in comps:
-        if len(comp.vertex_ids) % h.n != 0:
-            return None
-    h_sigs = {}
+    if any(size % h.n for size in Counter(_component_labels(g)).values()):
+        return None
+    h_sigs: dict = {}
     for w in range(h.n):
         h_sigs.setdefault(type_signature(h, w), []).append(w)
-    anchor_cands = []
-    for u in range(g.n):
-        anchor_cands.append(h_sigs.get(type_signature(g, u), []))
-        if not anchor_cands[u]:
-            return None
+    cands = [h_sigs.get(type_signature(g, u)) for u in range(g.n)]
+    if None in cands:
+        return None
+    kinds = {(g.dart_color[d], g.link_kind(g.link_of[d])) for d in range(g.n_darts)}
+    table = {(c, k): [[e for e in h.darts_at[w] if h.dart_color[e] == c
+                       and k in (EDGE, h.link_kind(h.link_of[e]))] for w in range(h.n)]
+             for c, k in kinds}
+    opts = [table[g.dart_color[d], g.link_kind(g.link_of[d])] for d in range(g.n_darts)]
+    gmate = [g.partner(d) for d in range(g.n_darts)]   # None at a semi-edge
+    hmate = [h.partner(e) for e in range(h.n_darts)]
 
     fv = [-1] * g.n
     fd = [-1] * g.n_darts
-    used = [0] * g.n
-    pending: list[int] = []
+    used = [0] * g.n            # bitmask of the target darts taken at each vertex
+    trail: list[tuple[int, int, int]] = []  # (vertex, dart or -1, target dart or vertex)
+    pending: list[int] = []     # darts of the reached vertices, in reaching order
 
-    def assign_dart(d: int, e: int, trail: list) -> bool:
-        u = g.vertex_of[d]
-        bit = 1 << e
-        if used[u] & bit or fd[d] != -1:
-            return False
-        if g.dart_color[d] != h.dart_color[e]:
+    def assign(d: int, e: int) -> bool:
+        u, w = g.vertex_of[d], h.vertex_of[e]
+        if fv[u] == -1 and w in cands[u]:
+            fv[u] = w
+            trail.append((u, -1, w))
+            pending.extend(g.darts_at[u])
+        if fv[u] != w or used[u] >> e & 1 or g.dart_color[d] != h.dart_color[e]:
             return False
         fd[d] = e
-        used[u] |= bit
-        trail.append((0, d, u, bit))
-        l = g.link_of[d]
-        cell = g.links[l]
-        hl = h.link_of[e]
-        hcell = h.links[hl]
-        if len(cell) == 1:
-            return len(hcell) == 1
-        d2 = cell[1] if cell[0] == d else cell[0]
-        if g.link_kind(l) == LOOP:
-            if len(hcell) != 2 or h.vertex_of[hcell[0]] != h.vertex_of[hcell[1]]:
-                return False
-            e2 = hcell[1] if hcell[0] == e else hcell[0]
-            if fd[d2] != -1:
-                return fd[d2] == e2
-            return assign_dart(d2, e2, trail)
-        # ordinary edge: image link is a semi-edge, a loop, or an edge
-        u2 = g.vertex_of[d2]
-        if len(hcell) == 1:
-            e2 = e
-        else:
-            e2 = hcell[1] if hcell[0] == e else hcell[0]
-        w2 = h.vertex_of[e2]
-        if fv[u2] == -1:
-            if w2 not in anchor_cands[u2]:
-                return False
-            fv[u2] = w2
-            trail.append((1, u2, 0, 0))
-            pending.extend(g.darts_at[u2])
-        elif fv[u2] != w2:
-            return False
-        if fd[d2] != -1:
-            return fd[d2] == e2
-        return assign_dart(d2, e2, trail)
+        used[u] |= 1 << e
+        trail.append((u, d, e))
+        d2, e2 = gmate[d], hmate[e]
+        if d2 is None or fd[d2] != -1:
+            return True         # a semi-edge, or the mate that called us
+        return assign(d2, e if e2 is None else e2)
 
-    def undo(trail: list, plen: int) -> None:
-        del pending[plen:]
-        for tag, x, u, bit in reversed(trail):
-            if tag == 0:
-                fd[x] = -1
-                used[u] ^= bit
-            else:
-                fv[x] = -1
-
-    def solve(pi: int, ci: int) -> bool:
+    stack: list[tuple] = []     # (dart, untried options, trail len, pending len, pi)
+    anchor = pi = 0
+    while True:
         while pi < len(pending) and fd[pending[pi]] != -1:
             pi += 1
         if pi < len(pending):
             d = pending[pi]
-            w = fv[g.vertex_of[d]]
-            for e in h.darts_at[w]:
-                if g.dart_color[d] != h.dart_color[e]:
-                    continue
-                gk = g.link_kind(g.link_of[d])
-                hk = h.link_kind(h.link_of[e])
-                if gk == SEMI and hk != SEMI:
-                    continue
-                if gk == LOOP and hk != LOOP:
-                    continue
-                plen = len(pending)
-                trail: list = []
-                if assign_dart(d, e, trail) and solve(pi, ci):
-                    return True     # keep the assignment: it is the cover
-                undo(trail, plen)
-            return False
-        if ci == len(comps):
-            return True
-        a = comps[ci].vertex_ids[0]
-        for w in anchor_cands[a]:
-            plen = len(pending)
-            fv[a] = w
-            pending.extend(g.darts_at[a])
-            if solve(pi, ci + 1):
-                return True
-            del pending[plen:]
-            fv[a] = -1
-        return False
-
-    return DartMapping(tuple(fd), tuple(fv)) if solve(0, 0) else None
+            options = opts[d][fv[g.vertex_of[d]]]
+        else:
+            while anchor < g.n and fv[anchor] != -1:
+                anchor += 1
+            if anchor == g.n:
+                return DartMapping(tuple(fd), tuple(fv))
+            stack.clear()       # the finished components share nothing with the rest
+            if not g.darts_at[anchor]:
+                fv[anchor] = cands[anchor][0]
+                continue
+            d = g.darts_at[anchor][0]
+            options = [e for w in cands[anchor] for e in opts[d][w]]
+        stack.append((d, iter(options), len(trail), len(pending), pi))
+        while stack:
+            d, untried, t, p, pi = stack[-1]
+            while len(trail) > t:
+                u, x, e = trail.pop()
+                if x == -1:
+                    fv[u] = -1
+                else:
+                    fd[x] = -1
+                    used[u] ^= 1 << e
+            del pending[p:]
+            e = next(untried, -1)
+            if e == -1:
+                stack.pop()
+            elif assign(d, e):
+                break
+        else:
+            return None
 
 
 def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping | None:
@@ -289,7 +272,7 @@ def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping 
     The optional budget bounds the dart count of g; exceeding it raises
     ResourceLimit rather than starting a search that may not finish.
     """
-    if h.n > 0 and len(components(h)) != 1:
+    if not is_connected(h):
         raise ValueError("target must be connected")
     if budget is not None and g.n_darts > budget:
         raise ResourceLimit(f"{g.n_darts} darts exceeds the search budget {budget}")

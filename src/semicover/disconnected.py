@@ -91,7 +91,7 @@ def build_pattern(g: Graph, h: Graph, *, budget: int | None = None,
                               tuple(c.graph.n for c in comps_h))
     for i, cg in enumerate(comps_g):
         for j, ch in enumerate(comps_h):
-            if ch.graph.n == 0 or cg.graph.n % ch.graph.n != 0:
+            if cg.graph.n % ch.graph.n != 0:
                 continue
             try:
                 w = decide_colored(cg.graph, ch.graph, budget=budget).witness
@@ -221,13 +221,14 @@ def decide(g: Graph, h: Graph, semantics: str = "lbhom", *,
         bad = verify_cover(g, h, f, require_surjective=(semantics == "surjective"))
         if bad:
             raise RuntimeError(f"stitched witness failed verification: {bad[0]}")
-        profile: dict[str, int] = {}
+        fibers = [0] * h.n
         for hv in f.vertex_map:
-            profile[h.names[hv]] = profile.get(h.names[hv], 0) + 1
-        for hv in range(h.n):
-            profile.setdefault(h.names[hv], 0)
-        if semantics == "equitable" and len(set(profile.values())) > 1:
+            fibers[hv] += 1
+        if semantics == "equitable" and len(set(fibers)) > 1:
             raise RuntimeError("equitable witness has unequal fibers")
+        profile: dict[str, int] = {}
+        for hv, size in enumerate(fibers):
+            profile[h.names[hv]] = profile.get(h.names[hv], 0) + size
         decision.fiber_profile = profile
         decision.witness = f
     return decision

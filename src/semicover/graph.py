@@ -223,7 +223,7 @@ def is_regular(g: Graph) -> bool:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
+    return max(_component_labels(g), default=0) == 0
 
 
 def is_bipartite(g: Graph) -> bool:
@@ -257,37 +257,39 @@ class Component:
     dart_ids: tuple[int, ...]
 
 
+def _component_labels(g: Graph) -> list[int]:
+    """Each vertex's component, named by the component's smallest vertex."""
+    label = [-1] * g.n
+    for start in range(g.n):
+        if label[start] != -1:
+            continue
+        label[start] = start
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for d in g.darts_at[u]:
+                for x in g.links[g.link_of[d]]:
+                    w = g.vertex_of[x]
+                    if label[w] == -1:
+                        label[w] = start
+                        stack.append(w)
+    return label
+
+
 def components(g: Graph) -> list[Component]:
     """Connected components, ordered by smallest original vertex id.
 
     Isolated vertices form their own single-vertex components.
     """
-    comp = [-1] * g.n
-    order: list[list[int]] = []
-    for start in range(g.n):
-        if comp[start] != -1:
-            continue
-        cid = len(order)
-        comp[start] = cid
-        verts = [start]
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for d in g.darts_at[u]:
-                p = g.partner(d)
-                if p is None:
-                    continue
-                w = g.vertex_of[p]
-                if comp[w] == -1:
-                    comp[w] = cid
-                    verts.append(w)
-                    stack.append(w)
-        order.append(sorted(verts))
-    out = []
-    for verts in order:
-        darts = sorted(d for v in verts for d in g.darts_at[v])
-        out.append(Component(_subgraph(g, verts, darts), tuple(verts), tuple(darts)))
-    return out
+    labels = _component_labels(g)
+    verts: list[list[int]] = [[] for _ in range(g.n)]
+    darts: list[list[int]] = [[] for _ in range(g.n)]
+    for v, c in enumerate(labels):
+        verts[c].append(v)
+    for d, v in enumerate(g.vertex_of):
+        darts[labels[v]].append(d)
+    return [Component(_subgraph(g, vs, ds), tuple(vs), tuple(ds))
+            for vs, ds in zip(verts, darts) if vs]
 
 
 def _subgraph(g: Graph, verts: Sequence[int], darts: Sequence[int]) -> Graph:

@@ -5,7 +5,7 @@ import random
 
 from semicover.build import build_F
 from semicover.cli import main
-from semicover.cover import verify_cover
+from semicover.cover import DartMapping, verify_cover
 from semicover.graph import is_simple, parse_graph, serialize_graph
 from util import random_lift
 
@@ -148,12 +148,33 @@ def test_budget_exhaustion(capsys, tmp_path):
     assert "error" in out
 
 
-def test_recursion_depth_exhaustion(capsys, tmp_path):
-    # Exact search recurses once per dart: a long cycle onto a triangle
-    # runs out of stack, which must exit 4 and not 1 ("no").
+def test_long_cycle_check_answers_with_witness(capsys, tmp_path):
+    # Exact search keeps its choice points on the heap: a long cycle onto
+    # a triangle answers instead of running out of stack.
     from semicover.build import cycle
     g = write_graph(tmp_path, "c3000.g", cycle(3000))
     h = write_graph(tmp_path, "c3.g", cycle(3))
+    code, out = run(capsys, "check", g, h, "--witness")
+    assert code == 0
+    assert out["method"] == "brute-force-fallback"
+    w = out["witness"]
+    f = DartMapping(tuple(w["dart_map"]), tuple(w["vertex_map"]))
+    with open(g, encoding="utf-8") as fg, open(h, encoding="utf-8") as fh:
+        assert verify_cover(parse_graph(fg.read()), parse_graph(fh.read()), f,
+                            check_fibers=True) == []
+
+
+def test_recursion_depth_exhaustion(capsys, tmp_path, monkeypatch):
+    # canon and generate still recurse; running out of stack must exit 4
+    # and not 1 ("no").
+    import semicover.cli
+
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(semicover.cli, "decide_colored", too_deep)
+    g = gen_to_file(capsys, tmp_path, "c4.g", "cycle", "4")
+    h = gen_to_file(capsys, tmp_path, "c3.g", "cycle", "3")
     code, out = run(capsys, "check", g, h)
     assert code == 4
     assert "recursion" in out["error"]

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
-from semicover.build import build_F, build_W, complete, cycle, double_cover, path, petersen
+from semicover.build import (build_F, build_W, build_WD, complete, cycle, double_cover,
+                             path, petersen)
 from semicover.cover import (DartMapping, ResourceLimit, find_cover, verify_cover,
                              witness_json)
-from semicover.graph import GraphBuilder, disjoint_union
-from util import assert_cover_ok, brute_cover_exists, perturb, random_graph, random_lift
+from semicover.dichotomy import decide_colored
+from semicover.graph import EDGE, GraphBuilder, disjoint_union, is_connected
+from util import (assert_cover_ok, brute_cover_exists, perturb, random_graph, random_lift,
+                  recursive_search)
 
 
 def test_identity_cover():
@@ -172,3 +175,104 @@ def test_witness_json_shape():
     assert len(data["vertex_map"]) == 4
     assert len(data["dart_map"]) == 8
     assert sum(data["fiber_sizes"].values()) == 4
+
+
+def test_long_cycle_onto_one_loop_needs_no_deep_stack():
+    g, h = cycle(2000), build_F(0, 1)
+    f = find_cover(g, h)
+    assert f is not None
+    assert_cover_ok(g, h, f, check_fibers=True)
+
+
+def test_large_lift_of_np_target_needs_no_deep_stack():
+    h = build_W(1, 0, 2, 0, 1)
+    g = random_lift(h, 500, random.Random(1))
+    v = decide_colored(g, h)
+    assert v.answer and v.method == "brute-force-fallback"
+    assert_cover_ok(g, h, v.witness, check_fibers=True)
+
+
+def _swap_ends(g, rng):
+    """g with the second ends of two edges exchanged where that keeps every
+    vertex's type signature; the cover often breaks."""
+    edges = [g.links[l] for l in range(g.n_links) if g.link_kind(l) == EDGE]
+    for _ in range(10 if len(edges) > 1 else 0):
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if g.dart_color[a] == g.dart_color[c] and g.dart_color[b] == g.dart_color[d]:
+            break
+    else:
+        return g
+    gb = GraphBuilder()
+    for v in range(g.n):
+        gb.add_vertex(color=g.vertex_color[v])
+    for cell in [cell for cell in g.links if cell not in ((a, b), (c, d))] + [(a, d), (c, b)]:
+        x, y = cell[0], cell[-1]
+        u, w = g.vertex_of[x], g.vertex_of[y]
+        if x == y:
+            gb.add_semi(u, color=g.dart_color[x])
+        elif u == w:
+            gb.add_loop(u, colors=(g.dart_color[x], g.dart_color[y]))
+        else:
+            gb.add_edge(u, w, colors=(g.dart_color[x], g.dart_color[y]))
+    return gb.build()
+
+
+def _random_source(h, k, rng):
+    """A random graph with k copies of every target vertex's colour and dart
+    types, the stubs joined at random among those of one link colour set."""
+    gb = GraphBuilder()
+    stubs = {}
+    for w in range(h.n):
+        for _ in range(k):
+            v = gb.add_vertex(color=h.vertex_color[w])
+            for e in h.darts_at[w]:
+                stubs.setdefault(h.link_colorset(h.link_of[e]), []).append((h.dart_color[e], v))
+    for group in stubs.values():
+        rng.shuffle(group)
+        group.sort(key=lambda stub: stub[0])    # a two-colour set: one colour per half
+        if len(group) % 2:                      # only a one-colour set can be odd
+            c, v = group.pop()
+            gb.add_semi(v, color=c)
+        half = len(group) // 2
+        for (c1, u), (c2, w) in zip(group[:half], group[half:]):
+            if u == w:
+                gb.add_loop(u, colors=(c1, c2))
+            else:
+                gb.add_edge(u, w, colors=(c1, c2))
+    return gb.build()
+
+
+def _search_corpus(rng):
+    """Seeded (source, target) pairs: lifts, lifts with a link rewired or two
+    edge ends swapped, unions of lifts, and random sources, over random
+    small targets and named ones."""
+    targets = [petersen(), complete(4), build_W(1, 1, 1, 1, 1), build_WD(1, 2, 1),
+               build_F(2, 1)]
+    while len(targets) < 45:
+        colors = (0,) if len(targets) % 2 else (0, 1)
+        h = random_graph(rng, rng.randrange(1, 5), rng.randrange(1, 5), colors=colors)
+        if is_connected(h):
+            targets.append(h)
+    for h in targets:
+        reps, max_k = (2, 2) if h.n > 4 else (4, 3)
+        for _ in range(reps):
+            k = rng.randrange(1, max_k + 1)
+            g = random_lift(h, k, rng)
+            yield g, h
+            yield perturb(g, rng), h
+            yield _swap_ends(g, rng), h
+            yield disjoint_union([g, random_lift(h, 1, rng), perturb(g, rng)]), h
+            yield random_graph(rng, h.n * k, rng.randrange(1, 2 * h.n * k + 2)), h
+            yield _random_source(h, k, rng), h
+
+
+def test_search_matches_recursive_reference():
+    yes = total = 0
+    for g, h in _search_corpus(random.Random(41)):
+        got = find_cover(g, h)
+        assert got == recursive_search(g, h), (g, h)
+        if got is not None:
+            assert_cover_ok(g, h, got)
+            yes += 1
+        total += 1
+    assert total > 500 and yes > 100

@@ -92,6 +92,20 @@ def test_equitable_partition_flavor():
     assert not decide(g2, h, "equitable").answer
 
 
+def test_equitable_witness_with_repeated_target_names():
+    # Fibres are checked per target vertex, not per name: two of the three
+    # target vertices share the name "x".
+    b = GraphBuilder()
+    for name in "xxz":
+        b.add_loop(b.add_vertex(name=name))
+    h = b.build()
+    g = union_of_cycles([2, 2, 2])
+    d = decide(g, h, "equitable", want_witness=True)
+    assert d.answer
+    assert_cover_ok(g, h, d.witness)
+    assert d.fiber_profile == {"x": 4, "z": 2}
+
+
 def test_unknown_semantics_rejected():
     with pytest.raises(ValueError):
         decide(cycle(3), build_F(0, 1), "bijective")

@@ -9,7 +9,9 @@ from __future__ import annotations
 import random
 from itertools import permutations, product
 
-from semicover.graph import EDGE, LOOP, SEMI, Graph, GraphBuilder
+from semicover.cover import DartMapping
+from semicover.graph import (EDGE, LOOP, SEMI, Graph, GraphBuilder, components,
+                             type_signature)
 
 
 def random_graph(rng: random.Random, n: int, m: int, colors=(0,),
@@ -340,3 +342,124 @@ def assert_cover_ok(g: Graph, h: Graph, f, **kw) -> None:
     from semicover.cover import verify_cover
     bad = verify_cover(g, h, f, **kw)
     assert bad == [], f"witness violations: {bad}"
+
+
+def recursive_search(g: Graph, h: Graph) -> DartMapping | None:
+    """The exact search as a recursion per dart, kept as the reference that
+    cover._search must agree with: same first cover, or None for both.
+
+    Components are anchored at their lowest vertex and candidate target
+    darts are tried in increasing id.  The recursion depth grows with the
+    source, so only use it on small inputs.
+    """
+    if h.n == 0:
+        return DartMapping((), ()) if g.n == 0 else None
+    if g.n == 0:
+        # The empty mapping is locally bijective everywhere, vacuously.
+        return DartMapping((), ())
+
+    comps = components(g)
+    for comp in comps:
+        if len(comp.vertex_ids) % h.n != 0:
+            return None
+    h_sigs = {}
+    for w in range(h.n):
+        h_sigs.setdefault(type_signature(h, w), []).append(w)
+    anchor_cands = []
+    for u in range(g.n):
+        anchor_cands.append(h_sigs.get(type_signature(g, u), []))
+        if not anchor_cands[u]:
+            return None
+
+    fv = [-1] * g.n
+    fd = [-1] * g.n_darts
+    used = [0] * g.n
+    pending: list[int] = []
+
+    def assign_dart(d: int, e: int, trail: list) -> bool:
+        u = g.vertex_of[d]
+        bit = 1 << e
+        if used[u] & bit or fd[d] != -1:
+            return False
+        if g.dart_color[d] != h.dart_color[e]:
+            return False
+        fd[d] = e
+        used[u] |= bit
+        trail.append((0, d, u, bit))
+        l = g.link_of[d]
+        cell = g.links[l]
+        hl = h.link_of[e]
+        hcell = h.links[hl]
+        if len(cell) == 1:
+            return len(hcell) == 1
+        d2 = cell[1] if cell[0] == d else cell[0]
+        if g.link_kind(l) == LOOP:
+            if len(hcell) != 2 or h.vertex_of[hcell[0]] != h.vertex_of[hcell[1]]:
+                return False
+            e2 = hcell[1] if hcell[0] == e else hcell[0]
+            if fd[d2] != -1:
+                return fd[d2] == e2
+            return assign_dart(d2, e2, trail)
+        # ordinary edge: image link is a semi-edge, a loop, or an edge
+        u2 = g.vertex_of[d2]
+        if len(hcell) == 1:
+            e2 = e
+        else:
+            e2 = hcell[1] if hcell[0] == e else hcell[0]
+        w2 = h.vertex_of[e2]
+        if fv[u2] == -1:
+            if w2 not in anchor_cands[u2]:
+                return False
+            fv[u2] = w2
+            trail.append((1, u2, 0, 0))
+            pending.extend(g.darts_at[u2])
+        elif fv[u2] != w2:
+            return False
+        if fd[d2] != -1:
+            return fd[d2] == e2
+        return assign_dart(d2, e2, trail)
+
+    def undo(trail: list, plen: int) -> None:
+        del pending[plen:]
+        for tag, x, u, bit in reversed(trail):
+            if tag == 0:
+                fd[x] = -1
+                used[u] ^= bit
+            else:
+                fv[x] = -1
+
+    def solve(pi: int, ci: int) -> bool:
+        while pi < len(pending) and fd[pending[pi]] != -1:
+            pi += 1
+        if pi < len(pending):
+            d = pending[pi]
+            w = fv[g.vertex_of[d]]
+            for e in h.darts_at[w]:
+                if g.dart_color[d] != h.dart_color[e]:
+                    continue
+                gk = g.link_kind(g.link_of[d])
+                hk = h.link_kind(h.link_of[e])
+                if gk == SEMI and hk != SEMI:
+                    continue
+                if gk == LOOP and hk != LOOP:
+                    continue
+                plen = len(pending)
+                trail: list = []
+                if assign_dart(d, e, trail) and solve(pi, ci):
+                    return True     # keep the assignment: it is the cover
+                undo(trail, plen)
+            return False
+        if ci == len(comps):
+            return True
+        a = comps[ci].vertex_ids[0]
+        for w in anchor_cands[a]:
+            plen = len(pending)
+            fv[a] = w
+            pending.extend(g.darts_at[a])
+            if solve(pi, ci + 1):
+                return True
+            del pending[plen:]
+            fv[a] = -1
+        return False
+
+    return DartMapping(tuple(fd), tuple(fv)) if solve(0, 0) else None
