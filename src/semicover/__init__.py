@@ -20,8 +20,8 @@ from .generate import connected_regular_graphs, connected_simple_graphs
 from .graph import (EDGE, LOOP, SEMI, Graph, GraphBuilder, GraphFormatError,
                     components, disjoint_union, induced_link_subgraph,
                     induced_vertex_subgraph, is_bipartite, is_connected,
-                    is_regular, is_simple,
-                    parse_graph, serialize_graph, type_signature, validate)
+                    is_regular, is_simple, parse_graph, serialize_graph,
+                    type_signature)
 from .matching import (exact_link_cover, konig_split, kuhn_matching,
                        two_factor_orientations)
 from .stronger import (StrongerReport, UnsupportedBase, check_equivalent,
@@ -45,7 +45,7 @@ __all__ = [
     "components", "disjoint_union",
     "induced_link_subgraph", "induced_vertex_subgraph",
     "is_bipartite", "is_connected", "is_regular", "is_simple",
-    "parse_graph", "serialize_graph", "type_signature", "validate",
+    "parse_graph", "serialize_graph", "type_signature",
     "exact_link_cover", "konig_split", "kuhn_matching",
     "two_factor_orientations",
     "StrongerReport", "UnsupportedBase", "check_equivalent",

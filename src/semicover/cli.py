@@ -23,6 +23,16 @@ from .graph import Graph, GraphFormatError, is_connected, parse_graph, serialize
 from .stronger import check_stronger
 
 SEMANTICS = ("cover", "lbhom", "surjective", "equitable")
+# gen: each graph family's constructor and the names of its parameters
+_FAMILIES = {
+    "f": (build.build_F, ("SEMIS", "LOOPS")),
+    "w": (build.build_W, ("K", "M", "L", "P", "Q")),
+    "wd": (build.build_WD, ("M", "L", "M2")),
+    "cycle": (build.cycle, ("N",)),
+    "path": (build.path, ("N",)),
+    "complete": (build.complete, ("N",)),
+    "petersen": (build.petersen, ()),
+}
 BUDGET_HELP = ("exit 4 instead of running exact search on a source (or source "
                "component) with more darts than this; polynomial deciders ignore it")
 
@@ -145,37 +155,12 @@ def _cmd_gen(args) -> int:
         _emit({"g": args.out_g, "h": args.out_h,
                "items": xs, "bins": bins})
         return 0
+    make, names = _FAMILIES[kind]
     params = [int(x) for x in args.params]
-    if kind == "f":
-        if len(params) != 2:
-            raise ValueError("gen f needs: SEMIS LOOPS")
-        g = build.build_F(*params)
-    elif kind == "w":
-        if len(params) != 5:
-            raise ValueError("gen w needs: K M L P Q")
-        g = build.build_W(*params)
-    elif kind == "wd":
-        if len(params) != 3:
-            raise ValueError("gen wd needs: M L M2")
-        g = build.build_WD(*params)
-    elif kind == "cycle":
-        if len(params) != 1:
-            raise ValueError("gen cycle needs: N")
-        g = build.cycle(params[0])
-    elif kind == "path":
-        if len(params) != 1:
-            raise ValueError("gen path needs: N")
-        g = build.path(params[0], semi_ends=args.semi_ends)
-    elif kind == "complete":
-        if len(params) != 1:
-            raise ValueError("gen complete needs: N")
-        g = build.complete(params[0])
-    elif kind == "petersen":
-        if params:
-            raise ValueError("gen petersen takes no parameters")
-        g = build.petersen()
-    else:
-        raise ValueError(f"unknown generator {kind!r}")
+    if len(params) != len(names):
+        raise ValueError(f"gen {kind} needs: {' '.join(names)}" if names
+                         else f"gen {kind} takes no parameters")
+    g = make(*params, semi_ends=args.semi_ends) if kind == "path" else make(*params)
     text = serialize_graph(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -227,8 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_stronger)
 
     c = sub.add_parser("gen", help="generate standard graphs")
-    c.add_argument("kind", choices=["f", "w", "wd", "cycle", "path",
-                                    "complete", "petersen", "binpacking"])
+    c.add_argument("kind", choices=[*_FAMILIES, "binpacking"])
     c.add_argument("params", nargs="*",
                    help="numeric parameters for the chosen family")
     c.add_argument("-o", "--output", default=None)

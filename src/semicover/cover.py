@@ -156,14 +156,14 @@ def _fiber_violations(g: Graph, h: Graph, f: DartMapping) -> list[CoverViolation
 
 def witness_json(g: Graph, h: Graph, f: DartMapping) -> dict:
     """The witness as JSON, with the number of source vertices over each
-    target vertex."""
-    fibers = [0] * h.n
+    target vertex name (vertices that share a name are summed)."""
+    fibers = dict.fromkeys(h.names, 0)
     for w in f.vertex_map:
-        fibers[w] += 1
+        fibers[h.names[w]] += 1
     return {
         "vertex_map": list(f.vertex_map),
         "dart_map": list(f.dart_map),
-        "fiber_sizes": {h.names[w]: c for w, c in enumerate(fibers)},
+        "fiber_sizes": fibers,
     }
 
 

@@ -271,26 +271,15 @@ def _directed_loops(g: Graph, i: int,
                     loop_targets: list[tuple[int, int]]) -> dict[int, int] | None:
     """Map a bicolored link class onto m directed loops at one vertex.
 
-    loop_targets are (i-dart, j-dart) pairs.  Always solvable when every
-    vertex has m outgoing (color i) and m incoming darts in the class.
+    Every link of g has two darts, one of color i.  loop_targets are
+    (i-dart, j-dart) pairs.  Solvable exactly when every vertex has m
+    outgoing (color i) and m incoming darts, which konig_split checks.
     """
-    m = len(loop_targets)
-    outdeg = [0] * g.n
-    indeg = [0] * g.n
     triples = []
     for l in range(g.n_links):
-        if len(g.links[l]) != 2:
-            return None
         di, dj = _lead(g, l, i)
-        if g.dart_color[di] != i or g.dart_color[dj] == i:
-            return None
-        u, w = g.vertex_of[di], g.vertex_of[dj]
-        outdeg[u] += 1
-        indeg[w] += 1
-        triples.append((u, w, l))
-    if any(d != m for d in outdeg) or any(d != m for d in indeg):
-        return None
-    split = konig_split(g.n, g.n, sorted(triples), m)
+        triples.append((g.vertex_of[di], g.vertex_of[dj], l))
+    split = konig_split(g.n, g.n, sorted(triples), len(loop_targets))
     if split is None:
         return None
     out: dict[int, int] = {}

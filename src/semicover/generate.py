@@ -19,22 +19,22 @@ from itertools import combinations
 
 from .build import cycle
 from .canon import CanonicalSet
-from .graph import Graph, GraphBuilder, is_connected
+from .graph import Graph, is_connected
 
 
 def _from_masks(n: int, adjm: list[int]) -> Graph:
-    b = GraphBuilder()
-    for _ in range(n):
-        b.add_vertex()
+    """The simple graph with these neighbour bitmasks; edge (u, w), u < w,
+    in (u, w) order, is link l with darts 2l at u and 2l + 1 at w."""
+    vertex_of: list[int] = []
     for u in range(n):
         m = adjm[u] >> (u + 1)
         w = u + 1
         while m:
             if m & 1:
-                b.add_edge(u, w)
+                vertex_of += (u, w)
             m >>= 1
             w += 1
-    return b.build()
+    return Graph(n, vertex_of, [d >> 1 for d in range(len(vertex_of))])
 
 
 def _masks(g: Graph) -> list[int]:

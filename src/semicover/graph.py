@@ -6,6 +6,10 @@ vertices) and one into links (cells of size one or two).  A one-dart link
 is a semi-edge, a two-dart link inside a single vertex is a loop, and a
 two-dart link across two vertices is an ordinary edge.  The degree of a
 vertex is the number of darts in it, so a loop contributes two.
+
+Input is checked where it enters: :class:`GraphBuilder` rejects each bad
+argument as it arrives and :func:`parse_graph` reports bad text with its
+line number.  ``Graph(...)`` itself trusts its arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ class Graph:
     Darts and vertices are dense integer ids.  ``vertex_of[d]`` and
     ``link_of[d]`` place dart ``d`` in its vertex and link cell.  Instances
     are built with :class:`GraphBuilder`, :func:`parse_graph`, or the
-    constructors in :mod:`semicover.build`; treat them as frozen.
+    constructors in :mod:`semicover.build`; treat them as frozen.  The
+    constructor does not check its arrays: every dart must name a vertex
+    in ``range(n)`` and a link, and every link needs one or two darts.
     """
 
     __slots__ = ("n", "vertex_of", "link_of", "dart_color", "vertex_color",
@@ -45,14 +51,12 @@ class Graph:
         self.names = tuple(names) if names is not None else tuple(f"v{i}" for i in range(n))
         darts_at: list[list[int]] = [[] for _ in range(n)]
         for d, v in enumerate(self.vertex_of):
-            if 0 <= v < n:
-                darts_at[v].append(d)
+            darts_at[v].append(d)
         self.darts_at = tuple(tuple(ds) for ds in darts_at)
         n_links = max(self.link_of, default=-1) + 1
         cells: list[list[int]] = [[] for _ in range(n_links)]
         for d, l in enumerate(self.link_of):
-            if 0 <= l < n_links:
-                cells[l].append(d)
+            cells[l].append(d)
         self.links = tuple(tuple(c) for c in cells)
         kinds = []
         for c in self.links:
@@ -96,7 +100,12 @@ class Graph:
 
 
 class GraphBuilder:
-    """Accumulates vertices and links, then freezes into a Graph."""
+    """Accumulates vertices and links, then freezes into a Graph.
+
+    Each call checks its own arguments (known end vertices, non-negative
+    colors) before it changes anything, so a rejected call leaves the
+    builder as it was and every built graph is valid.
+    """
 
     def __init__(self) -> None:
         self._vertex_color: list[int] = []
@@ -107,14 +116,20 @@ class GraphBuilder:
         self._n_links = 0
 
     def add_vertex(self, color: int = 0, name: str | None = None) -> int:
+        if color < 0:
+            raise ValueError(f"negative color {color}")
         v = len(self._vertex_color)
         self._vertex_color.append(color)
         self._names.append(name if name is not None else f"v{v}")
         return v
 
-    def _dart(self, v: int, link: int, color: int) -> None:
+    def _check(self, v: int, color: int) -> None:
         if not 0 <= v < len(self._vertex_color):
             raise ValueError(f"unknown vertex {v}")
+        if color < 0:
+            raise ValueError(f"negative color {color}")
+
+    def _dart(self, v: int, link: int, color: int) -> None:
         self._vertex_of.append(v)
         self._link_of.append(link)
         self._dart_color.append(color)
@@ -122,6 +137,8 @@ class GraphBuilder:
     def add_edge(self, u: int, v: int, colors: tuple[int, int] = (0, 0)) -> int:
         if u == v:
             raise ValueError("use add_loop for a link on a single vertex")
+        self._check(u, colors[0])
+        self._check(v, colors[1])
         l = self._n_links
         self._n_links += 1
         self._dart(u, l, colors[0])
@@ -129,6 +146,8 @@ class GraphBuilder:
         return l
 
     def add_loop(self, v: int, colors: tuple[int, int] = (0, 0)) -> int:
+        self._check(v, colors[0])
+        self._check(v, colors[1])
         l = self._n_links
         self._n_links += 1
         self._dart(v, l, colors[0])
@@ -136,59 +155,15 @@ class GraphBuilder:
         return l
 
     def add_semi(self, v: int, color: int = 0) -> int:
+        self._check(v, color)
         l = self._n_links
         self._n_links += 1
         self._dart(v, l, color)
         return l
 
     def build(self) -> Graph:
-        g = Graph(len(self._vertex_color), self._vertex_of, self._link_of,
-                  self._dart_color, self._vertex_color, self._names)
-        bad = validate(g)
-        if bad:
-            raise ValueError(f"builder produced invalid graph: {bad[0]}")
-        return g
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{self.kind}: {self.detail}"
-
-
-def validate(g: Graph) -> list[Violation]:
-    """Structural invariant check. Returns an empty list for a valid graph."""
-    out: list[Violation] = []
-    nd = g.n_darts
-    if len(g.link_of) != nd:
-        out.append(Violation("partition", "vertex_of and link_of length mismatch"))
-        return out
-    if len(g.dart_color) != nd:
-        out.append(Violation("partition", "dart_color length mismatch"))
-    if len(g.vertex_color) != g.n or len(g.names) != g.n:
-        out.append(Violation("partition", "vertex attribute length mismatch"))
-    for d, v in enumerate(g.vertex_of):
-        if not 0 <= v < g.n:
-            out.append(Violation("partition", f"dart {d} assigned to no vertex ({v})"))
-    seen_links = set()
-    for d, l in enumerate(g.link_of):
-        if not 0 <= l < g.n_links:
-            out.append(Violation("partition", f"dart {d} assigned to no link ({l})"))
-        else:
-            seen_links.add(l)
-    for l, cell in enumerate(g.links):
-        if len(cell) not in (1, 2):
-            out.append(Violation("link-arity", f"link {l} has {len(cell)} darts"))
-    if len(seen_links) != g.n_links:
-        out.append(Violation("link-arity", "empty link cell"))
-    for c in g.dart_color + g.vertex_color:
-        if c < 0:
-            out.append(Violation("color", f"negative color {c}"))
-            break
-    return out
+        return Graph(len(self._vertex_color), self._vertex_of, self._link_of,
+                     self._dart_color, self._vertex_color, self._names)
 
 
 def type_signature(g: Graph, v: int) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
@@ -378,9 +353,12 @@ def parse_graph(text: str) -> Graph:
         if not tok.startswith("color="):
             raise GraphFormatError(ln, f"expected color=<n>, got {tok!r}")
         try:
-            return int(tok[len("color="):])
+            c = int(tok[len("color="):])
         except ValueError:
             raise GraphFormatError(ln, f"bad color in {tok!r}") from None
+        if c < 0:
+            raise GraphFormatError(ln, f"negative color in {tok!r}")
+        return c
 
     def colorpair(tok: str, ln: int) -> tuple[int, int]:
         if not tok.startswith("colors="):
@@ -389,9 +367,12 @@ def parse_graph(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphFormatError(ln, f"expected two colors in {tok!r}")
         try:
-            return int(parts[0]), int(parts[1])
+            cs = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphFormatError(ln, f"bad color in {tok!r}") from None
+        if min(cs) < 0:
+            raise GraphFormatError(ln, f"negative color in {tok!r}")
+        return cs
 
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -9,6 +9,8 @@ DELETED = [
     ("semicover.canon", "refinement_invariant"),
     ("semicover.disconnected", "_component_decider"),
     ("semicover.deciders", "UnsupportedFamily"),
+    ("semicover.graph", "validate"),
+    ("semicover.graph", "Violation"),
 ]
 
 # only decide_colored calls these; they stay in semicover.deciders

@@ -202,3 +202,32 @@ def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "gen", "cycle", "0")[0] == 2
     assert run(capsys, "gen", "complete", "-2")[0] == 2
     assert run(capsys, "gen", "binpacking", "2,2", "1")[0] == 2
+    for spec, msg in ((("f", "1"), "gen f needs: SEMIS LOOPS"),
+                      (("w", "1", "1", "1", "1"), "gen w needs: K M L P Q"),
+                      (("wd", "1", "1"), "gen wd needs: M L M2"),
+                      (("cycle",), "gen cycle needs: N"),
+                      (("path", "3", "4"), "gen path needs: N"),
+                      (("complete", "3", "3"), "gen complete needs: N"),
+                      (("petersen", "1"), "gen petersen takes no parameters")):
+        assert run(capsys, "gen", *spec) == (2, {"error": msg})
+    neg = tmp_path / "neg.g"
+    neg.write_text("vertex a\nvertex b\nedge a b colors=0,-1\n", encoding="utf-8")
+    code, out = run(capsys, "check", str(neg), h)
+    assert code == 2 and "line 3: negative color" in out["error"]
+
+
+def test_equitable_witness_sums_fibres_of_repeated_target_names(capsys, monkeypatch):
+    # Two of the three target vertices share the name "x"; a graph file
+    # cannot say that, so the CLI gets the graphs without reading files.
+    from semicover import cli
+    from semicover.build import cycle
+    from semicover.graph import GraphBuilder, disjoint_union
+    b = GraphBuilder()
+    for name in "xxz":
+        b.add_loop(b.add_vertex(name=name))
+    graphs = {"g": disjoint_union([cycle(2)] * 3), "h": b.build()}
+    monkeypatch.setattr(cli, "_load", graphs.__getitem__)
+    code, out = run(capsys, "check", "g", "h", "--semantics", "equitable", "--witness")
+    assert code == 0
+    assert out["fiber_profile"] == {"x": 4, "z": 2}
+    assert out["witness"]["fiber_sizes"] == {"x": 4, "z": 2}

@@ -9,7 +9,7 @@ from semicover.build import (build_F, build_W, build_WD, complete, cycle, double
 from semicover.cover import (DartMapping, ResourceLimit, find_cover, verify_cover,
                              witness_json)
 from semicover.dichotomy import decide_colored
-from semicover.graph import EDGE, GraphBuilder, disjoint_union, is_connected
+from semicover.graph import EDGE, GraphBuilder, disjoint_union, is_connected, parse_graph
 from util import (assert_cover_ok, brute_cover_exists, perturb, random_graph, random_lift,
                   recursive_search)
 
@@ -18,6 +18,38 @@ def test_identity_cover():
     g = petersen()
     ident = DartMapping(tuple(range(g.n_darts)), tuple(range(g.n)))
     assert verify_cover(g, g, ident) == []
+
+
+LOOP = "vertex a\nloop a"                   # darts 0, 1
+SEMIS = "vertex a\nsemi a\nsemi a"          # darts 0, 1
+EDGE_AB = "vertex a\nvertex b\nedge a b"    # dart 0 at a, dart 1 at b
+
+# Each row starts from the identity cover of a graph onto itself and breaks
+# it once, in the mapping or in the target: (source, target, dart map,
+# vertex map, require_surjective, violation kinds, words of one detail).
+BROKEN_COVERS = [
+    (LOOP, LOOP, (0,), (0,), False, {"shape"}, "arity"),
+    (LOOP, LOOP, (0, 2), (0,), False, {"shape"}, "dart 1 maps outside"),
+    (LOOP, LOOP, (0, 1), (1,), False, {"shape"}, "vertex 0 maps outside"),
+    (EDGE_AB, EDGE_AB, (0, 1), (0, 0), False, {"not-local-bijection"}, "away from"),
+    (SEMIS, SEMIS, (0, 0), (0,), False, {"not-local-bijection"}, "repeat"),
+    (LOOP, LOOP + "\nsemi a", (0, 1), (0,), False, {"not-local-bijection"},
+     "vertex 0 has 2 darts, image 0 has 3"),
+    (LOOP, "vertex a color=1\nloop a", (0, 1), (0,), False, {"vertex-color-mismatch"},
+     "vertex 0"),
+    (LOOP, "vertex a\nloop a colors=0,1", (0, 1), (0,), False, {"color-mismatch"},
+     "dart 1"),
+    (SEMIS, LOOP, (0, 1), (0,), False, {"link-broken"}, "semi-edge 0 maps to a non-semi"),
+    (EDGE_AB, EDGE_AB, (0, 0), (0, 0), False, {"link-broken"},
+     "link 0 collapses onto a non-semi dart"),
+    (LOOP, SEMIS, (0, 0), (0,), False, {"not-local-bijection", "link-broken"},
+     "loop 0 collapses onto a semi-edge"),
+    (LOOP, SEMIS, (0, 1), (0,), False, {"link-broken"}, "across two target links"),
+    (LOOP, LOOP + "\nvertex b\nloop b", (0, 1), (0,), True, {"not-surjective"},
+     "target dart is not hit"),
+    (LOOP, LOOP + "\nvertex b", (0, 1), (0,), True, {"not-surjective"},
+     "target vertex is not hit"),
+]
 
 
 def test_verify_rejects_broken_mapping():
@@ -30,6 +62,13 @@ def test_verify_rejects_broken_mapping():
     dm[0] = 1 - dm[0] if dm[0] in (0, 1) else 0
     bad = DartMapping(tuple(dm), f.vertex_map)
     assert verify_cover(c4, f01, bad) != []
+    for g_text, h_text, dm, vm, surj, kinds, words in BROKEN_COVERS:
+        g = parse_graph(g_text)
+        assert verify_cover(g, g, DartMapping(tuple(range(g.n_darts)), tuple(range(g.n)))) == []
+        found = verify_cover(g, parse_graph(h_text), DartMapping(dm, vm),
+                             require_surjective=surj)
+        assert {v.kind for v in found} == kinds, (h_text, dm, vm, found)
+        assert any(words in v.detail for v in found), (h_text, dm, vm, found)
 
 
 def test_semi_to_semi_only():

@@ -9,8 +9,7 @@ from semicover.graph import (EDGE, LOOP, SEMI, GraphBuilder, GraphFormatError,
                              components, disjoint_union,
                              induced_link_subgraph, induced_vertex_subgraph,
                              is_bipartite, is_connected, is_regular, is_simple,
-                             parse_graph, serialize_graph, type_signature,
-                             validate)
+                             parse_graph, serialize_graph, type_signature)
 from util import random_graph
 
 
@@ -50,7 +49,21 @@ def test_isolated_vertices_allowed():
     assert g.n == 2 and g.n_darts == 0
     assert not is_connected(g)
     assert len(components(g)) == 2
-    assert validate(g) == []
+
+
+def test_builder_rejects_bad_arguments_unchanged():
+    # each call checks its arguments before it adds a dart or takes a link id
+    gb = GraphBuilder()
+    a, b = gb.add_vertex(), gb.add_vertex()
+    for bad in (lambda: gb.add_edge(a, 7), lambda: gb.add_edge(-1, b),
+                lambda: gb.add_edge(a, b, colors=(0, -1)), lambda: gb.add_loop(5),
+                lambda: gb.add_loop(a, colors=(-2, 0)), lambda: gb.add_semi(2),
+                lambda: gb.add_semi(b, color=-1), lambda: gb.add_vertex(color=-3)):
+        with pytest.raises(ValueError):
+            bad()
+    g = gb.build()
+    assert (g.n, g.n_darts, g.n_links) == (2, 0, 0)
+    assert gb.add_semi(a) == 0
 
 
 def test_family_shapes():
@@ -206,6 +219,12 @@ def test_parse_errors():
     except GraphFormatError as e:
         err = e
     assert err is not None and err.line == 3
+    for text, line in (("vertex a color=-2", 1), ("vertex a\nsemi a color=-1", 2),
+                       ("vertex a\n\nloop a colors=0,-1", 3),
+                       ("vertex a\nvertex b\nedge a b colors=-4,1", 3)):
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert info.value.line == line and "negative color" in str(info.value)
 
 
 def test_empty_graph_roundtrip():
