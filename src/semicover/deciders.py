@@ -11,16 +11,20 @@ hands a target whose rows are all P to the decider of its case.  NP rows
 never reach a decider: decide_colored runs exact search on those targets.
 
 Every decider only finds the side, the target vertex of each source
-vertex; _map_sides then maps the darts class by class.
+vertex; _map_sides then maps the darts class by class.  Each regular
+bipartite piece (directed loops at a vertex, bars between the vertices)
+goes through one König routine, _konig_onto, which sends perfect matching
+t onto the t-th target link; the oriented 2-factors of F(b,c) go onto its
+loops the same way (_onto).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .cover import DartMapping, verify_cover
-from .graph import (EDGE, LOOP, SEMI, Graph, _subgraph, components,
+from .graph import (EDGE, LOOP, Graph, _subgraph, components,
                     induced_link_subgraph, type_signature)
 from .matching import exact_link_cover, konig_split, two_factor_orientations
 from .twosat import lit, neg, two_sat_solve
@@ -192,52 +196,55 @@ def dichotomy_table(h: Graph) -> list[Row]:
 
 # ------------------------------------------------------ one-vertex pieces
 
+def _onto(matchings: list[list[tuple[int, int]]],
+          targets: list[tuple[int, int]]) -> dict[int, int]:
+    """Both darts of every arc in matching t go onto the dart pair targets[t]."""
+    return {d: td for arcs, pair in zip(matchings, targets)
+            for arc in arcs for d, td in zip(arc, pair)}
+
+
+def _konig_onto(g: Graph, arcs: list[tuple[int, int]], tails: Sequence[int],
+                heads: Sequence[int], targets: list[tuple[int, int]],
+                ) -> dict[int, int] | None:
+    """Map oriented links of g onto parallel target links, or None.
+
+    arcs are (tail dart, head dart) pairs whose tail vertices lie in tails
+    and head vertices in heads.  They must form a len(targets)-regular
+    bipartite multigraph, which konig_split cuts into perfect matchings in
+    the order of arcs; matching t goes onto targets[t].
+    """
+    at_tail = {v: i for i, v in enumerate(tails)}
+    at_head = {v: i for i, v in enumerate(heads)}
+    split = konig_split(len(tails), len(heads),
+                        [(at_tail[g.vertex_of[a]], at_head[g.vertex_of[b]], i)
+                         for i, (a, b) in enumerate(arcs)], len(targets))
+    if split is None:
+        return None
+    return _onto([[arcs[i] for _, _, i in matching] for matching in split], targets)
+
+
 def _decide_f(g: Graph, semis: list[int], loops: list[tuple[int, int]],
               ) -> dict[int, int] | None:
     """Dart assignment of g onto a one-vertex target with the given semi
     darts and loop dart pairs, or None.  The target is a polynomial F(b,c):
     b <= 1, or b = 2 and c = 0."""
     b, c = len(semis), len(loops)
-    if g.n == 0:
-        return {}
     if any(g.degree(v) != b + 2 * c for v in range(g.n)):
         return None
-    if b + 2 * c == 0:
-        return {} if g.n_darts == 0 else None
 
-    if b == 0:
-        if any(g.link_kind(l) == SEMI for l in range(g.n_links)):
-            return None
-        factors = two_factor_orientations(g)
-        if factors is None or len(factors) != c:
-            return None
-        out: dict[int, int] = {}
-        for t, factor in enumerate(factors):
-            for v, (o, i) in factor.items():
-                out[o] = loops[t][0]
-                out[i] = loops[t][1]
-        return out
-
-    if b == 1:
-        # The target's one semi-edge pulls back to all semi-edges of g plus
-        # a perfect matching of the semi-free vertices; what remains is
+    if b <= 1:
+        # A target semi-edge pulls back to all semi-edges of g plus a
+        # perfect matching of the semi-free vertices; what remains is
         # 2c-regular and semi-free, hence splits into c spanning 2-factors.
-        m = exact_link_cover(g)
+        m = exact_link_cover(g) if b else []
         if m is None:
             return None
         used = set(m)
-        rest = [l for l in range(g.n_links) if l not in used]
-        factors = two_factor_orientations(g, rest)
-        if factors is None or len(factors) != c:
+        factors = two_factor_orientations(g, [l for l in range(g.n_links) if l not in used])
+        if factors is None:
             return None
-        out = {}
-        for l in m:
-            for d in g.links[l]:
-                out[d] = semis[0]
-        for t, factor in enumerate(factors):
-            for v, (o, i) in factor.items():
-                out[o] = loops[t][0]
-                out[i] = loops[t][1]
+        out = _onto(factors, loops)
+        out.update((d, semis[0]) for l in m for d in g.links[l])
         return out
 
     # b == 2, c == 0: loops cannot map onto semi-edges, so components are
@@ -267,63 +274,7 @@ def _decide_f(g: Graph, semis: list[int], loops: list[tuple[int, int]],
     return {d: semis[v] for d, v in val.items()}
 
 
-def _directed_loops(g: Graph, i: int,
-                    loop_targets: list[tuple[int, int]]) -> dict[int, int] | None:
-    """Map a bicolored link class onto m directed loops at one vertex.
-
-    Every link of g has two darts, one of color i.  loop_targets are
-    (i-dart, j-dart) pairs.  Solvable exactly when every vertex has m
-    outgoing (color i) and m incoming darts, which konig_split checks.
-    """
-    triples = []
-    for l in range(g.n_links):
-        di, dj = _lead(g, l, i)
-        triples.append((g.vertex_of[di], g.vertex_of[dj], l))
-    split = konig_split(g.n, g.n, sorted(triples), len(loop_targets))
-    if split is None:
-        return None
-    out: dict[int, int] = {}
-    for t, matching in enumerate(split):
-        for _, _, l in matching:
-            di, dj = _lead(g, l, i)
-            out[di], out[dj] = loop_targets[t]
-    return out
-
-
 # ------------------------------------------------ darts, once sides are fixed
-
-def _decide_bars(g: Graph, side: list[int], bars: list[tuple[int, int]],
-                 links: list[int]) -> dict[int, int] | None:
-    """Map the listed links of g onto parallel bars given a fixed side
-    assignment.
-
-    bars are (dart at target vertex 0, dart at target vertex 1) pairs; side
-    gives the target vertex per g vertex.  Every listed link must cross.
-    """
-    k = len(bars)
-    left = sorted(v for v in range(g.n) if side[v] == 0)
-    right = sorted(v for v in range(g.n) if side[v] == 1)
-    li = {v: i for i, v in enumerate(left)}
-    ri = {v: i for i, v in enumerate(right)}
-    triples = []
-    for l in links:
-        u, w = g.link_ends(l)
-        if side[u] == 1:
-            u, w = w, u
-        triples.append((li[u], ri[w], l))
-    split = konig_split(len(left), len(right), triples, k)
-    if split is None:
-        return None
-    out: dict[int, int] = {}
-    for t, matching in enumerate(split):
-        for _, _, l in matching:
-            d1, d2 = g.links[l]
-            if side[g.vertex_of[d1]] == 1:
-                d1, d2 = d2, d1
-            out[d1] = bars[t][0]
-            out[d2] = bars[t][1]
-    return out
-
 
 def _map_sides(g: Graph, h: Graph, side: list[int]) -> dict[int, int] | None:
     """Map g's darts onto h once side gives the target vertex of every g
@@ -332,13 +283,14 @@ def _map_sides(g: Graph, h: Graph, side: list[int]) -> dict[int, int] | None:
 
     A link of g stays on one side or crosses.  The links of a color class
     that stay on side s form a one-vertex problem onto the class's semis
-    and loops at s.  Those that cross form, one direction at a time, a
-    regular bipartite multigraph that splits onto the class's bars
-    (König).  A bicolored link's direction is the side of its lower-colored
-    dart.
+    and loops at s.  Every other piece is regular bipartite and goes
+    through _konig_onto: a bicolored class's staying links, led by the
+    lower-colored dart, onto its directed loops at s; and a class's
+    crossing links, one direction at a time, onto its bars.  A bicolored
+    link's direction is the side of its lower-colored dart.
     """
     stay: dict[tuple[frozenset, int], list[int]] = {}
-    cross: dict[tuple[frozenset, int], list[int]] = {}
+    cross: dict[tuple[frozenset, int], list[tuple[int, int]]] = {}
     for l, cell in enumerate(g.links):
         cs = g.link_colorset(l)
         s = side[g.vertex_of[cell[0]]]
@@ -346,7 +298,7 @@ def _map_sides(g: Graph, h: Graph, side: list[int]) -> dict[int, int] | None:
             stay.setdefault((cs, s), []).extend(cell)
         else:
             direction = side[g.vertex_of[_lead(g, l, min(cs))[0]]] if len(cs) == 2 else 0
-            cross.setdefault((cs, direction), []).append(l)
+            cross.setdefault((cs, direction), []).append(cell if s == 0 else cell[::-1])
     verts: tuple[list[int], list[int]] = ([], [])
     for v, s in enumerate(side):
         verts[s].append(v)
@@ -360,16 +312,19 @@ def _map_sides(g: Graph, h: Graph, side: list[int]) -> dict[int, int] | None:
             if len(p.colors) == 1:
                 part = _decide_f(sub, p.semis[s], p.loops[s])
             else:
-                part = _directed_loops(sub, min(p.colors), p.loops[s])
+                # by tail, head, then link: the split, and so the witness, follows this order
+                arcs = sorted((_lead(sub, l, min(p.colors)) for l in range(sub.n_links)),
+                              key=lambda arc: (sub.vertex_of[arc[0]], sub.vertex_of[arc[1]]))
+                part = _konig_onto(sub, arcs, range(sub.n), range(sub.n), p.loops[s])
             if part is None:
                 return None
             for sd, td in part.items():
                 out[darts[sd]] = td
         # read from vertex 0, a backward bar is (higher dart, lower dart)
         for bars, direction in ((p.bars[0], 0), ([(dj, di) for di, dj in p.bars[1]], 1)):
-            links = cross.get((p.colors, direction), [])
-            if bars or links:
-                part = _decide_bars(g, side, bars, links)
+            arcs = cross.get((p.colors, direction), [])
+            if bars or arcs:
+                part = _konig_onto(g, arcs, verts[0], verts[1], bars)
                 if part is None:
                     return None
                 out.update(part)

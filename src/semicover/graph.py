@@ -415,7 +415,16 @@ def serialize_graph(g: Graph) -> str:
 
     parse_graph(serialize_graph(g)) rebuilds the same graph up to dart
     renumbering, and serialization of the reparse is byte-identical.
+    Raises ValueError when a vertex name is empty, contains whitespace or
+    ``#``, or repeats, since the text could not say which vertex is meant.
     """
+    seen: set[str] = set()
+    for v, name in enumerate(g.names):
+        if name.split() != [name] or "#" in name:
+            raise ValueError(f"vertex {v}: name {name!r} is empty or holds whitespace or '#'")
+        if name in seen:
+            raise ValueError(f"vertex {v}: name {name!r} repeats")
+        seen.add(name)
     lines = []
     for v in range(g.n):
         c = g.vertex_color[v]

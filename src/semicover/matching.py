@@ -5,7 +5,7 @@ lists, so parallel links keep their identity.  General graphs go through
 an in-package cardinality blossom search (Edmonds, "Paths, trees, and
 flowers", 1965) after a greedy warm start.  Regular multigraphs are split
 into spanning factors by Eulerian orientation plus repeated perfect
-matchings.
+matchings; each factor comes back as its list of (out_dart, in_dart) arcs.
 """
 
 from __future__ import annotations
@@ -257,11 +257,12 @@ def eulerian_orientation(g: Graph, link_ids: list[int]) -> dict[int, tuple[int, 
 
 
 def two_factor_orientations(g: Graph, link_ids: list[int] | None = None,
-                            ) -> list[dict[int, tuple[int, int]]] | None:
+                            ) -> list[list[tuple[int, int]]] | None:
     """Split a 2c-regular loop-allowing multigraph into c oriented 2-factors.
 
-    Each factor maps every vertex to its (out_dart, in_dart) pair.  Returns
-    None when the links do not induce a 2c-regular semi-free graph.
+    Each factor is the list of its links as (out_dart, in_dart) arcs: every
+    vertex is the tail of one arc and the head of one.  Returns None when
+    the links do not induce a 2c-regular semi-free graph.
     """
     if link_ids is None:
         link_ids = list(range(g.n_links))
@@ -283,12 +284,4 @@ def two_factor_orientations(g: Graph, link_ids: list[int] | None = None,
     split = konig_split(g.n, g.n, triples, c)
     if split is None:
         return None
-    factors = []
-    for matching in split:
-        factor: dict[int, tuple[int, int]] = {}
-        for u, w, l in matching:
-            out, inn = orient[l]
-            factor[u] = (out, factor[u][1]) if u in factor else (out, -1)
-            factor[w] = (factor[w][0], inn) if w in factor else (-1, inn)
-        factors.append(factor)
-    return factors
+    return [[orient[l] for _, _, l in matching] for matching in split]

@@ -78,6 +78,8 @@ def _test_pair(args) -> tuple[Graph, DartMapping | None, bool]:
 
 def check_stronger(a: Graph, b: Graph, n_max: int, jobs: int = 1) -> StrongerReport:
     """Does every connected simple cover of a (up to n_max) also cover b?"""
+    if b.n == 0 or not is_connected(b):
+        raise UnsupportedBase("target graph must be connected and nonempty")
     generated = 0
     covers = 0
     tasks = ((g, a, b) for g in _candidates(a, n_max))

@@ -11,6 +11,8 @@ DELETED = [
     ("semicover.deciders", "UnsupportedFamily"),
     ("semicover.graph", "validate"),
     ("semicover.graph", "Violation"),
+    ("semicover.deciders", "_directed_loops"),
+    ("semicover.deciders", "_decide_bars"),
 ]
 
 # only decide_colored calls these; they stay in semicover.deciders

@@ -214,6 +214,12 @@ def test_usage_errors(capsys, tmp_path):
     neg.write_text("vertex a\nvertex b\nedge a b colors=0,-1\n", encoding="utf-8")
     code, out = run(capsys, "check", str(neg), h)
     assert code == 2 and "line 3: negative color" in out["error"]
+    # stronger refuses a disconnected B before it generates any candidate
+    loops = tmp_path / "loops.g"
+    loops.write_text("vertex a\nvertex b\nloop a\nloop b\n", encoding="utf-8")
+    f30 = gen_to_file(capsys, tmp_path, "f30.g", "f", "3", "0")
+    assert run(capsys, "stronger", f30, str(loops), "--max-n", "3") == \
+        (2, {"error": "target graph must be connected and nonempty"})
 
 
 def test_equitable_witness_sums_fibres_of_repeated_target_names(capsys, monkeypatch):

@@ -202,6 +202,26 @@ def test_parse_serialize_roundtrip_random():
         assert (g2.n, g2.n_darts, g2.n_links) == (g.n, g.n_darts, g.n_links)
 
 
+def test_serialize_rejects_names_a_file_cannot_hold():
+    # A name with a space would read back as a colour; a repeated name
+    # would read back as a duplicate vertex.
+    b = GraphBuilder()
+    a = b.add_vertex(name="a color=1")
+    b.add_semi(a)
+    with pytest.raises(ValueError, match="vertex 0"):
+        serialize_graph(b.build())
+    b = GraphBuilder()
+    x, y = b.add_vertex(name="x"), b.add_vertex(name="x")
+    b.add_edge(x, y)
+    with pytest.raises(ValueError, match="vertex 1: name 'x' repeats"):
+        serialize_graph(b.build())
+    for name in ("", "a#b", "tab\there", " lead"):
+        b = GraphBuilder()
+        b.add_vertex(name=name)
+        with pytest.raises(ValueError, match="vertex 0"):
+            serialize_graph(b.build())
+
+
 def test_parse_errors():
     with pytest.raises(GraphFormatError):
         parse_graph("edge a b")  # undeclared

@@ -4,7 +4,7 @@ import random
 
 import networkx as nx
 
-from semicover.build import build_F, complete, cycle, path
+from semicover.build import build_F, complete, cycle, path, petersen
 from semicover.dichotomy import decide_colored
 from semicover.graph import EDGE, LOOP, SEMI, GraphBuilder
 from semicover.matching import (exact_link_cover, konig_split, kuhn_matching,
@@ -99,6 +99,9 @@ def test_konig_split_k33():
 def test_konig_split_rejects_irregular():
     links = [(0, 0, 0), (0, 1, 1), (1, 0, 2)]
     assert konig_split(2, 2, links, 2) is None
+    # unequal sides: no perfect matching, even with no links to match
+    assert konig_split(2, 1, [(0, 0, 0), (1, 0, 1)], 1) is None
+    assert konig_split(2, 1, [], 0) is None
 
 
 def test_konig_split_parallel():
@@ -164,16 +167,19 @@ def test_loops_unusable_in_link_cover():
     assert exact_link_cover(g) is None
 
 
-def check_factors(g, factors, c):
+def check_factors(g, factors, c, link_ids=None):
+    """Each factor is a list of (out, in) arcs of link mates in which every
+    vertex is once a tail and once a head; together they use every listed
+    link once."""
     assert factors is not None and len(factors) == c
-    used = set()
+    used = []
     for fac in factors:
-        assert sorted(fac) == list(range(g.n))
-        for v, (out, inn) in fac.items():
-            assert g.vertex_of[out] == v
-            assert g.vertex_of[g.partner(inn)] == v or g.vertex_of[inn] == v
-            used.add(g.link_of[out])
-    assert used == set(range(g.n_links))
+        assert sorted(g.vertex_of[out] for out, _ in fac) == list(range(g.n))
+        assert sorted(g.vertex_of[inn] for _, inn in fac) == list(range(g.n))
+        for out, inn in fac:
+            assert g.partner(out) == inn
+            used.append(g.link_of[out])
+    assert sorted(used) == sorted(range(g.n_links) if link_ids is None else link_ids)
 
 
 def test_two_factor_cycle():
@@ -202,6 +208,20 @@ def test_two_factor_loops_and_multiedges():
     gb.add_edge(a, b)
     g2 = gb.build()
     check_factors(g2, two_factor_orientations(g2), 2)
+
+
+def test_two_factors_of_listed_links_only():
+    # The F(1,c) path: the links left after an exact link cover split into
+    # c 2-factors, and the cover's links appear in none of them.
+    rng = random.Random(5)
+    for g, c in [(petersen(), 1), (random_lift(build_F(1, 1), 12, rng), 1),
+                 (random_lift(build_F(1, 2), 15, rng), 2)]:
+        cover = set(exact_link_cover(g))
+        rest = [l for l in range(g.n_links) if l not in cover]
+        assert cover and rest
+        check_factors(g, two_factor_orientations(g, rest), c, rest)
+    # C4 less one of its links is a path: no 2-factor
+    assert two_factor_orientations(cycle(4), [0, 1, 2]) is None
 
 
 def test_two_factor_odd_degree_rejected():

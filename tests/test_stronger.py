@@ -73,6 +73,11 @@ def test_unsupported_bases():
     from semicover.graph import GraphBuilder
     with pytest.raises(UnsupportedBase):
         check_stronger(GraphBuilder().build(), build_F(0, 1), 6)
+    # a disconnected b is refused before any candidate is generated,
+    # whatever n_max is and however many components b has
+    for k, n_max in ((3, 3), (3, 4), (2, 3)):
+        with pytest.raises(UnsupportedBase):
+            check_stronger(build_F(3, 0), disjoint_union([build_F(0, 1)] * k), n_max)
 
 
 def test_parallel_jobs_agree():
