@@ -35,6 +35,8 @@ _FAMILIES = {
 }
 BUDGET_HELP = ("exit 4 instead of running exact search on a source (or source "
                "component) with more darts than this; polynomial deciders ignore it")
+# the least value each numeric option accepts
+_MINIMA = {"budget": 0, "jobs": 1, "max_n": 1}
 
 
 def _load(path: str) -> Graph:
@@ -138,6 +140,8 @@ def _parse_items(text: str) -> list[int]:
 
 def _cmd_gen(args) -> int:
     kind = args.kind
+    if args.semi_ends and kind != "path":
+        raise ValueError("--semi-ends applies to gen path only")
     if kind == "binpacking":
         if len(args.params) != 2:
             raise ValueError("binpacking needs: ITEMS BINS (e.g. 2,3,2,3 2)")
@@ -227,6 +231,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for name, least in _MINIMA.items():
+            if getattr(args, name, None) is not None and getattr(args, name) < least:
+                raise ValueError(f"--{name.replace('_', '-')} must be at least {least}")
         return args.func(args)
     except GraphFormatError as e:
         return _fail(2, f"graph format error: {e}")

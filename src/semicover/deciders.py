@@ -1,21 +1,21 @@
 """The P/NP-complete table for connected targets on at most two vertices,
-and the polynomial-time deciders it drives.
+and the polynomial-time decider it drives.
 
 dichotomy_table splits a target into its color-class pieces and gives one
 row per piece: verdict, the rule that fired and the method tag.  A
 one-vertex piece is F(b,c); on two vertices that agree in color and type
 signature a piece is W(k,m,l,p,q), WD(m,l,m) or a pair of one-vertex
-pieces, and its row names the 2-SAT constraint it puts on the side
-choice.  dichotomy.classify reads the rows, and dichotomy.decide_colored
-hands a target whose rows are all P to the decider of its case.  NP rows
-never reach a decider: decide_colored runs exact search on those targets.
+pieces.  dichotomy.classify reads the rows, and dichotomy.decide_colored
+hands a target whose rows are all P to the decider.  NP rows never reach
+it: decide_colored runs exact search on those targets.
 
-Every decider only finds the side, the target vertex of each source
-vertex; _map_sides then maps the darts class by class.  Each regular
-bipartite piece (directed loops at a vertex, bars between the vertices)
-goes through one König routine, _konig_onto, which sends perfect matching
-t onto the t-th target link; the oriented 2-factors of F(b,c) go onto its
-loops the same way (_onto).
+The decider only finds the side, the target vertex of each source
+vertex: type signatures fix it, or 2-SAT solves one crossing-count rule
+per dart type (_side_clauses).  _map_sides then maps the darts class by
+class.  Each regular bipartite piece (directed loops at a vertex, bars
+between the vertices) goes through one König routine, _konig_onto, which
+sends perfect matching t onto the t-th target link; the oriented
+2-factors of F(b,c) go onto its loops the same way (_onto).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .cover import DartMapping, verify_cover
-from .graph import (EDGE, LOOP, Graph, _subgraph, components,
-                    induced_link_subgraph, type_signature)
+from .graph import (EDGE, Graph, _subgraph, components, induced_link_subgraph,
+                    type_signature)
 from .matching import exact_link_cover, konig_split, two_factor_orientations
 from .twosat import lit, neg, two_sat_solve
 
@@ -105,8 +105,6 @@ class Row(NamedTuple):
     verdict: str           # "P" | "NP-complete"
     rule: str
     method: str            # Verdict.method of the decider
-    kind: str | None = None  # "cross bars", or the 2-SAT constraint of a piece
-    piece: _Piece | None = None
 
 
 def _class_name(p: _Piece) -> str:
@@ -117,6 +115,10 @@ def _class_name(p: _Piece) -> str:
 
 def _np(key: str, rule: str) -> Row:
     return Row(key, "NP-complete", rule, "brute-force-fallback")
+
+
+def _sat(key: str, rule: str) -> Row:
+    return Row(key, "P", rule, "2-SAT")
 
 
 def _vertex_row(p: _Piece, s: int, key: str) -> Row:
@@ -139,14 +141,11 @@ def _pair_row(p: _Piece) -> Row:
     if len(p.colors) == 2:
         m = len(p.loops[0])
         if ell == 0:
-            return Row(key, "P", f"{key}: directed loops with no cross edges: polynomial",
-                       "2-SAT", "stay", p)
+            return _sat(key, f"{key}: directed loops with no cross edges: polynomial")
         if m == 0:
-            return Row(key, "P", f"{key}: WD(0,{ell},0) directed bars only: polynomial (m = 0)",
-                       "2-SAT", "cross", p)
+            return _sat(key, f"{key}: WD(0,{ell},0) directed bars only: polynomial (m = 0)")
         if m + ell <= 2:
-            return Row(key, "P", f"{key}: WD(1,1,1): polynomial (m+l = 2 < 3)",
-                       "2-SAT", "one crosses", p)
+            return _sat(key, f"{key}: WD(1,1,1): polynomial (m+l = 2 < 3)")
         return _np(key, f"{key}: WD({m},{ell},{m}) is NP-complete (l = {ell} >= 1, "
                         f"m = {m} > 0 and m+l = {m + ell} >= 3)")
     k, m = len(p.semis[0]), len(p.loops[0])
@@ -155,18 +154,15 @@ def _pair_row(p: _Piece) -> Row:
     if ell == 0:
         split = f"{key}: F({k},{m})+F({q},{qp}) with no bars"
         if k <= 1 and q <= 1:
-            return Row(key, "P", f"{split}: polynomial (each component has at most one "
-                                 "semi-edge)", "2-SAT", "split", p)
+            return _sat(key, f"{split}: polynomial (each component has at most one semi-edge)")
         if t == 2:
-            return Row(key, "P", f"{split}: polynomial (degree two)", "2-SAT", "split", p)
+            return _sat(key, f"{split}: polynomial (degree two)")
         return _np(key, f"{split} is NP-complete (a component has {max(k, q)} >= 2 "
                         f"semi-edges and degree {t} >= 3)")
     if t == 0:
-        return Row(key, "P", f"{key}: W(0,0,{ell},0,0) bars only: polynomial (k+2m = 0)",
-                   "2-SAT", "cross", p)
+        return _sat(key, f"{key}: W(0,0,{ell},0,0) bars only: polynomial (k+2m = 0)")
     if t + ell <= 2:
-        return Row(key, "P", f"{key}: W({k},{m},{ell},{qp},{q}): polynomial "
-                             f"(k+2m+l = {t + ell} < 3)", "2-SAT", "one crosses", p)
+        return _sat(key, f"{key}: W({k},{m},{ell},{qp},{q}): polynomial (k+2m+l = {t + ell} < 3)")
     return _np(key, f"{key}: W({k},{m},{ell},{qp},{q}) is NP-complete (l = {ell} >= 1, "
                     f"k+2m = q+2p = {t} > 0 and k+2m+l = {t + ell} >= 3)")
 
@@ -177,9 +173,9 @@ def dichotomy_table(h: Graph) -> list[Row]:
 
     One vertex: each class is F(b,c) or a set of directed loops.  Two
     vertices that differ in color or type signature: the vertex map is
-    forced, so each side's classes are one-vertex pieces, and a last row
-    covers the cross edges.  Two vertices that agree: each class
-    constrains the side choice (see decide_two_vertex_regular_2sat).
+    forced, so each side's classes are one-vertex pieces, and a keyless
+    last row covers the cross edges.  Two vertices that agree: each class
+    constrains the side choice through its crossing counts (_side_clauses).
     """
     pieces = _h_pieces(h)
     if h.n == 1:
@@ -188,8 +184,7 @@ def dichotomy_table(h: Graph) -> list[Row]:
         rows = [_vertex_row(p, s, f"vertex {s} {_class_name(p)}")
                 for p in pieces for s in (0, 1) if p.semis[s] or p.loops[s]]
         rows.append(Row(None, "P", "cross edges split by color pair into regular bipartite "
-                                   "multigraphs: polynomial",
-                        "bipartite-decomposition", "cross bars"))
+                                   "multigraphs: polynomial", "bipartite-decomposition"))
         return rows
     return [_pair_row(p) for p in pieces]
 
@@ -247,11 +242,8 @@ def _decide_f(g: Graph, semis: list[int], loops: list[tuple[int, int]],
         out.update((d, semis[0]) for l in m for d in g.links[l])
         return out
 
-    # b == 2, c == 0: loops cannot map onto semi-edges, so components are
-    # even cycles or semi-ended open paths; both amount to 2-coloring the
-    # darts so that link mates agree and vertex mates differ.
-    if any(g.link_kind(l) == LOOP for l in range(g.n_links)):
-        return None
+    # b == 2, c == 0: 2-color the darts so that link mates agree and the
+    # two darts at a vertex differ; the two darts of a loop do both.
     val: dict[int, int] = {}
     for start in range(g.n_darts):
         if start in val:
@@ -260,17 +252,13 @@ def _decide_f(g: Graph, semis: list[int], loops: list[tuple[int, int]],
         stack = [start]
         while stack:
             d = stack.pop()
-            mates = [(p, val[d]) for p in [g.partner(d)] if p is not None]
-            u = g.vertex_of[d]
-            other = [x for x in g.darts_at[u] if x != d]
-            mates.extend((x, 1 - val[d]) for x in other)
-            for x, want in mates:
-                if x in val:
-                    if val[x] != want:
-                        return None
-                else:
+            for x, want in ((g.partner(d), val[d]),
+                            (sum(g.darts_at[g.vertex_of[d]]) - d, 1 - val[d])):
+                if x is not None and x not in val:
                     val[x] = want
                     stack.append(x)
+                elif x is not None and val[x] != want:
+                    return None
     return {d: semis[v] for d, v in val.items()}
 
 
@@ -331,127 +319,119 @@ def _map_sides(g: Graph, h: Graph, side: list[int]) -> dict[int, int] | None:
     return out
 
 
-def _decide_forced(g: Graph, h: Graph, rows: list[Row]) -> Verdict:
-    """Cover g onto h when type signatures force the vertex map."""
+# ------------------------------------------------------- the sides, by 2-SAT
+
+class _Refuted(Exception):
+    """No choice of sides lets every color class map; the message says why."""
+
+
+def _differ(clauses: list, u: int, w: int, differ: bool = True) -> None:
+    """Clauses for side(u) != side(w), or for side(u) == side(w) when not
+    differ.  The variable of a g vertex is true for target vertex 0."""
+    if differ and u == w:
+        raise _Refuted("a vertex would have to differ from itself")
+    x = lit(w) if differ else neg(lit(w))
+    clauses += ((lit(u), x), (neg(lit(u)), neg(x)))
+
+
+def _side_clauses(g: Graph, h: Graph, clauses: list) -> None:
+    """Append the 2-SAT clauses on the sides of g's vertices, or raise
+    _Refuted; h has two vertices of every g vertex's type signature.
+
+    Of the D darts of a dart type (dart color, link color set) at target
+    vertex 0, X lie on bars, so exactly X of the D darts of that type at a
+    g vertex lie on crossing links.  The table lets a type through when
+    X = 0 (an edge keeps its ends on one side), X = D (every link is an
+    edge whose ends differ) or D = 2 (the far ends of the two darts
+    differ, a link that cannot cross counting as the vertex itself).
+    Each component of a monochromatic class without bars must also cover
+    the one-vertex piece of its side, solved once per distinct piece.
+    """
+    types: dict[tuple[int, frozenset[int]], list[int]] = {}
+    for d in h.darts_at[0]:
+        dx = types.setdefault((h.dart_color[d], h.link_colorset(h.link_of[d])), [0, 0])
+        dx[0] += 1
+        dx[1] += h.link_kind(h.link_of[d]) == EDGE
+    first: dict[tuple[int, int, frozenset[int]], int] = {}  # far end of a type's first dart
+    for l, cell in enumerate(g.links):
+        cs = g.link_colorset(l)
+        dd, x = types[g.dart_color[cell[0]], cs]
+        ends = [g.vertex_of[d] for d in cell]
+        if 0 < x < dd:
+            for d, u, w in zip(cell, ends, ends[::-1]):
+                a = first.pop(key := (u, g.dart_color[d], cs), None)
+                if a is None:
+                    first[key] = w
+                elif a == w == u:
+                    raise _Refuted("no link at a vertex can cross")
+                else:
+                    _differ(clauses, a, w)
+        elif ends[0] != ends[-1]:
+            _differ(clauses, *ends, x == dd)
+        elif x:
+            raise _Refuted("a link of a bars-only class does not cross")
+    for p in _h_pieces(h):
+        if len(p.colors) == 2 or p.bars[0]:
+            continue
+        sub, _ = induced_link_subgraph(g, p.colors)
+        same = (len(p.semis[0]), len(p.loops[0])) == (len(p.semis[1]), len(p.loops[1]))
+        for comp in components(sub):
+            ok0 = _decide_f(comp.graph, p.semis[0], p.loops[0]) is not None
+            ok1 = ok0 if same else _decide_f(comp.graph, p.semis[1], p.loops[1]) is not None
+            if not (ok0 or ok1):
+                raise _Refuted("class component covers neither side")
+            if ok0 != ok1:
+                clauses.append((lit(comp.vertex_ids[0], ok0),) * 2)
+
+
+def _decide(g: Graph, h: Graph, rows: list[Row]) -> Verdict:
+    """Cover g onto a target on one or two vertices whose rows are all P.
+
+    A g vertex may only map onto a target vertex of its type signature.
+    When the signatures tell h's vertices apart that fixes the sides;
+    otherwise 2-SAT chooses them over _side_clauses, which are necessary
+    and sufficient for every class to map.  _map_sides then maps the
+    darts; the method is the highest tag among the rows.
+    """
     if g.n == 0:
         return _stitched(g, h, {}, [], "regularity")
     sides = {type_signature(h, s): s for s in range(h.n)}
-    side = [sides.get(type_signature(g, u)) for u in range(g.n)]
-    if None in side:
-        return Verdict(False, "regularity")
+    side = []
+    for u in range(g.n):  # stop at the first vertex no target vertex matches
+        side.append(sides.get(type_signature(g, u)))
+        if side[-1] is None:
+            return Verdict(False, "regularity")
     method = max((r.method for r in rows), key=_TAG_RANK.__getitem__, default="regularity")
+    forced = len(sides) == h.n
+    if not forced:
+        clauses: list[tuple[int, int]] = []
+        try:
+            _side_clauses(g, h, clauses)
+        except _Refuted as no:
+            return Verdict(False, method, reason=str(no))
+        assignment = two_sat_solve(g.n, clauses)
+        if assignment is None:
+            return Verdict(False, method, reason="2-SAT unsatisfiable")
+        side = [0 if x else 1 for x in assignment]
     dart_map = _map_sides(g, h, side)
     if dart_map is None:
+        if not forced:
+            raise RuntimeError("satisfying assignment failed witness expansion")
         return Verdict(False, method)
     return _stitched(g, h, dart_map, side, method)
 
 
+# decide_colored calls the decider by case under these names, which perfbench times apart
 def decide_colored_one_vertex(g: Graph, h: Graph, rows: list[Row]) -> Verdict:
     """Cover g onto a one-vertex colored target, class by class."""
-    return _decide_forced(g, h, rows)
+    return _decide(g, h, rows)
 
 
 def decide_two_vertex_nonregular(g: Graph, h: Graph, rows: list[Row]) -> Verdict:
-    """Cover g onto a connected two-vertex target whose vertices differ in
-    color or in per-type dart counts.  The separation forces the vertex map,
-    after which each side is a one-vertex problem and each bar class is a
-    regular bipartite splitting."""
-    return _decide_forced(g, h, rows)
-
-
-# ------------------------------------------ two vertices, regular, by 2-SAT
-
-class _Refuted(Exception):
-    """A class constraint has no solution; the message says why."""
-
-
-def _equal(clauses: list, u: int, w: int) -> None:
-    clauses.append((neg(lit(u)), lit(w)))
-    clauses.append((lit(u), neg(lit(w))))
-
-
-def _differ(clauses: list, u: int, w: int) -> None:
-    if u == w:
-        raise _Refuted("a vertex would have to differ from itself")
-    clauses.append((lit(u), lit(w)))
-    clauses.append((neg(lit(u)), neg(lit(w))))
-
-
-def _all_stay(sub: Graph, p: _Piece, clauses: list) -> None:
-    for l in range(sub.n_links):
-        if sub.link_kind(l) == EDGE:
-            _equal(clauses, *sub.link_ends(l))
-
-
-def _all_cross(sub: Graph, p: _Piece, clauses: list) -> None:
-    for l in range(sub.n_links):
-        if sub.link_kind(l) != EDGE:
-            raise _Refuted("a link of a bars-only class does not cross")
-        _differ(clauses, *sub.link_ends(l))
-
-
-def _one_crosses(sub: Graph, p: _Piece, clauses: list) -> None:
-    """At every vertex, of the two darts of each color, exactly one lies on
-    a crossing edge; the other is on a semi-edge or loop, or on an edge
-    that stays on the vertex's side."""
-    for c in sorted(p.colors):
-        for u in range(sub.n):
-            a, b = (u if (q := sub.partner(d)) is None else sub.vertex_of[q]
-                    for d in sub.darts_at[u] if sub.dart_color[d] == c)
-            if a == u and b == u:
-                raise _Refuted("no link at a vertex can cross")
-            if a == u or b == u:
-                _differ(clauses, u, b if a == u else a)
-            else:
-                _differ(clauses, a, b)
-
-
-def _split(sub: Graph, p: _Piece, clauses: list) -> None:
-    """No bars: each component stays on a side whose one-vertex piece it
-    covers."""
-    _all_stay(sub, p, clauses)
-    for comp in components(sub):
-        ok = [_decide_f(comp.graph, p.semis[s], p.loops[s]) is not None for s in (0, 1)]
-        rep = comp.vertex_ids[0]
-        if not any(ok):
-            raise _Refuted("class component covers neither side")
-        if not ok[1]:
-            clauses.append((lit(rep), lit(rep)))
-        elif not ok[0]:
-            clauses.append((neg(lit(rep)), neg(lit(rep))))
-
-
-_SAT_KINDS = {"stay": _all_stay, "cross": _all_cross, "one crosses": _one_crosses,
-              "split": _split}
+    """Cover g onto a two-vertex target whose type signatures differ."""
+    return _decide(g, h, rows)
 
 
 def decide_two_vertex_regular_2sat(g: Graph, h: Graph, rows: list[Row]) -> Verdict:
-    """Cover g onto a connected two-vertex target whose vertices agree in
-    color and per-type dart counts.
-
-    The vertex map is the only freedom: one boolean per g vertex (true
-    means target vertex 0).  Each color class contributes clauses that are
-    necessary and sufficient for the class to map once the sides are
-    known, so a satisfying assignment always maps.
-    """
-    method = "2-SAT"
-    if g.n == 0:
-        return _stitched(g, h, {}, [], "regularity")
-    sig = type_signature(h, 0)
-    if any(type_signature(g, u) != sig for u in range(g.n)):
-        return Verdict(False, "regularity")
-    clauses: list[tuple[int, int]] = []
-    try:
-        for r in rows:
-            sub, _ = induced_link_subgraph(g, r.piece.colors)
-            _SAT_KINDS[r.kind](sub, r.piece, clauses)
-    except _Refuted as no:
-        return Verdict(False, method, reason=str(no))
-    assignment = two_sat_solve(g.n, clauses)
-    if assignment is None:
-        return Verdict(False, method, reason="2-SAT unsatisfiable")
-    side = [0 if x else 1 for x in assignment]
-    dart_map = _map_sides(g, h, side)
-    if dart_map is None:
-        raise RuntimeError("satisfying assignment failed witness expansion")
-    return _stitched(g, h, dart_map, side, method)
+    """Cover g onto a two-vertex target whose type signatures agree."""
+    return _decide(g, h, rows)

@@ -53,7 +53,7 @@ def classify(h: Graph) -> Classification:
     rows = dichotomy_table(h)
     if h.n == 1:
         header = "target has one vertex: polynomial iff every color class is"
-    elif rows[-1].kind == "cross bars":
+    elif rows[-1].key is None:
         header = ("target vertices are distinguishable by color or dart "
                   "type signature: the vertex map is forced")
     else:
@@ -68,7 +68,7 @@ def decide_colored(g: Graph, h: Graph, *, budget: int | None = None) -> Verdict:
 
     A target on one or two vertices whose dichotomy_table rows are all P
     goes to the decider of its case with those rows: one vertex, a forced
-    vertex map (a "cross bars" last row) or 2-SAT.  Every other target,
+    vertex map (a last row with key None) or 2-SAT.  Every other target,
     the empty one included, falls back to exact search under the dart
     budget.  A disconnected target raises ValueError.
     """
@@ -79,7 +79,7 @@ def decide_colored(g: Graph, h: Graph, *, budget: int | None = None) -> Verdict:
         if all(r.verdict == "P" for r in rows):
             if h.n == 1:
                 return decide_colored_one_vertex(g, h, rows)
-            if rows[-1].kind == "cross bars":
+            if rows[-1].key is None:
                 return decide_two_vertex_nonregular(g, h, rows)
             return decide_two_vertex_regular_2sat(g, h, rows)
     f = find_cover(g, h, budget=budget)

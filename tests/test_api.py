@@ -13,7 +13,16 @@ DELETED = [
     ("semicover.graph", "Violation"),
     ("semicover.deciders", "_directed_loops"),
     ("semicover.deciders", "_decide_bars"),
+    ("semicover.deciders", "_all_stay"),
+    ("semicover.deciders", "_all_cross"),
+    ("semicover.deciders", "_one_crosses"),
+    ("semicover.deciders", "_split"),
+    ("semicover.deciders", "_SAT_KINDS"),
+    ("semicover.deciders", "_decide_forced"),
+    ("semicover.deciders", "_equal"),
 ]
+# fields dropped from rows of the dichotomy table
+DELETED_ROW_FIELDS = {"kind", "piece"}
 
 # only decide_colored calls these; they stay in semicover.deciders
 INTERNAL = ["decide_colored_one_vertex", "decide_two_vertex_nonregular",
@@ -32,3 +41,5 @@ def test_deleted_names_are_gone():
         assert not hasattr(semicover, name) and name not in semicover.__all__, name
     for name in INTERNAL:
         assert not hasattr(semicover, name) and name not in semicover.__all__, name
+    from semicover.deciders import Row
+    assert not DELETED_ROW_FIELDS & set(Row._fields)

@@ -220,6 +220,17 @@ def test_usage_errors(capsys, tmp_path):
     f30 = gen_to_file(capsys, tmp_path, "f30.g", "f", "3", "0")
     assert run(capsys, "stronger", f30, str(loops), "--max-n", "3") == \
         (2, {"error": "target graph must be connected and nonempty"})
+    # numeric options below their least value, and a flag of another family
+    for argv, msg in ((("check", h, h, "--budget", "-5"), "--budget must be at least 0"),
+                      (("pattern", h, h, "--budget", "-5"), "--budget must be at least 0"),
+                      (("stronger", f30, h, "--max-n", "4", "--jobs", "-2"),
+                       "--jobs must be at least 1"),
+                      (("stronger", f30, h, "--max-n", "-1"), "--max-n must be at least 1"),
+                      (("stronger", f30, h, "--max-n", "0"), "--max-n must be at least 1"),
+                      (("gen", "cycle", "3", "--semi-ends"),
+                       "--semi-ends applies to gen path only")):
+        assert run(capsys, *argv) == (2, {"error": msg}), argv
+    assert run(capsys, "check", h, h, "--budget", "0")[0] == 0
 
 
 def test_equitable_witness_sums_fibres_of_repeated_target_names(capsys, monkeypatch):

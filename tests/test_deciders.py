@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from semicover import deciders
 from semicover.build import build_F, build_W, build_WD, complete, cycle, path, petersen
 from semicover.cover import find_cover
 from semicover.dichotomy import decide_colored
-from semicover.graph import LOOP, GraphBuilder, disjoint_union
+from semicover.graph import LOOP, GraphBuilder, components, disjoint_union, induced_link_subgraph
 from semicover.matching import exact_link_cover
+from test_dichotomy import barred_pair
 from util import assert_cover_ok, perturb, random_graph, random_lift
 
 METHODS = {"regularity", "matching", "2-factor", "bipartite-decomposition",
@@ -238,6 +240,57 @@ def test_directed_target_small():
         v = decide_colored(g, h)
         check_verdict(v, g, h)
         assert v.answer
+
+
+def two_semis_beside_a_loop():
+    """A colour-1 bar whose ends carry two colour-0 semi-edges and one
+    colour-0 loop: the colour-0 component of the first end covers neither
+    F(0,1) side of barred_pair(0, 1, 0, 1)."""
+    b = GraphBuilder()
+    b.add_vertex()
+    b.add_vertex()
+    b.add_edge(0, 1, colors=(1, 1))
+    b.add_semi(0)
+    b.add_semi(0)
+    b.add_loop(1)
+    return b.build()
+
+
+# one source per reason the 2-SAT path refutes a cover, with its target
+REFUTED = [
+    ("a link of a bars-only class does not cross", path(2, semi_ends=True),
+     build_W(0, 0, 2, 0, 0)),
+    ("no link at a vertex can cross", build_F(2, 0), build_W(1, 0, 1, 0, 1)),
+    ("a vertex would have to differ from itself", cycle(2), build_W(1, 0, 1, 0, 1)),
+    ("class component covers neither side", two_semis_beside_a_loop(),
+     barred_pair(0, 1, 0, 1)),
+    ("2-SAT unsatisfiable", cycle(3), build_W(0, 0, 2, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("reason, g, h", REFUTED, ids=[r for r, _, _ in REFUTED])
+def test_two_sat_refutation_reasons(reason, g, h):
+    v = decide_colored(g, h)
+    assert (v.answer, v.method, v.reason) == (False, "2-SAT", reason)
+    assert find_cover(g, h) is None
+
+
+@pytest.mark.parametrize("h, per_component", [
+    (barred_pair(1, 0, 1, 0), 1),   # F(1,0) beside F(1,0): one piece
+    (barred_pair(2, 0, 0, 1), 2),   # F(2,0) beside F(0,1): two pieces
+])
+def test_bar_free_class_solves_each_component_once_per_piece(monkeypatch, h, per_component):
+    g = random_lift(h, 5, random.Random(7))
+    calls, before_mapping = [], []
+    decide_f, map_sides = deciders._decide_f, deciders._map_sides
+    monkeypatch.setattr(deciders, "_decide_f", lambda *a: calls.append(a) or decide_f(*a))
+    monkeypatch.setattr(deciders, "_map_sides",
+                        lambda *a: before_mapping.append(len(calls)) or map_sides(*a))
+    v = decide_colored(g, h)
+    check_verdict(v, g, h)
+    assert v.answer and v.method == "2-SAT"
+    class_0, _ = induced_link_subgraph(g, frozenset({0}))
+    assert before_mapping == [per_component * len(components(class_0))]
 
 
 def test_hard_two_vertex_raises():
