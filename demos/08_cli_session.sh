@@ -39,7 +39,9 @@ semicover stronger w2.graph f20.graph --max-n 10
 echo
 echo '== bin packing as equitable covering =='
 semicover gen binpacking 3,3,2,2,2 2 --out-g items.graph --out-h bins2.graph
-semicover check items.graph bins2.graph --semantics equitable
+semicover check items.graph bins2.graph --semantics equitable --witness | head -c 300; echo
+# items of two sizes onto equal bins: two decider calls give all ten pattern edges
+semicover pattern items.graph bins2.graph
 semicover gen binpacking 3,3,2,2,2 3 --out-g items.graph --out-h bins3.graph
 semicover check items.graph bins3.graph --semantics equitable \
   || echo "exit code $? (three equal bins are impossible)"

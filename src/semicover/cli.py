@@ -142,7 +142,11 @@ def _cmd_gen(args) -> int:
     kind = args.kind
     if args.semi_ends and kind != "path":
         raise ValueError("--semi-ends applies to gen path only")
+    if (args.out_g or args.out_h) and kind != "binpacking":
+        raise ValueError("--out-g and --out-h apply to gen binpacking only")
     if kind == "binpacking":
+        if args.output or not (args.out_g and args.out_h):
+            raise ValueError("binpacking emits two graphs; pass --out-g and --out-h, not -o")
         if len(args.params) != 2:
             raise ValueError("binpacking needs: ITEMS BINS (e.g. 2,3,2,3 2)")
         xs = _parse_items(args.params[0])
@@ -150,8 +154,6 @@ def _cmd_gen(args) -> int:
         if bins < 1:
             raise ValueError("bins must be at least 1")
         g, h = build.gen_binpacking(xs, bins)
-        if not (args.out_g and args.out_h):
-            raise ValueError("binpacking emits two graphs; pass --out-g and --out-h")
         with open(args.out_g, "w", encoding="utf-8") as fh:
             fh.write(serialize_graph(g))
         with open(args.out_h, "w", encoding="utf-8") as fh:

@@ -6,8 +6,9 @@ additionally for surjectivity, or for all target vertex fibers to share
 one size, gives the surjective and equitable variants.  All three reduce
 to questions about the covering pattern: the bipartite graph recording
 which source component covers which target component, weighted by the
-vertex-count ratio.  Each component-vs-component question is one call of
-dichotomy.decide_colored, which picks the algorithm.
+vertex-count ratio.  Each distinct component-vs-component question is
+one call of dichotomy.decide_colored, which picks the algorithm;
+components with equal labelled structure share that call and its witness.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ class CoveringPattern:
     """Which source components cover which target components.
 
     edges maps (i, j) to r_ij = |V(G_i)| / |V(H_j)|; witnesses holds one
-    component-level DartMapping per edge when requested.
+    component-level DartMapping per edge.  Edges whose source components
+    and whose target components have equal labelled structure share one
+    witness object; it is valid for each of them, being in
+    component-local ids.
     """
     sizes_g: tuple[int, ...]
     sizes_h: tuple[int, ...]
@@ -41,8 +45,12 @@ class CoveringPattern:
     def q(self) -> int:
         return len(self.sizes_h)
 
-    def neighbors(self, i: int) -> list[int]:
-        return sorted(j for (a, j) in self.edges if a == i)
+    def neighbor_lists(self) -> list[list[int]]:
+        """Each source component's target components, ascending, in one pass."""
+        out: list[list[int]] = [[] for _ in range(self.p)]
+        for i, j in sorted(self.edges):
+            out[i].append(j)
+        return out
 
     def as_json(self) -> dict:
         return {
@@ -76,6 +84,12 @@ class Decision:
         return out
 
 
+def _labelled(c: Component) -> tuple:
+    """Everything a decider reads of a component; names are left out."""
+    g = c.graph
+    return g.n, g.vertex_of, g.link_of, g.dart_color, g.vertex_color
+
+
 def build_pattern(g: Graph, h: Graph, *, budget: int | None = None,
                   ) -> tuple[CoveringPattern, list[Component], list[Component]]:
     """Resolve all component-vs-component cover queries with decide_colored.
@@ -83,20 +97,29 @@ def build_pattern(g: Graph, h: Graph, *, budget: int | None = None,
     Every target component is connected and non-empty, so decide_colored
     answers each pair: by a polynomial decider where one applies, by exact
     search under the dart budget elsewhere.  Pairs failing the
-    divisibility filter are skipped outright.
+    divisibility filter are skipped outright.  Components with equal
+    labelled structure form one class, and decide_colored runs once per
+    (source class, target class); equal pairs share its witness.
     """
     comps_g = components(g)
     comps_h = components(h)
     pattern = CoveringPattern(tuple(c.graph.n for c in comps_g),
                               tuple(c.graph.n for c in comps_h))
+    classes: dict[tuple, int] = {}
+    class_g = [classes.setdefault(_labelled(c), len(classes)) for c in comps_g]
+    class_h = [classes.setdefault(_labelled(c), len(classes)) for c in comps_h]
+    decided: dict[tuple[int, int], DartMapping | None] = {}
     for i, cg in enumerate(comps_g):
         for j, ch in enumerate(comps_h):
             if cg.graph.n % ch.graph.n != 0:
                 continue
-            try:
-                w = decide_colored(cg.graph, ch.graph, budget=budget).witness
-            except ResourceLimit as e:
-                raise ResourceLimit(f"component pair ({i},{j}): {e}") from e
+            pair = (class_g[i], class_h[j])
+            if pair not in decided:
+                try:
+                    decided[pair] = decide_colored(cg.graph, ch.graph, budget=budget).witness
+                except ResourceLimit as e:
+                    raise ResourceLimit(f"component pair ({i},{j}): {e}") from e
+            w = decided[pair]
             if w is not None:
                 pattern.edges[(i, j)] = cg.graph.n // ch.graph.n
                 pattern.witnesses[(i, j)] = w
@@ -114,8 +137,7 @@ def max_bipartite_matching(pattern: CoveringPattern) -> dict[int, int]:
 def decide_lbhom(pattern: CoveringPattern) -> tuple[bool, tuple[int, ...] | None, str]:
     """Yes iff no source component is isolated in the pattern."""
     sigma = []
-    for i in range(pattern.p):
-        nb = pattern.neighbors(i)
+    for i, nb in enumerate(pattern.neighbor_lists()):
         if not nb:
             return False, None, f"component g{i} covers no target component"
         sigma.append(nb[0])
@@ -158,9 +180,9 @@ def decide_equitable(pattern: CoveringPattern, n_g: int, n_h: int,
     start = (0,) * q
     levels: list[dict[tuple[int, ...], tuple[tuple[int, ...] | None, int]]]
     levels = [{start: (None, -1)}]
-    for i in range(pattern.p):
+    for i, nb in enumerate(pattern.neighbor_lists()):
         nxt: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        choices = [(j, pattern.edges[(i, j)]) for j in pattern.neighbors(i)]
+        choices = [(j, pattern.edges[(i, j)]) for j in nb]
         for state in levels[i]:
             for j, r in choices:
                 if state[j] + r > k:

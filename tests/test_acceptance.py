@@ -175,7 +175,7 @@ def brute_sigma_enumeration(pattern, n_g, n_h):
     if n_g % n_h:
         return False
     k = n_g // n_h
-    choices = [pattern.neighbors(i) for i in range(pattern.p)]
+    choices = pattern.neighbor_lists()
     if not all(choices):
         return False
     for combo in itertools.product(*choices):

@@ -139,6 +139,19 @@ def test_gen_binpacking_manifest(capsys, tmp_path):
     assert code == 1
 
 
+def test_gen_refuses_output_flags_of_the_other_kind(capsys, tmp_path):
+    # a flag that gen ignores would leave the named file unwritten while
+    # exiting 0, so each output flag is refused off its own kind
+    out_g, out_h, out = (str(tmp_path / n) for n in ("x.g", "y.g", "c.g"))
+    assert run(capsys, "gen", "cycle", "3", "--out-g", out_g, "--out-h", out_h) == \
+        (2, {"error": "--out-g and --out-h apply to gen binpacking only"})
+    assert run(capsys, "gen", "binpacking", "2,3,2", "2", "-o", out) == \
+        (2, {"error": "binpacking emits two graphs; pass --out-g and --out-h, not -o"})
+    assert run(capsys, "gen", "binpacking", "2,3,2", "2", "-o", out,
+               "--out-g", out_g, "--out-h", out_h)[0] == 2
+    assert not list(tmp_path.iterdir())
+
+
 def test_budget_exhaustion(capsys, tmp_path):
     rng = random.Random(3)
     g = write_graph(tmp_path, "big.g", random_lift(build_F(3, 0), 6, rng))

@@ -2,15 +2,20 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
-from semicover.build import build_F, build_W, cycle, path
-from semicover.disconnected import (build_pattern, decide, decide_equitable,
-                                    decide_lbhom, decide_surjective,
+import semicover.disconnected
+from semicover.build import (build_F, build_W, complete, cycle, gen_binpacking, path,
+                             petersen)
+from semicover.cover import ResourceLimit
+from semicover.dichotomy import decide_colored
+from semicover.disconnected import (CoveringPattern, build_pattern, decide,
+                                    decide_equitable, decide_lbhom, decide_surjective,
                                     max_bipartite_matching)
-from semicover.graph import GraphBuilder, disjoint_union
-from util import assert_cover_ok
+from semicover.graph import GraphBuilder, components, disjoint_union
+from util import assert_cover_ok, random_lift
 
 
 def union_of_cycles(lengths):
@@ -28,7 +33,7 @@ def brute_equitable(pattern, n_g, n_h):
     if n_g % n_h:
         return False
     k = n_g // n_h
-    choices = [pattern.neighbors(i) for i in range(pattern.p)]
+    choices = pattern.neighbor_lists()
     if any(not c for c in choices):
         return False
     for combo in itertools.product(*choices):
@@ -192,3 +197,125 @@ def test_semantics_implication_chain_and_brute_fuzz():
         stats[1] += sj
         stats[2] += eq
     assert stats[0] > stats[1] > stats[2] > 5
+
+
+def reference_pattern(g, h):
+    """The per-pair path: one decide_colored call for every divisible pair."""
+    comps_g, comps_h = components(g), components(h)
+    pattern = CoveringPattern(tuple(c.graph.n for c in comps_g),
+                              tuple(c.graph.n for c in comps_h))
+    for i, cg in enumerate(comps_g):
+        for j, ch in enumerate(comps_h):
+            if cg.graph.n % ch.graph.n == 0:
+                w = decide_colored(cg.graph, ch.graph).witness
+                if w is not None:
+                    pattern.edges[(i, j)] = cg.graph.n // ch.graph.n
+                    pattern.witnesses[(i, j)] = w
+    return pattern
+
+
+REFERENCE_DECIDERS = {
+    "lbhom": lambda pattern, g, h: decide_lbhom(pattern),
+    "surjective": lambda pattern, g, h: decide_surjective(pattern),
+    "equitable": lambda pattern, g, h: decide_equitable(pattern, g.n, h.n),
+}
+
+
+def colored_c4(dart_colors=(0,) * 8, vertex_colors=(0,) * 4, names="abcd"):
+    b = GraphBuilder()
+    vs = [b.add_vertex(color=c, name=nm) for c, nm in zip(vertex_colors, names)]
+    for k in range(4):
+        b.add_edge(vs[k], vs[(k + 1) % 4], colors=dart_colors[2 * k:2 * k + 2])
+    return b.build()
+
+
+def shared_pattern_cases():
+    rng = random.Random(53)
+    for _ in range(12):
+        q = rng.randrange(2, 5)
+        xs = [rng.randrange(1, 7) for _ in range(rng.randrange(3, 9))]
+        yield gen_binpacking(xs, q)
+    cubic = [complete(4), petersen(), random_lift(build_F(3, 0), 4, rng),
+             random_lift(build_F(1, 1), 6, rng),
+             random_lift(build_W(0, 0, 3, 0, 0), 3, rng)]
+    cubic_targets = [[build_F(3, 0), build_F(1, 1)],
+                     [build_W(0, 0, 3, 0, 0), build_F(1, 1)],
+                     [build_F(1, 1), build_F(1, 1), build_F(3, 0)]]
+    for _ in range(8):
+        g = disjoint_union([rng.choice(cubic) for _ in range(rng.randrange(2, 7))])
+        yield g, disjoint_union(rng.choice(cubic_targets))
+    cycles = [cycle(n) for n in (2, 3, 4, 6)]
+    for _ in range(6):
+        g = disjoint_union([rng.choice(cycles) for _ in range(rng.randrange(2, 7))])
+        yield g, one_vertex_targets([(0, 1), (2, 0), (0, 1)])
+    yield colour_and_name_case()
+
+
+def colour_and_name_case():
+    """Components that differ only in dart colours or only in vertex colours
+    are different questions; one that differs only in names is the same."""
+    plain = colored_c4()
+    g = disjoint_union([plain, colored_c4(dart_colors=(1,) * 8),
+                        colored_c4(vertex_colors=(1, 0, 0, 0)),
+                        colored_c4(names="wxyz"), plain])
+    b = GraphBuilder()
+    b.add_loop(b.add_vertex(), colors=(1, 1))
+    return g, disjoint_union([build_F(0, 1), b.build(), build_W(0, 0, 2, 0, 0)])
+
+
+def test_shared_pattern_matches_per_pair_reference():
+    for g, h in shared_pattern_cases():
+        pattern, _, _ = build_pattern(g, h)
+        ref = reference_pattern(g, h)
+        assert pattern.edges == ref.edges
+        assert pattern.witnesses == ref.witnesses
+        assert pattern.neighbor_lists() == [
+            sorted(j for (a, j) in ref.edges if a == i) for i in range(ref.p)]
+        for semantics, reference in REFERENCE_DECIDERS.items():
+            want, sigma, _ = reference(ref, g, h)
+            d = decide(g, h, semantics, want_witness=True)
+            assert (d.answer, d.sigma) == (want, sigma), semantics
+            if d.answer:
+                assert_cover_ok(g, h, d.witness)
+
+
+def test_colours_split_classes_and_names_do_not():
+    pattern, _, _ = build_pattern(*colour_and_name_case())
+    # g0..g4: plain, dart-coloured, vertex-coloured, renamed, plain;
+    # h0: F(0,1), h1: F(0,1) with dart colour 1, h2: W(0,0,2,0,0)
+    assert {i for (i, j) in pattern.edges if j == 0} == {0, 3, 4}
+    assert {i for (i, j) in pattern.edges if j == 1} == {1}
+    assert {i for (i, j) in pattern.edges if j == 2} == {0, 3, 4}
+    assert pattern.witnesses[(0, 0)] is pattern.witnesses[(3, 0)]
+    assert pattern.witnesses[(0, 0)] is pattern.witnesses[(4, 0)]
+
+
+def test_one_decide_colored_call_per_distinct_pair(monkeypatch):
+    calls = []
+
+    def counted(g, h, **kwargs):
+        calls.append((g.n, h.n))
+        return decide_colored(g, h, **kwargs)
+    monkeypatch.setattr(semicover.disconnected, "decide_colored", counted)
+    pattern, _, _ = build_pattern(*gen_binpacking([3, 3, 3, 5, 5], 3))
+    assert len(calls) == 2
+    assert len(pattern.edges) == 15
+
+
+def test_resource_limit_names_the_first_pair():
+    g = disjoint_union([cycle(4), complete(4), complete(4)])
+    h = disjoint_union([build_F(0, 1), complete(4)])
+    # a four-vertex target has no polynomial decider: C4 fits the budget,
+    # the first K4 does not, and the second K4 is never tried
+    with pytest.raises(ResourceLimit, match=r"component pair \(1,1\)"):
+        build_pattern(g, h, budget=10)
+
+
+def test_many_repeated_components_decide_quickly():
+    g = disjoint_union([cycle(3)] * 200)
+    h = disjoint_union([build_F(0, 1)] * 200)
+    for semantics in ("lbhom", "surjective"):
+        start = time.perf_counter()
+        d = decide(g, h, semantics, want_witness=True)
+        assert time.perf_counter() - start < 2.0, semantics
+        assert d.answer
