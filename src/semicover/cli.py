@@ -44,6 +44,16 @@ def _load(path: str) -> Graph:
         return parse_graph(fh.read())
 
 
+def _write_graph(g: Graph, path: str | None) -> None:
+    """g as a graph file: on stdout when path is None, else into path."""
+    if path is None:
+        sys.stdout.write(serialize_graph(g))
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(serialize_graph(g))
+    _note(f"wrote {path}")
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
@@ -100,14 +110,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_double_cover(args) -> int:
     g = _load(args.g)
-    g2, _ = build.double_cover(g)
-    text = serialize_graph(g2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _note(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
+    _write_graph(build.double_cover(g)[0], args.output)
     return 0
 
 
@@ -118,10 +121,8 @@ def _cmd_stronger(args) -> int:
     out = report.as_json()
     if report.counterexample is not None:
         out["counterexample"] = serialize_graph(report.counterexample)
-        if args.emit:
-            with open(args.emit, "w", encoding="utf-8") as fh:
-                fh.write(serialize_graph(report.counterexample))
-            _note(f"wrote counterexample to {args.emit}")
+        if args.emit is not None:
+            _write_graph(report.counterexample, args.emit)
     _emit(out)
     _note("stronger: verified" if report.stronger
           else f"counterexample of order {report.counterexample.n}")
@@ -154,10 +155,8 @@ def _cmd_gen(args) -> int:
         if bins < 1:
             raise ValueError("bins must be at least 1")
         g, h = build.gen_binpacking(xs, bins)
-        with open(args.out_g, "w", encoding="utf-8") as fh:
-            fh.write(serialize_graph(g))
-        with open(args.out_h, "w", encoding="utf-8") as fh:
-            fh.write(serialize_graph(h))
+        _write_graph(g, args.out_g)
+        _write_graph(h, args.out_h)
         _emit({"g": args.out_g, "h": args.out_h,
                "items": xs, "bins": bins})
         return 0
@@ -167,13 +166,7 @@ def _cmd_gen(args) -> int:
         raise ValueError(f"gen {kind} needs: {' '.join(names)}" if names
                          else f"gen {kind} takes no parameters")
     g = make(*params, semi_ends=args.semi_ends) if kind == "path" else make(*params)
-    text = serialize_graph(g)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _note(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
+    _write_graph(g, args.output)
     return 0
 
 
@@ -212,7 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("b", metavar="B")
     c.add_argument("--max-n", type=int, required=True,
                    help="largest candidate order to enumerate")
-    c.add_argument("--jobs", type=int, default=1)
+    c.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most the CPU count (default 1)")
     c.add_argument("--emit", default=None,
                    help="write a counterexample graph to this file")
     c.set_defaults(func=_cmd_stronger)

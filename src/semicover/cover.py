@@ -154,16 +154,21 @@ def _fiber_violations(g: Graph, h: Graph, f: DartMapping) -> list[CoverViolation
     return out
 
 
-def witness_json(g: Graph, h: Graph, f: DartMapping) -> dict:
-    """The witness as JSON, with the number of source vertices over each
-    target vertex name (vertices that share a name are summed)."""
+def _fiber_sizes(h: Graph, f: DartMapping) -> dict[str, int]:
+    """The number of source vertices over each target vertex name, in name
+    order of first appearance; vertices that share a name are summed."""
     fibers = dict.fromkeys(h.names, 0)
     for w in f.vertex_map:
         fibers[h.names[w]] += 1
+    return fibers
+
+
+def witness_json(g: Graph, h: Graph, f: DartMapping) -> dict:
+    """The witness as JSON, with its fiber sizes by target vertex name."""
     return {
         "vertex_map": list(f.vertex_map),
         "dart_map": list(f.dart_map),
-        "fiber_sizes": fibers,
+        "fiber_sizes": _fiber_sizes(h, f),
     }
 
 

@@ -64,9 +64,10 @@ def _stitched(g: Graph, h: Graph, dart_map: dict[int, int],
 class _Piece:
     """The links of one color class of a target, as target dart ids.
 
-    Loops and bars are (dart, dart) pairs led by the lower-colored dart;
-    a monochromatic bar is led by its dart at vertex 0 and sits in
-    bars[0], a bicolored bar sits in bars[s] when its lead is at vertex s.
+    Loops are (dart, dart) pairs led by the lower-colored dart.  Bars are
+    (dart at vertex 0, dart at vertex 1) pairs in bars[direction]: a
+    monochromatic bar has direction 0, a bicolored bar the vertex of its
+    lower-colored dart.
     """
     colors: frozenset[int]
     semis: tuple[list[int], list[int]]
@@ -92,10 +93,8 @@ def _h_pieces(h: Graph) -> list[_Piece]:
         u, w = h.vertex_of[di], h.vertex_of[dj]
         if u == w:
             p.loops[u].append((di, dj))
-        elif len(cs) == 1:
-            p.bars[0].append((di, dj) if u == 0 else (dj, di))
         else:
-            p.bars[u].append((di, dj))
+            p.bars[u if len(cs) == 2 else 0].append((di, dj) if u == 0 else (dj, di))
     return [pieces[cs] for cs in sorted(pieces, key=sorted)]
 
 
@@ -269,13 +268,13 @@ def _map_sides(g: Graph, h: Graph, side: list[int]) -> dict[int, int] | None:
     vertex, or None.  Every g vertex must have the type signature of its
     side.
 
-    A link of g stays on one side or crosses.  The links of a color class
-    that stay on side s form a one-vertex problem onto the class's semis
-    and loops at s.  Every other piece is regular bipartite and goes
-    through _konig_onto: a bicolored class's staying links, led by the
-    lower-colored dart, onto its directed loops at s; and a class's
-    crossing links, one direction at a time, onto its bars.  A bicolored
-    link's direction is the side of its lower-colored dart.
+    A link of g stays on one side or crosses.  The links of a
+    monochromatic class that stay on side s form a one-vertex problem onto
+    the class's semis and loops at s.  Every other piece is regular
+    bipartite and goes through _konig_onto: a bicolored class's staying
+    links, led by the lower-colored dart, onto its directed loops at s;
+    and a class's crossing links, one direction at a time, onto its bars.
+    A bicolored link's direction is the side of its lower-colored dart.
     """
     stay: dict[tuple[frozenset, int], list[int]] = {}
     cross: dict[tuple[frozenset, int], list[tuple[int, int]]] = {}
@@ -283,7 +282,7 @@ def _map_sides(g: Graph, h: Graph, side: list[int]) -> dict[int, int] | None:
         cs = g.link_colorset(l)
         s = side[g.vertex_of[cell[0]]]
         if len(cell) == 1 or side[g.vertex_of[cell[1]]] == s:
-            stay.setdefault((cs, s), []).extend(cell)
+            stay.setdefault((cs, s), []).append(l)
         else:
             direction = side[g.vertex_of[_lead(g, l, min(cs))[0]]] if len(cs) == 2 else 0
             cross.setdefault((cs, direction), []).append(cell if s == 0 else cell[::-1])
@@ -293,26 +292,26 @@ def _map_sides(g: Graph, h: Graph, side: list[int]) -> dict[int, int] | None:
     out: dict[int, int] = {}
     for p in _h_pieces(h):
         for s in (0, 1):
-            darts = sorted(stay.get((p.colors, s), ()))
-            if not (darts or p.semis[s] or p.loops[s]):
+            links = stay.get((p.colors, s), [])
+            if not (links or p.semis[s] or p.loops[s]):
                 continue
-            sub = _subgraph(g, verts[s], darts)
             if len(p.colors) == 1:
-                part = _decide_f(sub, p.semis[s], p.loops[s])
+                darts = sorted(d for l in links for d in g.links[l])
+                part = _decide_f(_subgraph(g, verts[s], darts), p.semis[s], p.loops[s])
+                if part is not None:
+                    part = {darts[sd]: td for sd, td in part.items()}
             else:
                 # by tail, head, then link: the split, and so the witness, follows this order
-                arcs = sorted((_lead(sub, l, min(p.colors)) for l in range(sub.n_links)),
-                              key=lambda arc: (sub.vertex_of[arc[0]], sub.vertex_of[arc[1]]))
-                part = _konig_onto(sub, arcs, range(sub.n), range(sub.n), p.loops[s])
+                arcs = sorted((_lead(g, l, min(p.colors)) for l in links),
+                              key=lambda arc: (g.vertex_of[arc[0]], g.vertex_of[arc[1]]))
+                part = _konig_onto(g, arcs, verts[s], verts[s], p.loops[s])
             if part is None:
                 return None
-            for sd, td in part.items():
-                out[darts[sd]] = td
-        # read from vertex 0, a backward bar is (higher dart, lower dart)
-        for bars, direction in ((p.bars[0], 0), ([(dj, di) for di, dj in p.bars[1]], 1)):
+            out.update(part)
+        for direction in (0, 1):
             arcs = cross.get((p.colors, direction), [])
-            if bars or arcs:
-                part = _konig_onto(g, arcs, verts[0], verts[1], bars)
+            if p.bars[direction] or arcs:
+                part = _konig_onto(g, arcs, verts[0], verts[1], p.bars[direction])
                 if part is None:
                     return None
                 out.update(part)

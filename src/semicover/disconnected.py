@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 # find_cover is unused here but stays bound: perfbench's tracer wraps it at this name.
-from .cover import DartMapping, ResourceLimit, find_cover, verify_cover  # noqa: F401
+from .cover import (DartMapping, ResourceLimit, _fiber_sizes, find_cover,  # noqa: F401
+                    verify_cover)
 from .dichotomy import decide_colored
 from .graph import Component, Graph, components
 from .matching import kuhn_matching
@@ -248,9 +249,6 @@ def decide(g: Graph, h: Graph, semantics: str = "lbhom", *,
             fibers[hv] += 1
         if semantics == "equitable" and len(set(fibers)) > 1:
             raise RuntimeError("equitable witness has unequal fibers")
-        profile: dict[str, int] = {}
-        for hv, size in enumerate(fibers):
-            profile[h.names[hv]] = profile.get(h.names[hv], 0) + size
-        decision.fiber_profile = profile
+        decision.fiber_profile = _fiber_sizes(h, f)
         decision.witness = f
     return decision

@@ -7,9 +7,11 @@ is a semi-edge, a two-dart link inside a single vertex is a loop, and a
 two-dart link across two vertices is an ordinary edge.  The degree of a
 vertex is the number of darts in it, so a loop contributes two.
 
-Input is checked where it enters: :class:`GraphBuilder` rejects each bad
-argument as it arrives and :func:`parse_graph` reports bad text with its
-line number.  ``Graph(...)`` itself trusts its arrays.
+Input is checked where it enters: :class:`GraphBuilder` owns the graph
+rules and rejects each bad argument as it arrives; :func:`parse_graph`
+checks only the syntax of the text and reports either kind of error with
+its line number.  :func:`serialize_graph` writes the same format back.
+``Graph(...)`` itself trusts its arrays.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ LOOP = "loop"
 EDGE = "edge"
 
 _KIND_RANK = {SEMI: 0, LOOP: 1, EDGE: 2}
+# the color token of a link of one dart and of two: prefix, and its form in messages
+_COLOR_TOKEN = {1: ("color=", "color=<n>"), 2: ("colors=", "colors=<i>,<j>")}
 
 
 class Graph:
@@ -103,8 +107,10 @@ class GraphBuilder:
     """Accumulates vertices and links, then freezes into a Graph.
 
     Each call checks its own arguments (known end vertices, non-negative
-    colors) before it changes anything, so a rejected call leaves the
-    builder as it was and every built graph is valid.
+    colors, two distinct ends for an edge) before it changes anything, so
+    a rejected call leaves the builder as it was and every built graph is
+    valid.  These rules have no other owner: parse_graph reports them with
+    the line that broke them.
     """
 
     def __init__(self) -> None:
@@ -136,7 +142,7 @@ class GraphBuilder:
 
     def add_edge(self, u: int, v: int, colors: tuple[int, int] = (0, 0)) -> int:
         if u == v:
-            raise ValueError("use add_loop for a link on a single vertex")
+            raise ValueError("edge endpoints coincide; use a loop")
         self._check(u, colors[0])
         self._check(v, colors[1])
         l = self._n_links
@@ -327,7 +333,8 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
 
 
 class GraphFormatError(ValueError):
-    """Raised on malformed graph text; carries the offending line number."""
+    """Raised on graph text that is malformed or breaks a graph rule;
+    carries the offending line number."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
@@ -340,74 +347,61 @@ def parse_graph(text: str) -> Graph:
     Lines are ``vertex <id> [color=<n>]``, ``edge <u> <v> [colors=<i>,<j>]``,
     ``loop <u> [colors=<i>,<j>]``, and ``semi <u> [color=<i>]``.  Blank lines
     and ``#`` comments are ignored.  Vertices must be declared before use.
+
+    The parser checks the syntax: directives, their arity, color tokens
+    and vertex names.  The graph rules (colors are non-negative, an edge
+    joins two vertices) belong to :class:`GraphBuilder`; every error, of
+    either kind, is raised as :class:`GraphFormatError` with its line.
     """
     b = GraphBuilder()
     ids: dict[str, int] = {}
-
-    def vertex(tok: str, ln: int) -> int:
-        if tok not in ids:
-            raise GraphFormatError(ln, f"reference to undeclared vertex {tok!r}")
-        return ids[tok]
-
-    def color(tok: str, ln: int) -> int:
-        if not tok.startswith("color="):
-            raise GraphFormatError(ln, f"expected color=<n>, got {tok!r}")
-        try:
-            c = int(tok[len("color="):])
-        except ValueError:
-            raise GraphFormatError(ln, f"bad color in {tok!r}") from None
-        if c < 0:
-            raise GraphFormatError(ln, f"negative color in {tok!r}")
-        return c
-
-    def colorpair(tok: str, ln: int) -> tuple[int, int]:
-        if not tok.startswith("colors="):
-            raise GraphFormatError(ln, f"expected colors=<i>,<j>, got {tok!r}")
-        parts = tok[len("colors="):].split(",")
-        if len(parts) != 2:
-            raise GraphFormatError(ln, f"expected two colors in {tok!r}")
-        try:
-            cs = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(ln, f"bad color in {tok!r}") from None
-        if min(cs) < 0:
-            raise GraphFormatError(ln, f"negative color in {tok!r}")
-        return cs
-
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        kw, args = toks[0], toks[1:]
-        if kw == "vertex":
-            if not args or len(args) > 2:
-                raise GraphFormatError(ln, "vertex takes an id and an optional color")
-            if args[0] in ids:
-                raise GraphFormatError(ln, f"duplicate vertex {args[0]!r}")
-            c = color(args[1], ln) if len(args) == 2 else 0
-            ids[args[0]] = b.add_vertex(c, args[0])
-        elif kw == "edge":
-            if len(args) not in (2, 3):
-                raise GraphFormatError(ln, "edge takes two vertices and optional colors")
-            u, v = vertex(args[0], ln), vertex(args[1], ln)
-            if u == v:
-                raise GraphFormatError(ln, "edge endpoints coincide, use loop")
-            cols = colorpair(args[2], ln) if len(args) == 3 else (0, 0)
-            b.add_edge(u, v, cols)
-        elif kw == "loop":
-            if len(args) not in (1, 2):
-                raise GraphFormatError(ln, "loop takes one vertex and optional colors")
-            cols = colorpair(args[1], ln) if len(args) == 2 else (0, 0)
-            b.add_loop(vertex(args[0], ln), cols)
-        elif kw == "semi":
-            if len(args) not in (1, 2):
-                raise GraphFormatError(ln, "semi takes one vertex and an optional color")
-            c = color(args[1], ln) if len(args) == 2 else 0
-            b.add_semi(vertex(args[0], ln), c)
-        else:
-            raise GraphFormatError(ln, f"unknown directive {kw!r}")
+    try:
+        for ln, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            toks = line.split()
+            kw, args = toks[0], toks[1:]
+            if kw == "vertex":
+                if not args or len(args) > 2:
+                    raise ValueError("vertex takes an id and an optional color")
+                if args[0] in ids:
+                    raise ValueError(f"duplicate vertex {args[0]!r}")
+                c = _colors(args[1], 1)[0] if len(args) == 2 else 0
+                ids[args[0]] = b.add_vertex(c, args[0])
+            elif kw == "edge":
+                if len(args) not in (2, 3):
+                    raise ValueError("edge takes two vertices and optional colors")
+                b.add_edge(ids[args[0]], ids[args[1]],
+                           _colors(args[2], 2) if len(args) == 3 else (0, 0))
+            elif kw == "loop":
+                if len(args) not in (1, 2):
+                    raise ValueError("loop takes one vertex and optional colors")
+                b.add_loop(ids[args[0]], _colors(args[1], 2) if len(args) == 2 else (0, 0))
+            elif kw == "semi":
+                if len(args) not in (1, 2):
+                    raise ValueError("semi takes one vertex and an optional color")
+                b.add_semi(ids[args[0]], _colors(args[1], 1)[0] if len(args) == 2 else 0)
+            else:
+                raise ValueError(f"unknown directive {kw!r}")
+    except KeyError as e:  # ids[...] of an undeclared vertex
+        raise GraphFormatError(ln, f"reference to undeclared vertex {e.args[0]!r}") from None
+    except ValueError as e:
+        raise GraphFormatError(ln, str(e)) from None
     return b.build()
+
+
+def _colors(tok: str, count: int) -> tuple[int, ...]:
+    """The integers of a color token of one or two darts; their sign is
+    the builder's to check."""
+    prefix, form = _COLOR_TOKEN[count]
+    parts = tok[len(prefix):].split(",") if tok.startswith(prefix) else ()
+    if len(parts) != count:
+        raise ValueError(f"expected {form}, got {tok!r}")
+    try:
+        return tuple(map(int, parts))
+    except ValueError:
+        raise ValueError(f"bad color in {tok!r}") from None
 
 
 def serialize_graph(g: Graph) -> str:
@@ -430,31 +424,18 @@ def serialize_graph(g: Graph) -> str:
         c = g.vertex_color[v]
         lines.append(f"vertex {g.names[v]}" + (f" color={c}" if c else ""))
     recs = []
-    for l in range(g.n_links):
+    for l, cell in enumerate(g.links):
         kind = g.link_kind(l)
-        cell = g.links[l]
-        if kind == SEMI:
-            d = cell[0]
-            v = g.vertex_of[d]
-            recs.append((_KIND_RANK[kind], (v,), (g.dart_color[d],)))
-        elif kind == LOOP:
-            v = g.vertex_of[cell[0]]
-            cols = tuple(sorted(g.dart_color[d] for d in cell))
-            recs.append((_KIND_RANK[kind], (v,), cols))
-        else:
-            (d1, d2) = cell
-            u, w = g.vertex_of[d1], g.vertex_of[d2]
-            cu, cw = g.dart_color[d1], g.dart_color[d2]
-            if (w, cw) < (u, cu):
-                u, w, cu, cw = w, u, cw, cu
-            recs.append((_KIND_RANK[kind], (u, w), (cu, cw)))
-    for rank, verts, cols in sorted(recs):
-        if rank == _KIND_RANK[SEMI]:
-            lines.append(f"semi {g.names[verts[0]]}" + (f" color={cols[0]}" if cols[0] else ""))
-        elif rank == _KIND_RANK[LOOP]:
-            suffix = f" colors={cols[0]},{cols[1]}" if any(cols) else ""
-            lines.append(f"loop {g.names[verts[0]]}" + suffix)
-        else:
-            suffix = f" colors={cols[0]},{cols[1]}" if any(cols) else ""
-            lines.append(f"edge {g.names[verts[0]]} {g.names[verts[1]]}" + suffix)
+        # a link is read from its lower (vertex, color) end, so a loop's colors ascend
+        a, b = cell[0], cell[-1]
+        u, cu, w, cw = g.vertex_of[a], g.dart_color[a], g.vertex_of[b], g.dart_color[b]
+        if (w, cw) < (u, cu):
+            u, cu, w, cw = w, cw, u, cu
+        line = f"edge {g.names[u]} {g.names[w]}" if kind == EDGE else f"{kind} {g.names[u]}"
+        if kind == SEMI and cu:
+            line += f" color={cu}"
+        elif kind != SEMI and (cu or cw):
+            line += f" colors={cu},{cw}"
+        recs.append((_KIND_RANK[kind], u, w, cu, cw, line))
+    lines.extend(rec[-1] for rec in sorted(recs))
     return "\n".join(lines) + "\n" if lines else ""

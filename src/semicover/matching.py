@@ -222,8 +222,10 @@ def eulerian_orientation(g: Graph, link_ids: list[int]) -> dict[int, tuple[int, 
     """Orient each listed link as (out_dart, in_dart), balanced per vertex.
 
     The listed links must induce even degree everywhere (loops and parallel
-    edges allowed, semi-edges not).  Closed walks are peeled off greedily;
-    orienting along them keeps in-degree equal to out-degree.
+    edges allowed, semi-edges not).  From each vertex in turn one walk
+    follows unused links until it is stuck, which with even degrees
+    happens only back at its start once the start has no unused link
+    left; orienting along the walks keeps in-degree equal to out-degree.
     """
     incident: list[list[int]] = [[] for _ in range(g.n)]
     for l in link_ids:
@@ -235,24 +237,18 @@ def eulerian_orientation(g: Graph, link_ids: list[int]) -> dict[int, tuple[int, 
     used: set[int] = set()
     orient: dict[int, tuple[int, int]] = {}
     for start in range(g.n):
+        v = start
         while True:
-            while ptr[start] < len(incident[start]) and \
-                    g.link_of[incident[start][ptr[start]]] in used:
-                ptr[start] += 1
-            if ptr[start] >= len(incident[start]):
+            while ptr[v] < len(incident[v]) and g.link_of[incident[v][ptr[v]]] in used:
+                ptr[v] += 1
+            if ptr[v] >= len(incident[v]):
                 break
-            v = start
-            while True:
-                while ptr[v] < len(incident[v]) and g.link_of[incident[v][ptr[v]]] in used:
-                    ptr[v] += 1
-                if ptr[v] >= len(incident[v]):
-                    break
-                d = incident[v][ptr[v]]
-                l = g.link_of[d]
-                used.add(l)
-                d2 = g.partner(d)
-                orient[l] = (d, d2)
-                v = g.vertex_of[d2]
+            d = incident[v][ptr[v]]
+            l = g.link_of[d]
+            used.add(l)
+            d2 = g.partner(d)
+            orient[l] = (d, d2)
+            v = g.vertex_of[d2]
     return orient
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -77,12 +78,17 @@ def _test_pair(args) -> tuple[Graph, DartMapping | None, bool]:
 
 
 def check_stronger(a: Graph, b: Graph, n_max: int, jobs: int = 1) -> StrongerReport:
-    """Does every connected simple cover of a (up to n_max) also cover b?"""
+    """Does every connected simple cover of a (up to n_max) also cover b?
+
+    jobs > 1 checks candidates in that many worker processes, at most one
+    per CPU.
+    """
     if b.n == 0 or not is_connected(b):
         raise UnsupportedBase("target graph must be connected and nonempty")
     generated = 0
     covers = 0
     tasks = ((g, a, b) for g in _candidates(a, n_max))
+    jobs = min(jobs, os.cpu_count() or 1)
     with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         results = pool.imap(_test_pair, tasks, chunksize=4) if pool else map(_test_pair, tasks)
         for g, wa, covers_b in results:

@@ -13,6 +13,10 @@ lift.  A refactor that leaves both digests unchanged gives the same
 classifications, answers and method tags on the corpus.  Witnesses are
 not digested, since they may change with the order of the work; every
 yes witness is checked with verify_cover(check_fibers=True) instead.
+
+The script exits 1 when a witness fails or a digest differs from its pin
+below.  A change that alters a digest on purpose updates the pin and
+says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ from util import perturb, random_lift
 
 MAX_LINKS = 5
 SEED = 20231
+PINS = {
+    "classify": "de44595e8ba28bd5172bd12ec71a6e4bb1132576d6fae6643436fdc16238704f",
+    "decide_colored": "8265eb6222c910d94ddb5b55c50ec67ff2a9f2283f1cd55f9db435c88aa30dd6",
+}
 
 
 def main() -> int:
@@ -53,10 +61,14 @@ def main() -> int:
                     print(f"bad witness on {h.links} <- {g.links}: {bad[0]}", file=sys.stderr)
                     return 1
     print(f"targets {targets}, decide_colored calls {calls}, yes {yes}")
-    print(f"classify       {classified.hexdigest()}")
-    print(f"decide_colored {decided.hexdigest()}")
+    status = 0
+    for name, digest in (("classify", classified), ("decide_colored", decided)):
+        print(f"{name:14} {digest.hexdigest()}")
+        if digest.hexdigest() != PINS[name]:
+            print(f"{name} digest differs from its pin {PINS[name]}", file=sys.stderr)
+            status = 1
     print(f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -227,6 +227,10 @@ def test_usage_errors(capsys, tmp_path):
     neg.write_text("vertex a\nvertex b\nedge a b colors=0,-1\n", encoding="utf-8")
     code, out = run(capsys, "check", str(neg), h)
     assert code == 2 and "line 3: negative color" in out["error"]
+    one_end = tmp_path / "one_end.g"
+    one_end.write_text("vertex a\n# an edge needs two vertices\nedge a a\n", encoding="utf-8")
+    code, out = run(capsys, "check", str(one_end), h)
+    assert code == 2 and "line 3: edge endpoints coincide" in out["error"]
     # stronger refuses a disconnected B before it generates any candidate
     loops = tmp_path / "loops.g"
     loops.write_text("vertex a\nvertex b\nloop a\nloop b\n", encoding="utf-8")

@@ -1,16 +1,18 @@
 """Dart model basics: builder, accessors, predicates, subgraphs, text format."""
 
+import hashlib
 import random
 
 import pytest
 
-from semicover.build import build_F, build_W, complete, complete_bipartite, cycle, path, petersen
+from semicover.build import (build_F, build_W, build_WD, complete, complete_bipartite, cycle,
+                             path, petersen)
 from semicover.graph import (EDGE, LOOP, SEMI, GraphBuilder, GraphFormatError,
                              components, disjoint_union,
                              induced_link_subgraph, induced_vertex_subgraph,
                              is_bipartite, is_connected, is_regular, is_simple,
                              parse_graph, serialize_graph, type_signature)
-from util import random_graph
+from util import random_graph, random_lift
 
 
 def test_builder_and_degrees():
@@ -202,6 +204,44 @@ def test_parse_serialize_roundtrip_random():
         assert (g2.n, g2.n_darts, g2.n_links) == (g.n, g.n_darts, g.n_links)
 
 
+def _serialize_corpus() -> list:
+    """Seeded graphs with every feature the text format writes."""
+    rng = random.Random(2024)
+    graphs = [random_graph(rng, rng.randrange(1, 8), rng.randrange(0, 10), colors=(0, 1, 2))
+              for _ in range(80)]
+    b = GraphBuilder()
+    u, w = b.add_vertex(color=1), b.add_vertex(color=2)
+    b.add_edge(u, w, (2, 1))
+    b.add_edge(w, u, (2, 1))
+    b.add_loop(u, (3, 0))
+    b.add_semi(w, 4)
+    targets = [b.build(), build_F(1, 2), build_W(1, 0, 1, 0, 1), build_WD(1, 1, 1)]
+    graphs += [random_lift(h, k, rng) for h in targets for k in (1, 2, 3, 5)]
+    graphs.append(disjoint_union(graphs[:4]))
+    return graphs
+
+
+# serialize_graph over _serialize_corpus(); it changes only with the text format
+PINNED_SERIALIZE_SHA256 = "a30a87a73616179ca8d09d17f4b43719b40ca3fb7f9606c342f6e5f8aa8afe9f"
+
+
+def test_serialize_bytes_are_pinned():
+    graphs = _serialize_corpus()
+    lines = [line for g in graphs for line in serialize_graph(g).splitlines()]
+    # the corpus writes each feature of the format
+    assert any(g.degree(v) == 0 for g in graphs for v in range(g.n))
+    assert any(line.startswith("vertex") and "color=" in line for line in lines)
+    assert any(line.startswith("semi") and "color=" in line for line in lines)
+    assert any(line.startswith("loop") and "colors=" in line for line in lines)
+    edge_colors = {tuple(map(int, line.split("colors=")[1].split(",")))
+                   for line in lines if line.startswith("edge") and "colors=" in line}
+    assert any(i < j for i, j in edge_colors) and any(i > j for i, j in edge_colors)
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(serialize_graph(g).encode() + b"\0")
+    assert digest.hexdigest() == PINNED_SERIALIZE_SHA256
+
+
 def test_serialize_rejects_names_a_file_cannot_hold():
     # A name with a space would read back as a colour; a repeated name
     # would read back as a duplicate vertex.
@@ -239,12 +279,25 @@ def test_parse_errors():
     except GraphFormatError as e:
         err = e
     assert err is not None and err.line == 3
-    for text, line in (("vertex a color=-2", 1), ("vertex a\nsemi a color=-1", 2),
-                       ("vertex a\n\nloop a colors=0,-1", 3),
-                       ("vertex a\nvertex b\nedge a b colors=-4,1", 3)):
+    # the builder's rules come back with their line, as do a color token
+    # with the wrong number of colors and an undeclared vertex
+    for text, line, msg in (("vertex a color=-2", 1, "negative color"),
+                            ("vertex a\nsemi a color=-1", 2, "negative color"),
+                            ("vertex a\n\nloop a colors=0,-1", 3, "negative color"),
+                            ("vertex a\nloop a colors=-1,0", 2, "negative color"),
+                            ("vertex a\nvertex b\nedge a b colors=-4,1", 3, "negative color"),
+                            ("vertex a\nvertex b\nedge a b colors=0,-1", 3, "negative color"),
+                            ("vertex a\nvertex b\n\nedge a a", 4, "edge endpoints coincide"),
+                            ("vertex a\nedge a a colors=1,2", 2, "edge endpoints coincide"),
+                            ("vertex a\nvertex b\nedge a b colors=1", 3, "expected colors=<i>,<j>"),
+                            ("vertex a\nloop a colors=1,2,3", 2, "expected colors=<i>,<j>"),
+                            ("vertex a\nsemi a colors=1", 2, "expected color=<n>"),
+                            ("vertex a\nsemi a color=1,2", 2, "expected color=<n>"),
+                            ("vertex a color=", 1, "bad color"),
+                            ("vertex a\n\nedge a b", 3, "undeclared vertex 'b'")):
         with pytest.raises(GraphFormatError) as info:
             parse_graph(text)
-        assert info.value.line == line and "negative color" in str(info.value)
+        assert info.value.line == line and msg in str(info.value)
 
 
 def test_empty_graph_roundtrip():

@@ -4,6 +4,7 @@ import pytest
 
 from semicover.build import build_F, build_W, cycle, path
 from semicover.cover import find_cover
+from semicover import stronger
 from semicover.graph import disjoint_union
 from semicover.stronger import (StrongerReport, UnsupportedBase,
                                 check_equivalent, check_stronger,
@@ -89,3 +90,29 @@ def test_parallel_jobs_agree():
     assert seq.covers_found == par.covers_found
     seq2 = check_stronger(build_F(2, 0), build_F(0, 1), 8, jobs=2)
     assert seq2.stronger and seq2.covers_found == 3
+
+
+def test_jobs_capped_at_cpu_count(monkeypatch):
+    # Pool starts its workers at once; a fake one records the count and starts none
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks, chunksize=1):
+            return map(func, tasks)
+
+    monkeypatch.setattr(stronger.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(stronger.os, "cpu_count", lambda: 2)
+    report = check_stronger(build_F(2, 0), build_F(0, 1), 8, jobs=100_000)
+    assert started == [2] and report.stronger and report.covers_found == 3
+    monkeypatch.setattr(stronger.os, "cpu_count", lambda: None)
+    check_stronger(build_F(2, 0), build_F(0, 1), 8, jobs=100_000)
+    assert started == [2]  # one CPU: no pool at all
