@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .cover import DartMapping
 from .graph import Graph, GraphBuilder, disjoint_union
 
@@ -136,35 +138,21 @@ def petersen() -> Graph:
 def double_cover(g: Graph) -> tuple[Graph, DartMapping]:
     """Canonical bipartite double: two sheets, links crossing between them.
 
-    Dart d becomes darts 2d and 2d+1, vertex u becomes 2u and 2u+1.  A
-    semi-edge {d} becomes the edge {2d, 2d+1}; a loop or edge {d, d'}
+    Dart d becomes darts 2d and 2d+1, vertex u becomes 2u and 2u+1.  Dart
+    2d and the sheet-1 copy of d's mate, 2 mate(d) + 1, form one edge, and
+    the edges are numbered dart by dart in the order of g's links.  So a
+    semi-edge {d} becomes the edge {2d, 2d+1} and a loop or edge {d, d'}
     becomes the two edges {2d, 2d'+1} and {2d', 2d+1}.  The result has no
     loops and no semi-edges, and projecting both copies of a dart back onto
     it is a 2-fold covering of g.  Colors are inherited.
     """
-    vertex_of = [0] * (2 * g.n_darts)
     link_of = [0] * (2 * g.n_darts)
-    dart_color = [0] * (2 * g.n_darts)
-    for d in range(g.n_darts):
-        for s in (0, 1):
-            vertex_of[2 * d + s] = 2 * g.vertex_of[d] + s
-            dart_color[2 * d + s] = g.dart_color[d]
-    nl = 0
-    for l in range(g.n_links):
-        cell = g.links[l]
-        if len(cell) == 1:
-            d = cell[0]
-            link_of[2 * d] = link_of[2 * d + 1] = nl
-            nl += 1
-        else:
-            d, d2 = cell
-            link_of[2 * d] = link_of[2 * d2 + 1] = nl
-            nl += 1
-            link_of[2 * d2] = link_of[2 * d + 1] = nl
-            nl += 1
-    vertex_color = [g.vertex_color[u // 2] for u in range(2 * g.n)]
-    names = [f"{g.names[u // 2]}_{'ab'[u % 2]}" for u in range(2 * g.n)]
-    g2 = Graph(2 * g.n, vertex_of, link_of, dart_color, vertex_color, names)
+    for l, d in enumerate(chain.from_iterable(g.links)):
+        link_of[2 * d] = link_of[2 * g.mate[d] + 1] = l
+    g2 = Graph(2 * g.n, [2 * v + s for v in g.vertex_of for s in (0, 1)], link_of,
+               [c for c in g.dart_color for _ in (0, 1)],
+               [c for c in g.vertex_color for _ in (0, 1)],
+               [f"{name}_{sheet}" for name in g.names for sheet in "ab"])
     proj = DartMapping(tuple(d // 2 for d in range(2 * g.n_darts)),
                        tuple(u // 2 for u in range(2 * g.n)))
     return g2, proj

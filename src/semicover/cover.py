@@ -172,15 +172,19 @@ def witness_json(g: Graph, h: Graph, f: DartMapping) -> dict:
     }
 
 
-def _search(g: Graph, h: Graph) -> DartMapping | None:
-    """Backtracking search for a covering projection onto a connected target.
+def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping | None:
+    """First covering projection from g onto the connected target h, if any.
 
-    One loop over an explicit stack of choice points, so the depth of the
-    source costs heap, not Python stack.  A choice point picks the image of
-    one source dart from a row of an option table built once: per (dart
-    colour, link kind), the darts of each target vertex in increasing id
-    that it may land on (a semi-edge or loop only on its own kind, an edge
-    on any link).  Choosing a dart also maps its link mate and fixes the
+    The optional budget bounds the dart count of g; exceeding it raises
+    ResourceLimit rather than starting a search that may not finish.
+
+    The search is one loop over an explicit stack of choice points, so the
+    depth of the source costs heap, not Python stack.  A choice point picks
+    the image of one source dart from a row of an option table built once:
+    per (dart colour, link kind), the darts of each target vertex in
+    increasing id that it may land on (a semi-edge or loop only on its own
+    kind, an edge on any link).  Choosing a dart e for d also maps d's mate
+    onto e's mate, so an edge onto a semi-edge collapses, and fixes the
     image of every vertex reached for the first time; the trail records
     each of these so backtracking can undo them.  A component is anchored
     at its lowest vertex, whose first dart takes the rows of the candidate
@@ -188,12 +192,12 @@ def _search(g: Graph, h: Graph) -> DartMapping | None:
     final and a component that has no cover ends the search.  The order is
     deterministic, so the cover found is reproducible.
     """
+    if not is_connected(h):
+        raise ValueError("target must be connected")
+    if budget is not None and g.n_darts > budget:
+        raise ResourceLimit(f"{g.n_darts} darts exceeds the search budget {budget}")
     if h.n == 0:
         return DartMapping((), ()) if g.n == 0 else None
-    if g.n == 0:
-        # The empty mapping is locally bijective everywhere, vacuously.
-        return DartMapping((), ())
-
     if any(size % h.n for size in Counter(_component_labels(g)).values()):
         return None
     h_sigs: dict = {}
@@ -207,8 +211,6 @@ def _search(g: Graph, h: Graph) -> DartMapping | None:
                        and k in (EDGE, h.link_kind(h.link_of[e]))] for w in range(h.n)]
              for c, k in kinds}
     opts = [table[g.dart_color[d], g.link_kind(g.link_of[d])] for d in range(g.n_darts)]
-    gmate = [g.partner(d) for d in range(g.n_darts)]   # None at a semi-edge
-    hmate = [h.partner(e) for e in range(h.n_darts)]
 
     fv = [-1] * g.n
     fd = [-1] * g.n_darts
@@ -227,10 +229,10 @@ def _search(g: Graph, h: Graph) -> DartMapping | None:
         fd[d] = e
         used[u] |= 1 << e
         trail.append((u, d, e))
-        d2, e2 = gmate[d], hmate[e]
-        if d2 is None or fd[d2] != -1:
+        d2 = g.mate[d]
+        if fd[d2] != -1:
             return True         # a semi-edge, or the mate that called us
-        return assign(d2, e if e2 is None else e2)
+        return assign(d2, h.mate[e])
 
     stack: list[tuple] = []     # (dart, untried options, trail len, pending len, pi)
     anchor = pi = 0
@@ -270,15 +272,3 @@ def _search(g: Graph, h: Graph) -> DartMapping | None:
         else:
             return None
 
-
-def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping | None:
-    """First covering projection from g onto the connected target h, if any.
-
-    The optional budget bounds the dart count of g; exceeding it raises
-    ResourceLimit rather than starting a search that may not finish.
-    """
-    if not is_connected(h):
-        raise ValueError("target must be connected")
-    if budget is not None and g.n_darts > budget:
-        raise ResourceLimit(f"{g.n_darts} darts exceeds the search budget {budget}")
-    return _search(g, h)

@@ -251,12 +251,12 @@ def _decide_f(g: Graph, semis: list[int], loops: list[tuple[int, int]],
         stack = [start]
         while stack:
             d = stack.pop()
-            for x, want in ((g.partner(d), val[d]),
+            for x, want in ((g.mate[d], val[d]),
                             (sum(g.darts_at[g.vertex_of[d]]) - d, 1 - val[d])):
-                if x is not None and x not in val:
+                if x not in val:
                     val[x] = want
                     stack.append(x)
-                elif x is not None and val[x] != want:
+                elif val[x] != want:
                     return None
     return {d: semis[v] for d, v in val.items()}
 
@@ -337,7 +337,7 @@ def _side_clauses(g: Graph, h: Graph, clauses: list) -> None:
     """Append the 2-SAT clauses on the sides of g's vertices, or raise
     _Refuted; h has two vertices of every g vertex's type signature.
 
-    Of the D darts of a dart type (dart color, link color set) at target
+    Of the D darts of a dart type (dart color, mate color) at target
     vertex 0, X lie on bars, so exactly X of the D darts of that type at a
     g vertex lie on crossing links.  The table lets a type through when
     X = 0 (an edge keeps its ends on one side), X = D (every link is an
@@ -346,19 +346,19 @@ def _side_clauses(g: Graph, h: Graph, clauses: list) -> None:
     Each component of a monochromatic class without bars must also cover
     the one-vertex piece of its side, solved once per distinct piece.
     """
-    types: dict[tuple[int, frozenset[int]], list[int]] = {}
+    types: dict[tuple[int, int], list[int]] = {}
     for d in h.darts_at[0]:
-        dx = types.setdefault((h.dart_color[d], h.link_colorset(h.link_of[d])), [0, 0])
+        dx = types.setdefault((h.dart_color[d], h.dart_color[h.mate[d]]), [0, 0])
         dx[0] += 1
         dx[1] += h.link_kind(h.link_of[d]) == EDGE
-    first: dict[tuple[int, int, frozenset[int]], int] = {}  # far end of a type's first dart
-    for l, cell in enumerate(g.links):
-        cs = g.link_colorset(l)
-        dd, x = types[g.dart_color[cell[0]], cs]
+    c = g.dart_color
+    first: dict[tuple[int, int, int], int] = {}  # far end of a type's first dart
+    for cell in g.links:
+        dd, x = types[c[cell[0]], c[g.mate[cell[0]]]]
         ends = [g.vertex_of[d] for d in cell]
         if 0 < x < dd:
             for d, u, w in zip(cell, ends, ends[::-1]):
-                a = first.pop(key := (u, g.dart_color[d], cs), None)
+                a = first.pop(key := (u, c[d], c[g.mate[d]]), None)
                 if a is None:
                     first[key] = w
                 elif a == w == u:

@@ -39,7 +39,7 @@ def _from_masks(n: int, adjm: list[int]) -> Graph:
 
 def _masks(g: Graph) -> list[int]:
     """The neighbours of each vertex of the simple graph g, as bitmasks."""
-    return [sum(1 << g.vertex_of[g.partner(d)] for d in ds) for ds in g.darts_at]
+    return [sum(1 << g.vertex_of[g.mate[d]] for d in ds) for ds in g.darts_at]
 
 
 def _prefix_choices(groups: list[list[int]], take: int) -> list[list[int]]:

@@ -5,7 +5,10 @@ one into vertices (cells of any size, empty cells allowed for isolated
 vertices) and one into links (cells of size one or two).  A one-dart link
 is a semi-edge, a two-dart link inside a single vertex is a loop, and a
 two-dart link across two vertices is an ordinary edge.  The degree of a
-vertex is the number of darts in it, so a loop contributes two.
+vertex is the number of darts in it, so a loop contributes two.  The
+links are also an involution on the darts, ``Graph.mate``: the other dart
+of a dart's link, and a semi-edge's dart is its own mate (the dart
+formalism of Malnič, Nedela and Škoviera, Europ. J. Combin. 21, 2000).
 
 Input is checked where it enters: :class:`GraphBuilder` owns the graph
 rules and rejects each bad argument as it arrives; :func:`parse_graph`
@@ -32,7 +35,9 @@ class Graph:
     """Immutable multigraph in dart representation.
 
     Darts and vertices are dense integer ids.  ``vertex_of[d]`` and
-    ``link_of[d]`` place dart ``d`` in its vertex and link cell.  Instances
+    ``link_of[d]`` place dart ``d`` in its vertex and link cell, and
+    ``mate[d]`` is the other dart of that link; the fixed points of
+    ``mate`` are exactly the darts of semi-edges.  Instances
     are built with :class:`GraphBuilder`, :func:`parse_graph`, or the
     constructors in :mod:`semicover.build`; treat them as frozen.  The
     constructor does not check its arrays: every dart must name a vertex
@@ -40,36 +45,38 @@ class Graph:
     """
 
     __slots__ = ("n", "vertex_of", "link_of", "dart_color", "vertex_color",
-                 "names", "darts_at", "links", "_kinds")
+                 "names", "darts_at", "links", "mate", "_kinds")
 
     def __init__(self, n: int, vertex_of: Sequence[int], link_of: Sequence[int],
                  dart_color: Sequence[int] | None = None,
                  vertex_color: Sequence[int] | None = None,
                  names: Sequence[str] | None = None):
         self.n = n
-        self.vertex_of = tuple(vertex_of)
-        self.link_of = tuple(link_of)
-        nd = len(self.vertex_of)
+        self.vertex_of = vertex_of = tuple(vertex_of)
+        self.link_of = link_of = tuple(link_of)
+        nd = len(vertex_of)
         self.dart_color = tuple(dart_color) if dart_color is not None else (0,) * nd
         self.vertex_color = tuple(vertex_color) if vertex_color is not None else (0,) * n
         self.names = tuple(names) if names is not None else tuple(f"v{i}" for i in range(n))
         darts_at: list[list[int]] = [[] for _ in range(n)]
-        for d, v in enumerate(self.vertex_of):
+        for d, v in enumerate(vertex_of):
             darts_at[v].append(d)
-        self.darts_at = tuple(tuple(ds) for ds in darts_at)
-        n_links = max(self.link_of, default=-1) + 1
-        cells: list[list[int]] = [[] for _ in range(n_links)]
-        for d, l in enumerate(self.link_of):
+        self.darts_at = tuple(map(tuple, darts_at))
+        cells: list[list[int]] = [[] for _ in range(max(link_of, default=-1) + 1)]
+        for d, l in enumerate(link_of):
             cells[l].append(d)
-        self.links = tuple(tuple(c) for c in cells)
+        self.links = tuple(map(tuple, cells))
+        mate = list(range(nd))
         kinds = []
-        for c in self.links:
+        for c in cells:
             if len(c) == 1:
                 kinds.append(SEMI)
-            elif len(c) == 2 and self.vertex_of[c[0]] == self.vertex_of[c[1]]:
-                kinds.append(LOOP)
             else:
-                kinds.append(EDGE)
+                a, b = c
+                mate[a] = b
+                mate[b] = a
+                kinds.append(LOOP if vertex_of[a] == vertex_of[b] else EDGE)
+        self.mate = tuple(mate)
         self._kinds = tuple(kinds)
 
     @property
@@ -89,13 +96,6 @@ class Graph:
     def link_ends(self, l: int) -> tuple[int, ...]:
         return tuple(self.vertex_of[d] for d in self.links[l])
 
-    def partner(self, d: int) -> int | None:
-        """The other dart of d's link, or None for a semi-edge."""
-        cell = self.links[self.link_of[d]]
-        if len(cell) == 1:
-            return None
-        return cell[1] if cell[0] == d else cell[0]
-
     def link_colorset(self, l: int) -> frozenset[int]:
         return frozenset(self.dart_color[d] for d in self.links[l])
 
@@ -106,11 +106,11 @@ class Graph:
 class GraphBuilder:
     """Accumulates vertices and links, then freezes into a Graph.
 
-    Each call checks its own arguments (known end vertices, non-negative
-    colors, two distinct ends for an edge) before it changes anything, so
-    a rejected call leaves the builder as it was and every built graph is
-    valid.  These rules have no other owner: parse_graph reports them with
-    the line that broke them.
+    Each call checks its own arguments (known end vertices, one
+    non-negative color per dart, two distinct ends for an edge) before it
+    changes anything, so a rejected call leaves the builder as it was and
+    every built graph is valid.  These rules have no other owner:
+    parse_graph reports them with the line that broke them.
     """
 
     def __init__(self) -> None:
@@ -135,36 +135,38 @@ class GraphBuilder:
         if color < 0:
             raise ValueError(f"negative color {color}")
 
-    def _dart(self, v: int, link: int, color: int) -> None:
+    def _link(self, u: int, v: int, colors: tuple[int, int]) -> int:
+        """Add the link of a dart at u and one at v, colored in order."""
+        if len(colors) != 2:
+            raise ValueError(f"expected two dart colors, got {tuple(colors)}")
+        cu, cv = colors
+        self._check(u, cu)
+        self._check(v, cv)
+        l = self._n_links
+        self._n_links += 1
+        self._vertex_of.append(u)
         self._vertex_of.append(v)
-        self._link_of.append(link)
-        self._dart_color.append(color)
+        self._link_of.append(l)
+        self._link_of.append(l)
+        self._dart_color.append(cu)
+        self._dart_color.append(cv)
+        return l
 
     def add_edge(self, u: int, v: int, colors: tuple[int, int] = (0, 0)) -> int:
         if u == v:
             raise ValueError("edge endpoints coincide; use a loop")
-        self._check(u, colors[0])
-        self._check(v, colors[1])
-        l = self._n_links
-        self._n_links += 1
-        self._dart(u, l, colors[0])
-        self._dart(v, l, colors[1])
-        return l
+        return self._link(u, v, colors)
 
     def add_loop(self, v: int, colors: tuple[int, int] = (0, 0)) -> int:
-        self._check(v, colors[0])
-        self._check(v, colors[1])
-        l = self._n_links
-        self._n_links += 1
-        self._dart(v, l, colors[0])
-        self._dart(v, l, colors[1])
-        return l
+        return self._link(v, v, colors)
 
     def add_semi(self, v: int, color: int = 0) -> int:
         self._check(v, color)
         l = self._n_links
         self._n_links += 1
-        self._dart(v, l, color)
+        self._vertex_of.append(v)
+        self._link_of.append(l)
+        self._dart_color.append(color)
         return l
 
     def build(self) -> Graph:
@@ -172,17 +174,18 @@ class GraphBuilder:
                      self._dart_color, self._vertex_color, self._names)
 
 
-def type_signature(g: Graph, v: int) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """Vertex color together with the sorted (dart color, link color set)
+def type_signature(g: Graph, v: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Vertex color together with the sorted (dart color, mate color)
     types of the darts at v.
 
-    Any covering projection preserves, per vertex, the count of darts of
-    each (dart color, link color set) type, so equal type signatures are a
-    necessary condition for one vertex to map onto another.
+    A dart's type is its color and the color set of its link, and the
+    color of its mate says the same.  Any covering projection preserves,
+    per vertex, the count of darts of each type, so equal type signatures
+    are a necessary condition for one vertex to map onto another.  Only
+    their equality is meaningful.
     """
-    feats = sorted((g.dart_color[d], tuple(sorted(g.link_colorset(g.link_of[d]))))
-                   for d in g.darts_at[v])
-    return g.vertex_color[v], tuple(feats)
+    c = g.dart_color
+    return g.vertex_color[v], tuple(sorted((c[d], c[g.mate[d]]) for d in g.darts_at[v]))
 
 
 def is_simple(g: Graph) -> bool:
@@ -221,7 +224,7 @@ def is_bipartite(g: Graph) -> bool:
         while stack:
             u = stack.pop()
             for d in g.darts_at[u]:
-                w = g.vertex_of[g.partner(d)]
+                w = g.vertex_of[g.mate[d]]
                 if side[w] == -1:
                     side[w] = 1 - side[u]
                     stack.append(w)
@@ -249,11 +252,10 @@ def _component_labels(g: Graph) -> list[int]:
         while stack:
             u = stack.pop()
             for d in g.darts_at[u]:
-                for x in g.links[g.link_of[d]]:
-                    w = g.vertex_of[x]
-                    if label[w] == -1:
-                        label[w] = start
-                        stack.append(w)
+                w = g.vertex_of[g.mate[d]]
+                if label[w] == -1:
+                    label[w] = start
+                    stack.append(w)
     return label
 
 
@@ -302,14 +304,11 @@ def induced_link_subgraph(g: Graph, colors: frozenset[int],
 
 def induced_vertex_subgraph(g: Graph, vertices: Iterable[int],
                             ) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
-    """Subgraph on a vertex subset, keeping links with every end inside it."""
+    """Subgraph on a vertex subset, keeping links with every end inside it:
+    a dart stays when its own vertex and its mate's vertex are inside."""
     verts = sorted(set(vertices))
     vset = set(verts)
-    darts = []
-    for d in range(g.n_darts):
-        l = g.link_of[d]
-        if all(e in vset for e in g.link_ends(l)):
-            darts.append(d)
+    darts = [d for d, v in enumerate(g.vertex_of) if v in vset and g.vertex_of[g.mate[d]] in vset]
     return _subgraph(g, verts, darts), tuple(verts), tuple(darts)
 
 

@@ -246,7 +246,7 @@ def eulerian_orientation(g: Graph, link_ids: list[int]) -> dict[int, tuple[int, 
             d = incident[v][ptr[v]]
             l = g.link_of[d]
             used.add(l)
-            d2 = g.partner(d)
+            d2 = g.mate[d]
             orient[l] = (d, d2)
             v = g.vertex_of[d2]
     return orient

@@ -6,17 +6,22 @@ Run from the repository root (pytest does not collect this file):
 
 The corpus is test_dichotomy.small_targets(5): every connected target on
 one or two vertices with at most five links of the corpus link types.
-Two sha256 digests are printed, one over classify's verdict, rules and
-pieces per target, and one over decide_colored's answer and method on h
-onto itself, on a seeded 2-fold lift of h and on a perturbed copy of that
-lift.  A refactor that leaves both digests unchanged gives the same
-classifications, answers and method tags on the corpus.  Witnesses are
-not digested, since they may change with the order of the work; every
-yes witness is checked with verify_cover(check_fibers=True) instead.
+Three sha256 digests are printed.  The first is over classify's verdict,
+rules and pieces per target, the second over decide_colored's answer and
+method on h onto itself, on a seeded 2-fold lift of h and on a perturbed
+copy of that lift.  A refactor that leaves both unchanged gives the same
+classifications, answers and method tags on the corpus.  Every yes
+witness is checked with verify_cover(check_fibers=True).
 
-The script exits 1 when a witness fails or a digest differs from its pin
-below.  A change that alters a digest on purpose updates the pin and
-says why in CHANGES.md.
+The third digest is over every yes witness (dart_map, vertex_map).  It
+has no pin and does not affect the exit status, since witnesses may
+change with the order of the work.  A refactor that claims the same
+witnesses runs this script on the parent commit and on the change and
+compares the two witness digests.
+
+The script exits 1 when a witness fails or a pinned digest differs from
+its pin below.  A change that alters a pinned digest on purpose updates
+the pin and says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ def main() -> int:
     rng = random.Random(SEED)
     classified = hashlib.sha256()
     decided = hashlib.sha256()
+    witnessed = hashlib.sha256()
     targets = calls = yes = 0
     for h in small_targets(MAX_LINKS):
         targets += 1
@@ -56,6 +62,7 @@ def main() -> int:
             calls += 1
             if v.answer:
                 yes += 1
+                witnessed.update(repr((v.witness.dart_map, v.witness.vertex_map)).encode())
                 bad = verify_cover(g, h, v.witness, check_fibers=True)
                 if bad:
                     print(f"bad witness on {h.links} <- {g.links}: {bad[0]}", file=sys.stderr)
@@ -67,6 +74,7 @@ def main() -> int:
         if digest.hexdigest() != PINS[name]:
             print(f"{name} digest differs from its pin {PINS[name]}", file=sys.stderr)
             status = 1
+    print(f"{'witnesses':14} {witnessed.hexdigest()}")
     print(f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
     return status
 

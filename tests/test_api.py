@@ -23,6 +23,8 @@ DELETED = [
 ]
 # fields dropped from rows of the dichotomy table
 DELETED_ROW_FIELDS = {"kind", "piece"}
+# methods dropped from Graph; Graph.mate replaces partner
+DELETED_GRAPH_ATTRS = ["partner"]
 
 # only decide_colored calls these; they stay in semicover.deciders
 INTERNAL = ["decide_colored_one_vertex", "decide_two_vertex_nonregular",
@@ -43,3 +45,5 @@ def test_deleted_names_are_gone():
         assert not hasattr(semicover, name) and name not in semicover.__all__, name
     from semicover.deciders import Row
     assert not DELETED_ROW_FIELDS & set(Row._fields)
+    for name in DELETED_GRAPH_ATTRS:
+        assert not hasattr(semicover.Graph, name), name

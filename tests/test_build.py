@@ -11,7 +11,7 @@ from semicover.canon import isomorphic
 from semicover.cover import find_cover, verify_cover
 from semicover.graph import (EDGE, LOOP, SEMI, components, disjoint_union,
                              is_bipartite, is_connected, is_regular, is_simple)
-from util import assert_cover_ok, random_graph
+from util import assert_cover_ok, connected_multigraphs, random_graph
 
 
 def kinds(g):
@@ -95,6 +95,50 @@ def test_double_cover_is_cover():
         g2, f = double_cover(g)
         assert g2.n == 2 * g.n
         assert verify_cover(g2, g, f, check_fibers=True) == []
+
+
+def _per_link_double_cover(g):
+    """double_cover's arrays as they were built before darts knew their
+    mates: one loop over g's links, a semi-edge {d} becomes the edge
+    {2d, 2d+1} and a loop or edge {d, d'} the edges {2d, 2d'+1} and
+    {2d', 2d+1}, in this order."""
+    vertex_of = [0] * (2 * g.n_darts)
+    link_of = [0] * (2 * g.n_darts)
+    dart_color = [0] * (2 * g.n_darts)
+    for d in range(g.n_darts):
+        for s in (0, 1):
+            vertex_of[2 * d + s] = 2 * g.vertex_of[d] + s
+            dart_color[2 * d + s] = g.dart_color[d]
+    nl = 0
+    for l in range(g.n_links):
+        cell = g.links[l]
+        if len(cell) == 1:
+            d = cell[0]
+            link_of[2 * d] = link_of[2 * d + 1] = nl
+            nl += 1
+        else:
+            d, d2 = cell
+            link_of[2 * d] = link_of[2 * d2 + 1] = nl
+            nl += 1
+            link_of[2 * d2] = link_of[2 * d + 1] = nl
+            nl += 1
+    vertex_color = [g.vertex_color[u // 2] for u in range(2 * g.n)]
+    names = [f"{g.names[u // 2]}_{'ab'[u % 2]}" for u in range(2 * g.n)]
+    proj = (tuple(d // 2 for d in range(2 * g.n_darts)), tuple(u // 2 for u in range(2 * g.n)))
+    return (tuple(vertex_of), tuple(link_of), tuple(dart_color), tuple(vertex_color),
+            tuple(names), proj)
+
+
+def test_double_cover_matches_per_link_reference():
+    rng = random.Random(17)
+    graphs = list(connected_multigraphs(8))
+    graphs += [random_graph(rng, rng.randrange(1, 6), rng.randrange(0, 9), colors=(0, 1, 2))
+               for _ in range(200)]
+    for g in graphs:
+        g2, f = double_cover(g)
+        got = (g2.vertex_of, g2.link_of, g2.dart_color, g2.vertex_color, g2.names,
+               (f.dart_map, f.vertex_map))
+        assert got == _per_link_double_cover(g)
 
 
 def test_double_cover_no_loops_semis():

@@ -34,13 +34,25 @@ def test_builder_and_degrees():
     assert kinds == sorted([SEMI, LOOP, EDGE])
 
 
-def test_partner_and_link_ends():
+def test_mate_and_link_ends():
     g = build_F(1, 1)
     semi = next(l for l in range(g.n_links) if g.link_kind(l) == SEMI)
     loop = next(l for l in range(g.n_links) if g.link_kind(l) == LOOP)
-    assert g.partner(g.links[semi][0]) is None
+    (d,) = g.links[semi]
+    assert g.mate[d] == d and g.link_ends(semi) == (0,)
     d1, d2 = g.links[loop]
-    assert g.partner(d1) == d2 and g.partner(d2) == d1
+    assert g.mate[d1] == d2 and g.mate[d2] == d1 and g.link_ends(loop) == (0, 0)
+
+
+def test_mate_is_the_link_involution():
+    rng = random.Random(13)
+    for _ in range(300):
+        g = random_graph(rng, rng.randrange(1, 6), rng.randrange(0, 9), colors=(0, 1, 2))
+        assert len(g.mate) == g.n_darts
+        for d, e in enumerate(g.mate):
+            assert g.mate[e] == d
+            assert g.link_of[e] == g.link_of[d]
+            assert (e == d) == (g.link_kind(g.link_of[d]) == SEMI)
 
 
 def test_isolated_vertices_allowed():
@@ -60,11 +72,14 @@ def test_builder_rejects_bad_arguments_unchanged():
     for bad in (lambda: gb.add_edge(a, 7), lambda: gb.add_edge(-1, b),
                 lambda: gb.add_edge(a, b, colors=(0, -1)), lambda: gb.add_loop(5),
                 lambda: gb.add_loop(a, colors=(-2, 0)), lambda: gb.add_semi(2),
-                lambda: gb.add_semi(b, color=-1), lambda: gb.add_vertex(color=-3)):
+                lambda: gb.add_semi(b, color=-1), lambda: gb.add_vertex(color=-3),
+                lambda: gb.add_edge(a, b, colors=(1, 2, 3)),
+                lambda: gb.add_edge(a, b, colors=(1,)),
+                lambda: gb.add_loop(a, colors=(1, 2, 3)), lambda: gb.add_loop(a, colors=(1,))):
         with pytest.raises(ValueError):
             bad()
-    g = gb.build()
-    assert (g.n, g.n_darts, g.n_links) == (2, 0, 0)
+        g = gb.build()
+        assert (g.n, g.n_darts, g.n_links) == (2, 0, 0)
     assert gb.add_semi(a) == 0
 
 
@@ -138,6 +153,29 @@ def test_signatures():
     g = gb.build()
     # same degrees, different dart colors
     assert type_signature(g, 0) != type_signature(g, 1)
+
+
+def _colorset_signature(g, v):
+    """The type signature before darts knew their mates: vertex color and
+    the sorted (dart color, sorted link color set) pairs."""
+    feats = sorted((g.dart_color[d], tuple(sorted(g.link_colorset(g.link_of[d]))))
+                   for d in g.darts_at[v])
+    return g.vertex_color[v], tuple(feats)
+
+
+def test_signatures_agree_with_colorset_reference():
+    # equal signatures exactly when the link-color-set signatures are equal,
+    # within one graph and across graphs
+    rng = random.Random(29)
+    verts = []
+    for _ in range(60):
+        g = random_graph(rng, rng.randrange(1, 5), rng.randrange(0, 8), colors=(0, 1, 2))
+        verts += [(g, v) for v in range(g.n)]
+    sigs = [(type_signature(g, v), _colorset_signature(g, v)) for g, v in verts]
+    assert len({ref for _, ref in sigs}) > 50
+    for new, ref in sigs:
+        for new2, ref2 in sigs:
+            assert (new == new2) == (ref == ref2)
 
 
 def test_components_and_union():

@@ -177,7 +177,7 @@ def check_factors(g, factors, c, link_ids=None):
         assert sorted(g.vertex_of[out] for out, _ in fac) == list(range(g.n))
         assert sorted(g.vertex_of[inn] for _, inn in fac) == list(range(g.n))
         for out, inn in fac:
-            assert g.partner(out) == inn
+            assert g.mate[out] == inn
             used.append(g.link_of[out])
     assert sorted(used) == sorted(range(g.n_links) if link_ids is None else link_ids)
 

@@ -7,6 +7,7 @@ code so that agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import permutations, product
 
 from semicover.cover import DartMapping
@@ -249,8 +250,8 @@ def two_colorable(g: Graph) -> bool:
         while queue:
             u = queue.pop()
             for d in g.darts_at[u]:
-                p = g.partner(d)
-                if p is None:
+                p = g.mate[d]
+                if p == d:
                     continue
                 w = g.vertex_of[p]
                 if w == u:
@@ -292,9 +293,11 @@ def partition_oracle(xs: list[int], q: int) -> bool:
     return rec(0)
 
 
-def connected_multigraphs(max_darts: int) -> list[Graph]:
+@cache
+def connected_multigraphs(max_darts: int) -> tuple[Graph, ...]:
     """All connected multigraphs with at most max_darts darts, one per
-    isomorphism class.  Semi-edges, loops and parallel edges included."""
+    isomorphism class.  Semi-edges, loops and parallel edges included.
+    Cached, since several tests walk the same pool; hence a tuple."""
     from semicover.canon import CanonicalSet
     from semicover.graph import is_connected
 
@@ -335,7 +338,7 @@ def connected_multigraphs(max_darts: int) -> list[Graph]:
             counts[i] = 0
 
         rec(0, max_darts)
-    return out
+    return tuple(out)
 
 
 def assert_cover_ok(g: Graph, h: Graph, f, **kw) -> None:
@@ -346,7 +349,7 @@ def assert_cover_ok(g: Graph, h: Graph, f, **kw) -> None:
 
 def recursive_search(g: Graph, h: Graph) -> DartMapping | None:
     """The exact search as a recursion per dart, kept as the reference that
-    cover._search must agree with: same first cover, or None for both.
+    cover.find_cover must agree with: same first cover, or None for both.
 
     Components are anchored at their lowest vertex and candidate target
     darts are tried in increasing id.  The recursion depth grows with the
