@@ -77,19 +77,18 @@ def _cmd_check(args) -> int:
                             "use lbhom, surjective or equitable instead")
         v = decide_colored(g, h, budget=args.budget)
         out = {"semantics": "cover", "answer": v.answer, "method": v.method}
-        if args.witness and v.witness is not None:
-            out["witness"] = witness_json(g, h, v.witness)
-        _emit(out)
-        _note("covers" if v.answer else "does not cover")
-        return 0 if v.answer else 1
-    dec = decide(g, h, args.semantics, want_witness=args.witness,
-                 budget=args.budget)
-    out = dec.as_json()
-    if args.witness and dec.witness is not None:
-        out["witness"] = witness_json(g, h, dec.witness)
+        if v.reason:
+            out["reason"] = v.reason
+        note = "covers" if v.answer else "does not cover"
+    else:
+        v = decide(g, h, args.semantics, want_witness=args.witness, budget=args.budget)
+        out = v.as_json()
+        note = f"{args.semantics}: {'yes' if v.answer else 'no'}"
+    if args.witness and v.witness is not None:
+        out["witness"] = witness_json(g, h, v.witness)
     _emit(out)
-    _note(f"{args.semantics}: {'yes' if dec.answer else 'no'}")
-    return 0 if dec.answer else 1
+    _note(note)
+    return 0 if v.answer else 1
 
 
 def _cmd_pattern(args) -> int:

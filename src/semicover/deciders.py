@@ -1,13 +1,16 @@
 """The P/NP-complete table for connected targets on at most two vertices,
 and the polynomial-time decider it drives.
 
-dichotomy_table splits a target into its color-class pieces and gives one
-row per piece: verdict, the rule that fired and the method tag.  A
-one-vertex piece is F(b,c); on two vertices that agree in color and type
-signature a piece is W(k,m,l,p,q), WD(m,l,m) or a pair of one-vertex
-pieces.  dichotomy.classify reads the rows, and dichotomy.decide_colored
-hands a target whose rows are all P to the decider.  NP rows never reach
-it: decide_colored runs exact search on those targets.
+A link's color class is the pair (lower dart color, higher dart color),
+read by _lead; a semi-edge of color c is in (c, c), and a class is
+directed when its colors differ.  dichotomy_table splits a target into
+its class pieces and gives one row per piece: verdict, the rule that
+fired and the method tag.  A one-vertex piece is F(b,c); on two vertices
+that agree in color and type signature a piece is W(k,m,l,p,q),
+WD(m,l,m) or a pair of one-vertex pieces.  dichotomy.classify reads the
+rows, and dichotomy.decide_colored hands a target whose rows are all P
+to the decider with its pieces.  NP rows never reach it: decide_colored
+runs exact search on those targets.
 
 The decider only finds the side, the target vertex of each source
 vertex: type signatures fix it, or 2-SAT solves one crossing-count rule
@@ -24,8 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .cover import DartMapping, verify_cover
-from .graph import (EDGE, Graph, _subgraph, components, induced_link_subgraph,
-                    type_signature)
+from .graph import EDGE, Graph, _subgraph, components, type_signature
 from .matching import exact_link_cover, konig_split, two_factor_orientations
 from .twosat import lit, neg, two_sat_solve
 
@@ -64,38 +66,36 @@ def _stitched(g: Graph, h: Graph, dart_map: dict[int, int],
 class _Piece:
     """The links of one color class of a target, as target dart ids.
 
-    Loops are (dart, dart) pairs led by the lower-colored dart.  Bars are
-    (dart at vertex 0, dart at vertex 1) pairs in bars[direction]: a
-    monochromatic bar has direction 0, a bicolored bar the vertex of its
-    lower-colored dart.
+    colors is the class (lo, hi).  Loops are (dart, dart) pairs led by the
+    lower-colored dart.  Bars are (dart at vertex 0, dart at vertex 1)
+    pairs in bars[direction]: a monochromatic bar has direction 0, a
+    directed bar the vertex of its lower-colored dart.
     """
-    colors: frozenset[int]
+    colors: tuple[int, int]
     semis: tuple[list[int], list[int]]
     loops: tuple[list[tuple[int, int]], list[tuple[int, int]]]
     bars: tuple[list[tuple[int, int]], list[tuple[int, int]]]
 
 
-def _lead(g: Graph, l: int, lo: int) -> tuple[int, int]:
-    """The darts of a two-dart link, the one of color lo first."""
-    cell = g.links[l]
-    return cell if g.dart_color[cell[0]] == lo else cell[::-1]
+def _lead(g: Graph, cell: tuple[int, ...]) -> tuple[tuple[int, int], tuple[int, ...]]:
+    """A link cell's class (lo, hi), and its darts with the lo-colored first."""
+    lo, hi = g.dart_color[cell[0]], g.dart_color[cell[-1]]
+    return ((lo, hi), cell) if lo <= hi else ((hi, lo), cell[::-1])
 
 
 def _h_pieces(h: Graph) -> list[_Piece]:
-    pieces: dict[frozenset, _Piece] = {}
-    for l, cell in enumerate(h.links):
-        cs = h.link_colorset(l)
-        p = pieces.setdefault(cs, _Piece(cs, ([], []), ([], []), ([], [])))
-        if len(cell) == 1:
-            p.semis[h.vertex_of[cell[0]]].append(cell[0])
-            continue
-        di, dj = _lead(h, l, min(cs))
-        u, w = h.vertex_of[di], h.vertex_of[dj]
-        if u == w:
-            p.loops[u].append((di, dj))
+    pieces: dict[tuple[int, int], _Piece] = {}
+    for cell in h.links:
+        (lo, hi), led = _lead(h, cell)
+        p = pieces.setdefault((lo, hi), _Piece((lo, hi), ([], []), ([], []), ([], [])))
+        u, w = h.vertex_of[led[0]], h.vertex_of[led[-1]]
+        if len(led) == 1:
+            p.semis[u].append(led[0])
+        elif u == w:
+            p.loops[u].append(led)
         else:
-            p.bars[u if len(cs) == 2 else 0].append((di, dj) if u == 0 else (dj, di))
-    return [pieces[cs] for cs in sorted(pieces, key=sorted)]
+            p.bars[u if lo != hi else 0].append(led if u == 0 else led[::-1])
+    return [pieces[cls] for cls in sorted(pieces)]
 
 
 class Row(NamedTuple):
@@ -107,9 +107,8 @@ class Row(NamedTuple):
 
 
 def _class_name(p: _Piece) -> str:
-    if len(p.colors) == 1:
-        return f"color {min(p.colors)}"
-    return f"colors ({min(p.colors)},{max(p.colors)})"
+    lo, hi = p.colors
+    return f"color {lo}" if lo == hi else f"colors ({lo},{hi})"
 
 
 def _np(key: str, rule: str) -> Row:
@@ -122,7 +121,7 @@ def _sat(key: str, rule: str) -> Row:
 
 def _vertex_row(p: _Piece, s: int, key: str) -> Row:
     """The piece of p at target vertex s, alone: F(b,c) or directed loops."""
-    if len(p.colors) == 2:
+    if p.colors[0] != p.colors[1]:
         return Row(key, "P", f"{key}: directed loops at one vertex are always polynomial",
                    "bipartite-decomposition")
     b, c = len(p.semis[s]), len(p.loops[s])
@@ -137,7 +136,7 @@ def _pair_row(p: _Piece) -> Row:
     """A piece of a target whose two vertices agree: its 2-SAT constraint."""
     key = _class_name(p)
     ell = len(p.bars[0])
-    if len(p.colors) == 2:
+    if p.colors[0] != p.colors[1]:
         m = len(p.loops[0])
         if ell == 0:
             return _sat(key, f"{key}: directed loops with no cross edges: polynomial")
@@ -166,9 +165,9 @@ def _pair_row(p: _Piece) -> Row:
                     f"k+2m = q+2p = {t} > 0 and k+2m+l = {t + ell} >= 3)")
 
 
-def dichotomy_table(h: Graph) -> list[Row]:
-    """One row per color-class piece of a connected target h on one or two
-    vertices, in class order.
+def dichotomy_table(h: Graph) -> tuple[list[_Piece], list[Row]]:
+    """The color-class pieces of a connected target h on one or two
+    vertices, in class order, and the rows of the table for them.
 
     One vertex: each class is F(b,c) or a set of directed loops.  Two
     vertices that differ in color or type signature: the vertex map is
@@ -178,14 +177,14 @@ def dichotomy_table(h: Graph) -> list[Row]:
     """
     pieces = _h_pieces(h)
     if h.n == 1:
-        return [_vertex_row(p, 0, _class_name(p)) for p in pieces]
+        return pieces, [_vertex_row(p, 0, _class_name(p)) for p in pieces]
     if type_signature(h, 0) != type_signature(h, 1):
         rows = [_vertex_row(p, s, f"vertex {s} {_class_name(p)}")
                 for p in pieces for s in (0, 1) if p.semis[s] or p.loops[s]]
         rows.append(Row(None, "P", "cross edges split by color pair into regular bipartite "
                                    "multigraphs: polynomial", "bipartite-decomposition"))
-        return rows
-    return [_pair_row(p) for p in pieces]
+        return pieces, rows
+    return pieces, [_pair_row(p) for p in pieces]
 
 
 # ------------------------------------------------------ one-vertex pieces
@@ -263,10 +262,10 @@ def _decide_f(g: Graph, semis: list[int], loops: list[tuple[int, int]],
 
 # ------------------------------------------------ darts, once sides are fixed
 
-def _map_sides(g: Graph, h: Graph, side: list[int]) -> dict[int, int] | None:
-    """Map g's darts onto h once side gives the target vertex of every g
-    vertex, or None.  Every g vertex must have the type signature of its
-    side.
+def _map_sides(g: Graph, pieces: list[_Piece], side: list[int]) -> dict[int, int] | None:
+    """Map g's darts onto the target pieces once side gives the target
+    vertex of every g vertex, or None.  Every g vertex must have the type
+    signature of its side.
 
     A link of g stays on one side or crosses.  The links of a
     monochromatic class that stay on side s form a one-vertex problem onto
@@ -276,34 +275,31 @@ def _map_sides(g: Graph, h: Graph, side: list[int]) -> dict[int, int] | None:
     and a class's crossing links, one direction at a time, onto its bars.
     A bicolored link's direction is the side of its lower-colored dart.
     """
-    stay: dict[tuple[frozenset, int], list[int]] = {}
-    cross: dict[tuple[frozenset, int], list[tuple[int, int]]] = {}
-    for l, cell in enumerate(g.links):
-        cs = g.link_colorset(l)
+    stay: dict[tuple[tuple[int, int], int], list[tuple[int, ...]]] = {}
+    cross: dict[tuple[tuple[int, int], int], list[tuple[int, ...]]] = {}
+    for cell in g.links:
+        (lo, hi), led = _lead(g, cell)
         s = side[g.vertex_of[cell[0]]]
-        if len(cell) == 1 or side[g.vertex_of[cell[1]]] == s:
-            stay.setdefault((cs, s), []).append(l)
+        if side[g.vertex_of[cell[-1]]] == s:
+            stay.setdefault(((lo, hi), s), []).append(led)
         else:
-            direction = side[g.vertex_of[_lead(g, l, min(cs))[0]]] if len(cs) == 2 else 0
-            cross.setdefault((cs, direction), []).append(cell if s == 0 else cell[::-1])
-    verts: tuple[list[int], list[int]] = ([], [])
-    for v, s in enumerate(side):
-        verts[s].append(v)
+            direction = side[g.vertex_of[led[0]]] if lo != hi else 0
+            cross.setdefault(((lo, hi), direction), []).append(cell if s == 0 else cell[::-1])
+    verts = [[v for v, s in enumerate(side) if s == t] for t in (0, 1)]
     out: dict[int, int] = {}
-    for p in _h_pieces(h):
+    for p in pieces:
         for s in (0, 1):
-            links = stay.get((p.colors, s), [])
-            if not (links or p.semis[s] or p.loops[s]):
+            cells = stay.get((p.colors, s), [])
+            if not (cells or p.semis[s] or p.loops[s]):
                 continue
-            if len(p.colors) == 1:
-                darts = sorted(d for l in links for d in g.links[l])
+            if p.colors[0] == p.colors[1]:
+                darts = sorted(d for cell in cells for d in cell)
                 part = _decide_f(_subgraph(g, verts[s], darts), p.semis[s], p.loops[s])
                 if part is not None:
                     part = {darts[sd]: td for sd, td in part.items()}
             else:
                 # by tail, head, then link: the split, and so the witness, follows this order
-                arcs = sorted((_lead(g, l, min(p.colors)) for l in links),
-                              key=lambda arc: (g.vertex_of[arc[0]], g.vertex_of[arc[1]]))
+                arcs = sorted(cells, key=lambda arc: (g.vertex_of[arc[0]], g.vertex_of[arc[1]]))
                 part = _konig_onto(g, arcs, verts[s], verts[s], p.loops[s])
             if part is None:
                 return None
@@ -333,7 +329,7 @@ def _differ(clauses: list, u: int, w: int, differ: bool = True) -> None:
     clauses += ((lit(u), x), (neg(lit(u)), neg(x)))
 
 
-def _side_clauses(g: Graph, h: Graph, clauses: list) -> None:
+def _side_clauses(g: Graph, h: Graph, pieces: list[_Piece], clauses: list) -> None:
     """Append the 2-SAT clauses on the sides of g's vertices, or raise
     _Refuted; h has two vertices of every g vertex's type signature.
 
@@ -353,7 +349,9 @@ def _side_clauses(g: Graph, h: Graph, clauses: list) -> None:
         dx[1] += h.link_kind(h.link_of[d]) == EDGE
     c = g.dart_color
     first: dict[tuple[int, int, int], int] = {}  # far end of a type's first dart
+    darts: dict[tuple[int, int], list[int]] = {}  # of each class, from the same pass
     for cell in g.links:
+        darts.setdefault(_lead(g, cell)[0], []).extend(cell)
         dd, x = types[c[cell[0]], c[g.mate[cell[0]]]]
         ends = [g.vertex_of[d] for d in cell]
         if 0 < x < dd:
@@ -369,10 +367,10 @@ def _side_clauses(g: Graph, h: Graph, clauses: list) -> None:
             _differ(clauses, *ends, x == dd)
         elif x:
             raise _Refuted("a link of a bars-only class does not cross")
-    for p in _h_pieces(h):
-        if len(p.colors) == 2 or p.bars[0]:
+    for p in pieces:
+        if p.colors[0] != p.colors[1] or p.bars[0]:
             continue
-        sub, _ = induced_link_subgraph(g, p.colors)
+        sub = _subgraph(g, range(g.n), sorted(darts.get(p.colors, ())))
         same = (len(p.semis[0]), len(p.loops[0])) == (len(p.semis[1]), len(p.loops[1]))
         for comp in components(sub):
             ok0 = _decide_f(comp.graph, p.semis[0], p.loops[0]) is not None
@@ -383,7 +381,7 @@ def _side_clauses(g: Graph, h: Graph, clauses: list) -> None:
                 clauses.append((lit(comp.vertex_ids[0], ok0),) * 2)
 
 
-def _decide(g: Graph, h: Graph, rows: list[Row]) -> Verdict:
+def _decide(g: Graph, h: Graph, pieces: list[_Piece], rows: list[Row]) -> Verdict:
     """Cover g onto a target on one or two vertices whose rows are all P.
 
     A g vertex may only map onto a target vertex of its type signature.
@@ -405,14 +403,14 @@ def _decide(g: Graph, h: Graph, rows: list[Row]) -> Verdict:
     if not forced:
         clauses: list[tuple[int, int]] = []
         try:
-            _side_clauses(g, h, clauses)
+            _side_clauses(g, h, pieces, clauses)
         except _Refuted as no:
             return Verdict(False, method, reason=str(no))
         assignment = two_sat_solve(g.n, clauses)
         if assignment is None:
             return Verdict(False, method, reason="2-SAT unsatisfiable")
         side = [0 if x else 1 for x in assignment]
-    dart_map = _map_sides(g, h, side)
+    dart_map = _map_sides(g, pieces, side)
     if dart_map is None:
         if not forced:
             raise RuntimeError("satisfying assignment failed witness expansion")
@@ -421,16 +419,19 @@ def _decide(g: Graph, h: Graph, rows: list[Row]) -> Verdict:
 
 
 # decide_colored calls the decider by case under these names, which perfbench times apart
-def decide_colored_one_vertex(g: Graph, h: Graph, rows: list[Row]) -> Verdict:
+def decide_colored_one_vertex(g: Graph, h: Graph, pieces: list[_Piece],
+                              rows: list[Row]) -> Verdict:
     """Cover g onto a one-vertex colored target, class by class."""
-    return _decide(g, h, rows)
+    return _decide(g, h, pieces, rows)
 
 
-def decide_two_vertex_nonregular(g: Graph, h: Graph, rows: list[Row]) -> Verdict:
+def decide_two_vertex_nonregular(g: Graph, h: Graph, pieces: list[_Piece],
+                                 rows: list[Row]) -> Verdict:
     """Cover g onto a two-vertex target whose type signatures differ."""
-    return _decide(g, h, rows)
+    return _decide(g, h, pieces, rows)
 
 
-def decide_two_vertex_regular_2sat(g: Graph, h: Graph, rows: list[Row]) -> Verdict:
+def decide_two_vertex_regular_2sat(g: Graph, h: Graph, pieces: list[_Piece],
+                                   rows: list[Row]) -> Verdict:
     """Cover g onto a two-vertex target whose type signatures agree."""
-    return _decide(g, h, rows)
+    return _decide(g, h, pieces, rows)

@@ -96,9 +96,6 @@ class Graph:
     def link_ends(self, l: int) -> tuple[int, ...]:
         return tuple(self.vertex_of[d] for d in self.links[l])
 
-    def link_colorset(self, l: int) -> frozenset[int]:
-        return frozenset(self.dart_color[d] for d in self.links[l])
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, darts={self.n_darts}, links={self.n_links})"
 
@@ -297,7 +294,7 @@ def induced_link_subgraph(g: Graph, colors: frozenset[int],
                           ) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph keeping all vertices and the links whose dart color set is
     exactly ``colors``; also the original dart id for each new dart."""
-    keep = [g.link_colorset(l) == colors for l in range(g.n_links)]
+    keep = [frozenset(g.dart_color[d] for d in cell) == colors for cell in g.links]
     darts = [d for d in range(g.n_darts) if keep[g.link_of[d]]]
     return _subgraph(g, range(g.n), darts), tuple(darts)
 

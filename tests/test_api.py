@@ -23,8 +23,9 @@ DELETED = [
 ]
 # fields dropped from rows of the dichotomy table
 DELETED_ROW_FIELDS = {"kind", "piece"}
-# methods dropped from Graph; Graph.mate replaces partner
-DELETED_GRAPH_ATTRS = ["partner"]
+# methods dropped from Graph; Graph.mate replaces partner, and
+# deciders._lead gives a link's color class (lower, higher dart color)
+DELETED_GRAPH_ATTRS = ["partner", "link_colorset"]
 
 # only decide_colored calls these; they stay in semicover.deciders
 INTERNAL = ["decide_colored_one_vertex", "decide_two_vertex_nonregular",

@@ -47,6 +47,24 @@ def test_check_cover_no(capsys, tmp_path):
     assert out["answer"] is False
 
 
+def test_check_cover_prints_the_reason_of_a_no(capsys, tmp_path):
+    c3 = gen_to_file(capsys, tmp_path, "c3.g", "cycle", "3")
+    c4 = gen_to_file(capsys, tmp_path, "c4.g", "cycle", "4")
+    w = gen_to_file(capsys, tmp_path, "w.g", "w", "0", "0", "2", "0", "0")
+    code, out = run(capsys, "check", c3, w)
+    assert code == 1
+    assert out == {"semantics": "cover", "answer": False, "method": "2-SAT",
+                   "reason": "2-SAT unsatisfiable"}
+    code, out = run(capsys, "check", c4, w)
+    assert code == 0 and out["answer"] is True and "reason" not in out
+    # exact search gives no reason
+    pet = gen_to_file(capsys, tmp_path, "pet.g", "petersen")
+    f30 = gen_to_file(capsys, tmp_path, "f30.g", "f", "3", "0")
+    code, out = run(capsys, "check", pet, f30)
+    assert code == 1
+    assert out == {"semantics": "cover", "answer": False, "method": "brute-force-fallback"}
+
+
 def test_check_relaxed_semantics(capsys, tmp_path):
     from semicover.build import cycle
     from semicover.graph import disjoint_union

@@ -265,7 +265,8 @@ def _random_source(h, k, rng):
         for _ in range(k):
             v = gb.add_vertex(color=h.vertex_color[w])
             for e in h.darts_at[w]:
-                stubs.setdefault(h.link_colorset(h.link_of[e]), []).append((h.dart_color[e], v))
+                colorset = frozenset(h.dart_color[d] for d in h.links[h.link_of[e]])
+                stubs.setdefault(colorset, []).append((h.dart_color[e], v))
     for group in stubs.values():
         rng.shuffle(group)
         group.sort(key=lambda stub: stub[0])    # a two-colour set: one colour per half

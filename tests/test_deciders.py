@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from semicover import deciders
+from semicover import deciders, graph
 from semicover.build import build_F, build_W, build_WD, complete, cycle, path, petersen
 from semicover.cover import find_cover
-from semicover.dichotomy import decide_colored
+from semicover.dichotomy import classify, decide_colored
 from semicover.graph import LOOP, GraphBuilder, components, disjoint_union, induced_link_subgraph
 from semicover.matching import exact_link_cover
-from test_dichotomy import barred_pair
+from test_dichotomy import barred_pair, small_targets
 from util import assert_cover_ok, perturb, random_graph, random_lift
 
 METHODS = {"regularity", "matching", "2-factor", "bipartite-decomposition",
@@ -291,6 +291,78 @@ def test_bar_free_class_solves_each_component_once_per_piece(monkeypatch, h, per
     assert v.answer and v.method == "2-SAT"
     class_0, _ = induced_link_subgraph(g, frozenset({0}))
     assert before_mapping == [per_component * len(components(class_0))]
+
+
+def _colorset_pieces(h):
+    """The class grouping that the (lower, higher) pairs replaced: links
+    keyed by their set of dart colors, classes sorted by sorted(), loops
+    and bars led by the dart of the minimum color."""
+    pieces = {}
+    for cell in h.links:
+        cs = frozenset(h.dart_color[d] for d in cell)
+        semis, loops, bars = pieces.setdefault(cs, (([], []), ([], []), ([], [])))
+        if len(cell) == 1:
+            semis[h.vertex_of[cell[0]]].append(cell[0])
+            continue
+        di, dj = cell if h.dart_color[cell[0]] == min(cs) else cell[::-1]
+        u, w = h.vertex_of[di], h.vertex_of[dj]
+        if u == w:
+            loops[u].append((di, dj))
+        else:
+            bars[u if len(cs) == 2 else 0].append((di, dj) if u == 0 else (dj, di))
+    return [(cs, *pieces[cs]) for cs in sorted(pieces, key=sorted)]
+
+
+def test_class_pairs_match_colorset_reference():
+    rng = random.Random(83)
+    targets = list(small_targets(5))
+    targets += [random_graph(rng, rng.choice((1, 2)), rng.randrange(0, 9), colors=range(4))
+                for _ in range(300)]
+    directed = 0
+    for h in targets:
+        pieces = deciders._h_pieces(h)
+        new = [(frozenset(p.colors), p.semis, p.loops, p.bars) for p in pieces]
+        assert new == _colorset_pieces(h), h.links
+        directed += any(p.colors[0] != p.colors[1] for p in pieces)
+    assert directed > 100
+    # sources: each link's class and lead, and the darts of each class
+    # against the subgraph the 2-SAT decider used to build per class
+    for _ in range(100):
+        g = random_graph(rng, rng.randrange(1, 7), rng.randrange(0, 14), colors=range(4))
+        darts = {}
+        for cell in g.links:
+            cs = frozenset(g.dart_color[d] for d in cell)
+            led = cell if g.dart_color[cell[0]] == min(cs) else cell[::-1]
+            assert deciders._lead(g, cell) == ((min(cs), max(cs)), led)
+            darts.setdefault(deciders._lead(g, cell)[0], []).extend(cell)
+        order = sorted({frozenset(pair) for pair in darts}, key=sorted)
+        assert [(min(cs), max(cs)) for cs in order] == sorted(darts)
+        for cs in order:
+            assert graph.induced_link_subgraph(g, cs)[1] == tuple(sorted(darts[min(cs), max(cs)]))
+
+
+@pytest.mark.parametrize("h", [build_F(1, 1), build_W(1, 0, 1, 0, 0), barred_pair(1, 0, 1, 0)],
+                         ids=["one-vertex", "forced", "2-SAT"])
+def test_one_piece_table_per_decision(monkeypatch, h):
+    calls = []
+    h_pieces = deciders._h_pieces
+    monkeypatch.setattr(deciders, "_h_pieces", lambda t: calls.append(t) or h_pieces(t))
+
+    def induced_link_subgraph(*a):
+        raise AssertionError("the decider builds class subgraphs itself")
+
+    monkeypatch.setattr(graph, "induced_link_subgraph", induced_link_subgraph)
+    assert not hasattr(deciders, "induced_link_subgraph")
+    g = random_lift(h, 6, random.Random(5))
+    for source in (g, perturb(g, random.Random(6))):
+        before = len(calls)
+        v = decide_colored(source, h)
+        check_verdict(v, source, h)
+        assert v.method != "brute-force-fallback"
+        assert calls[before:] == [h]
+    before = len(calls)
+    classify(h)
+    assert calls[before:] == [h]
 
 
 def test_hard_two_vertex_raises():

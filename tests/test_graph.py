@@ -158,7 +158,8 @@ def test_signatures():
 def _colorset_signature(g, v):
     """The type signature before darts knew their mates: vertex color and
     the sorted (dart color, sorted link color set) pairs."""
-    feats = sorted((g.dart_color[d], tuple(sorted(g.link_colorset(g.link_of[d]))))
+    feats = sorted((g.dart_color[d],
+                    tuple(sorted(frozenset(g.dart_color[e] for e in g.links[g.link_of[d]]))))
                    for d in g.darts_at[v])
     return g.vertex_color[v], tuple(feats)
 
