@@ -9,11 +9,20 @@ The initial coloring sorts by self key, degree and distance profile (which
 splits regular graphs early).  The search individualises each vertex of the
 first non-singleton cell in turn, prunes by refinement trace, by twins and
 by automorphisms found from equal leaves, and keeps the best leaf.
+
+A Graph and the neighbour bitmasks of a connected simple graph are two
+ways into one core (initial coloring, distances, refinement), and give
+equal certificates for equal graphs.  The mask entry, which generation
+uses, also returns the automorphisms the search found: one permutation
+per pair of equal leaves and one swap per pruned twin.
 """
 
 from itertools import groupby
 
 from .graph import Graph, components
+
+_PLAIN = (0, (), ())    # self key of a vertex of color 0 with no semi-edge or loop
+_EDGE = ((0, 0),)       # label of a single edge with dart colors 0 and 0
 
 
 def _root(g: Graph):
@@ -36,15 +45,23 @@ def _root(g: Graph):
             pairs[w].setdefault(u, []).append((cb, ca))
     labels = [{w: tuple(sorted(ps)) for w, ps in row.items()} for row in pairs]
     table = tuple(sorted({lab for row in labels for lab in row.values()}))
+    offset = {lab: i * n for i, lab in enumerate(table)}
+    nbrs = [[(w, offset[lab]) for w, lab in row.items()] for row in labels]
+    selves = [(g.vertex_color[v], tuple(sorted(semis[v])), tuple(sorted(loops[v])))
+              for v in range(n)]
+    return _core(table, nbrs, selves, [len(ds) for ds in g.darts_at])
+
+
+def _core(table: tuple, nbrs: list[list], selves: list, degrees: list[int]):
+    """The root invariant and search state from the sorted label table,
+    each vertex's (neighbour, label rank * n) pairs, self key and dart count."""
     # A vertex's code adds 2 ** (label rank * n + color) per neighbour; as a
     # color is the first position of its cell, the count for one cell and
     # label (at most the cell's size k) fits in its k bits: codes are exact.
-    offset = {lab: i * n for i, lab in enumerate(table)}
-    nbrs = [[(w, offset[lab]) for w, lab in row.items()] for row in labels]
+    n = len(nbrs)
     prof = (nbrs, [1 << i for i in range(n * len(table))])
     dist = _distances(nbrs)
-    raw = [((g.vertex_color[v], tuple(sorted(semis[v])), tuple(sorted(loops[v]))),
-            len(g.darts_at[v]), tuple(dist[v])) for v in range(n)]
+    raw = [(selves[v], degrees[v], tuple(dist[v])) for v in range(n)]
     col, start = _positions(raw)
     col, trace = _refine(prof, col, len(start))
     state = (prof, col, trace) if n == 0 or dist[0][-1] == n else None
@@ -94,11 +111,13 @@ def _refine(prof, col: list[int], cells: int):
 
 
 def _best_leaf(prof, col: list[int], trace: tuple) -> tuple:
-    """The adjacency of the best leaf below col: the trace of a discrete
-    coloring.  Leaves compare by the traces along their paths."""
+    """The adjacency of the best leaf below col (the trace of a discrete
+    coloring), the automorphisms found from equal leaves and the twin swaps
+    pruned, as vertex pairs.  Leaves compare by the traces along their paths."""
     n = len(col)
     best: list = []                     # traces, coloring and path of the best leaf
     gens: list[list[int]] = []          # automorphisms found from equal leaves
+    swaps: list[tuple[int, int]] = []   # twin swaps, kept out of the orbits below
     adj = [dict(nb) for nb in prof[0]]
 
     def twins(u: int, v: int) -> bool:
@@ -135,7 +154,11 @@ def _best_leaf(prof, col: list[int], trace: tuple) -> tuple:
                             if a != b:
                                 orbit = [a if o == b else o for o in orbit]
                 known = len(gens)
-                if orbit[v] in {orbit[u] for u in done} or any(twins(u, v) for u in done):
+                if orbit[v] in {orbit[u] for u in done}:
+                    continue
+                twin = next((u for u in done if twins(u, v)), None)
+                if twin is not None:
+                    swaps.append((twin, v))
                     continue
             done.append(v)
             child = [s + 1 if p == s and u != v else p for u, p in enumerate(c)]
@@ -149,7 +172,7 @@ def _best_leaf(prof, col: list[int], trace: tuple) -> tuple:
         return None
 
     visit(col, [], (trace,))
-    return best[0][-1]
+    return best[0][-1], gens, swaps
 
 
 def _certificate(g: Graph, root: tuple | None = None) -> tuple:
@@ -158,7 +181,32 @@ def _certificate(g: Graph, root: tuple | None = None) -> tuple:
     (table, keys, _), state = root or _root(g)
     if state is None:
         return (tuple(sorted(_certificate(c.graph) for c in components(g))),)
-    return table, tuple((k, len(list(r))) for k, r in groupby(key[0] for key in keys)), _best_leaf(*state)
+    return table, _run_lengths(keys), _best_leaf(*state)[0]
+
+
+def _run_lengths(keys: tuple) -> tuple:
+    """The self keys of sorted initial keys, run-length coded."""
+    return tuple((k, len(list(r))) for k, r in groupby(key[0] for key in keys))
+
+
+def _mask_certificate(masks: list[int]) -> tuple[tuple, list[list[int]]]:
+    """The certificate of the connected simple graph with these neighbour
+    bitmasks, equal to _certificate of that graph built as a Graph, and
+    automorphisms of it, as vertex permutations, found by the search.  The
+    root is read from the masks alone: every self key is _PLAIN and every
+    neighbour label _EDGE."""
+    n = len(masks)
+    nbrs = [[(w, 0) for w in range(n) if m >> w & 1] for m in masks]
+    (table, keys, _), state = _core((_EDGE,) if any(masks) else (), nbrs, [_PLAIN] * n,
+                                    [m.bit_count() for m in masks])
+    if state is None:
+        raise ValueError("a mask certificate needs a connected graph")
+    leaf, gens, swaps = _best_leaf(*state)
+    for u, v in swaps:
+        gam = list(range(n))
+        gam[u], gam[v] = v, u
+        gens.append(gam)
+    return (table, _run_lengths(keys), leaf), gens
 
 
 def isomorphic(g1: Graph, g2: Graph) -> bool:

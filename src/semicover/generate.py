@@ -1,16 +1,21 @@
 """Exhaustive generation of small simple graphs, one per isomorphism class.
 
-Regular graphs come from a breadth-first-labeled backtracking search:
-vertex 0's neighbors are exactly 1..d, later vertices are discovered in
-consecutive label order, and every vertex is completed before the next
-one starts.  Twin candidates (vertices interchangeable in the partial
-graph) are only ever picked as a prefix of their group, which cuts the
-search without losing classes; leftover duplicates are removed by a
-CanonicalSet, keyed by canonical certificate.  General connected graphs
-are grown by vertex augmentation: every connected graph on n vertices
-arises from a connected one on n-1 by attaching a non-cut vertex.  Each
-generator returns the first graph it built of each class, in the order
-the classes were found.
+Candidates are neighbour bitmasks, deduplicated by the certificate that
+canon computes straight from the masks; a Graph is built only for the
+first candidate of each class.  Regular graphs come from a
+breadth-first-labeled backtracking search: vertex 0's neighbors are
+exactly 1..d, later vertices are discovered in consecutive label order,
+and every vertex is completed before the next one starts.  Twin
+candidates (vertices interchangeable in the partial graph) are only ever
+picked as a prefix of their group, which cuts the search without losing
+classes; the leaves are then deduplicated.  General connected graphs are
+grown by vertex augmentation: every connected graph on n vertices arises
+from a connected one on n-1 by attaching a non-cut vertex.  Attachment
+sets in one orbit of the parent's automorphisms (those the certificate
+search found) give isomorphic graphs, so only the first of each orbit is
+tried (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
+1998).  Each generator returns the first graph it built of each class, in
+the order the classes were found.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .build import cycle
-from .canon import CanonicalSet
+# CanonicalSet is unused here but stays bound: perfbench's tracer wraps it at this name.
+from .canon import CanonicalSet, _mask_certificate  # noqa: F401
 from .graph import Graph, is_connected
 
 
@@ -63,7 +69,7 @@ def _prefix_choices(groups: list[list[int]], take: int) -> list[list[int]]:
 
 
 def _regular_connected_search(n: int, d: int) -> list[Graph]:
-    found = CanonicalSet()
+    found: dict[tuple, list[int]] = {}     # certificate -> masks of its first leaf
     adjm = [0] * n
     deg = [0] * n
     for w in range(1, d + 1):
@@ -88,7 +94,7 @@ def _regular_connected_search(n: int, d: int) -> list[Graph]:
 
     def rec(u: int, labeled: int):
         if u == n:
-            found.add(_from_masks(n, adjm))
+            found.setdefault(_mask_certificate(adjm)[0], list(adjm))
             return
         if u >= labeled:
             return
@@ -125,7 +131,7 @@ def _regular_connected_search(n: int, d: int) -> list[Graph]:
                     deg[w] -= 1
 
     rec(1, d + 1)
-    return list(found)
+    return [_from_masks(n, adj) for adj in found.values()]
 
 
 def _all_regular_graphs(n: int, d: int) -> list[Graph]:
@@ -176,21 +182,40 @@ def connected_regular_graphs(n: int, d: int) -> list[Graph]:
     return _regular_connected_search(n, d)
 
 
+def _orbit_firsts(k: int, gens: list[list[int]]):
+    """The nonempty subsets of range(k) as bitmasks, by size and then in
+    combinations order, that come first in their orbit under gens."""
+    seen: set[int] = set()
+    for r in range(1, k + 1):
+        for subset in combinations(range(k), r):
+            s = sum(1 << w for w in subset)
+            if s in seen:
+                continue
+            seen.add(s)
+            todo = [s]
+            while todo:
+                t = todo.pop()
+                for gam in gens:
+                    image = sum(1 << gam[w] for w in range(k) if t >> w & 1)
+                    if image not in seen:
+                        seen.add(image)
+                        todo.append(image)
+            yield s
+
+
 def connected_simple_graphs(n: int) -> list[Graph]:
     """All connected simple graphs on n vertices, one per class."""
     if n < 1:
         return []
-    level = [_from_masks(1, [0])]
-    for size in range(2, n + 1):
-        grown = CanonicalSet()
-        for g in level:
-            base = _masks(g) + [0]
-            for r in range(1, g.n + 1):
-                for subset in combinations(range(g.n), r):
-                    adj = list(base)
-                    for w in subset:
-                        adj[g.n] |= 1 << w
-                        adj[w] |= 1 << g.n
-                    grown.add(_from_masks(size, adj))
-        level = list(grown)
-    return level
+    level: list[tuple[list[int], list[list[int]]]] = [([0], [])]   # (masks, automorphisms)
+    for k in range(1, n):
+        grown: dict[tuple, tuple] = {}
+        for base, gens in level:
+            # Subsets in one orbit of base's automorphisms give isomorphic
+            # graphs, so only the first of each can be a class's first.
+            for s in _orbit_firsts(k, gens):
+                adj = [m | (s >> w & 1) << k for w, m in enumerate(base)] + [s]
+                cert, auts = _mask_certificate(adj)
+                grown.setdefault(cert, (adj, auts))
+        level = list(grown.values())
+    return [_from_masks(n, adj) for adj, _ in level]

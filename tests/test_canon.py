@@ -3,9 +3,11 @@
 import random
 
 import networkx as nx
+import pytest
 
 from semicover.build import build_F, complete, complete_bipartite, cycle, petersen
-from semicover.canon import CanonicalSet, isomorphic
+from semicover.canon import CanonicalSet, _certificate, _mask_certificate, isomorphic
+from semicover.generate import _from_masks, _masks, connected_simple_graphs
 from semicover.graph import Graph, GraphBuilder, disjoint_union
 from util import random_graph
 
@@ -216,3 +218,56 @@ def test_canonical_set_keeps_first_representatives_in_order():
             assert not any(new)
     assert len(firsts) == len(SYMMETRIC) + 1
     assert all(a is b for a, b in zip(cs, firsts)) and len(list(cs)) == len(firsts)
+
+
+def relabelled(masks, perm):
+    """The neighbour bitmasks of the graph with vertex v renamed perm[v]."""
+    out = [0] * len(masks)
+    for v, m in enumerate(masks):
+        out[perm[v]] = sum(1 << perm[w] for w in range(len(masks)) if m >> w & 1)
+    return out
+
+
+def random_connected_masks(rng, n):
+    """A random spanning tree on n vertices plus random extra edges."""
+    masks = [0] * n
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    if n > 1:
+        edges += [rng.sample(range(n), 2) for _ in range(rng.randrange(2 * n))]
+    for u, w in edges:
+        masks[u] |= 1 << w
+        masks[w] |= 1 << u
+    return masks
+
+
+def test_mask_certificate_matches_graph_certificate():
+    rng = random.Random(11)
+    cases = [_masks(g) for n in range(1, 7) for g in connected_simple_graphs(n)]
+    cases += [random_connected_masks(rng, rng.randrange(1, 11)) for _ in range(300)]
+    for masks in cases:
+        perm = list(range(len(masks)))
+        rng.shuffle(perm)
+        cert = _mask_certificate(masks)[0]
+        assert cert == _certificate(_from_masks(len(masks), masks)), masks
+        assert _mask_certificate(relabelled(masks, perm))[0] == cert, masks
+    with pytest.raises(ValueError):
+        _mask_certificate([0, 0])
+
+
+def test_mask_certificate_generates_the_automorphism_group():
+    for g in (complete(6), complete_bipartite(3, 3), cube(), petersen(), cycle(7)):
+        masks = _masks(g)
+        gens = _mask_certificate(masks)[1]
+        assert all(relabelled(masks, gam) == masks for gam in gens)
+        group = {tuple(range(g.n))}
+        todo = list(group)
+        while todo:
+            p = todo.pop()
+            for gam in gens:
+                q = tuple(gam[x] for x in p)
+                if q not in group:
+                    group.add(q)
+                    todo.append(q)
+        x = nx.Graph([(u, w) for u in range(g.n) for w in range(u) if masks[u] >> w & 1])
+        want = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(x, x).isomorphisms_iter())
+        assert len(group) == want, g.n

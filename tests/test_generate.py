@@ -1,8 +1,11 @@
 """Exhaustive generators: counts, output invariants, no duplicates."""
 
+import hashlib
+
+from semicover import generate
 from semicover.canon import CanonicalSet, isomorphic
 from semicover.generate import connected_regular_graphs, connected_simple_graphs
-from semicover.graph import is_connected, is_simple
+from semicover.graph import is_connected, is_simple, serialize_graph
 
 REGULAR_COUNTS = {
     (1, 0): 1, (2, 0): 0, (3, 0): 0,
@@ -66,3 +69,34 @@ def test_complete_graphs_appear():
         assert len(out) == 1
         g = out[0]
         assert g.n_links == n * (n - 1) // 2
+
+
+def test_output_order_is_pinned():
+    # which representative comes first, and where, is part of the output:
+    # StrongerReport.generated counts the candidates before a counterexample
+    graphs = [g for n in range(1, 8) for g in connected_simple_graphs(n)]
+    graphs += [g for n in range(4, 13, 2) for g in connected_regular_graphs(n, 3)]
+    graphs += [g for n in range(5, 10) for g in connected_regular_graphs(n, 4)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(serialize_graph(g).encode())
+    assert digest.hexdigest() == ("4f8ff364a7ee1ca937c0598f65ba0778"
+                                  "80da0423376c404106258270c8abbf8c")
+
+
+def test_simple_generation_certifies_one_subset_per_orbit(monkeypatch):
+    # 7,815 candidates without orbit pruning; 4,159 with the full groups
+    calls = {"certificate": 0, "graph": 0}
+    certificate, build = generate._mask_certificate, generate._from_masks
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(generate, "_mask_certificate", counted("certificate", certificate))
+    monkeypatch.setattr(generate, "_from_masks", counted("graph", build))
+    out = connected_simple_graphs(7)
+    assert calls["certificate"] <= 4159
+    assert calls["graph"] == len(out) == 853

@@ -2,7 +2,8 @@
 
 import pytest
 
-from semicover.build import build_F, build_W, cycle, path
+from semicover.build import build_F, build_W, cycle, path, petersen
+from semicover.canon import isomorphic
 from semicover.cover import find_cover
 from semicover import stronger
 from semicover.graph import disjoint_union
@@ -46,6 +47,15 @@ def test_semi_loop_versus_three_semis():
     back = check_stronger(b, a, 10)
     assert back.stronger
     assert back.covers_found == 25
+
+
+def test_semi_loop_versus_three_semis_fails_first_at_petersen():
+    # the Petersen graph is the 14th connected cubic class in generation order
+    a = build_F(1, 1)
+    report = check_stronger(a, build_F(3, 0), 12)
+    assert (report.stronger, report.generated, report.covers_found) == (False, 14, 14)
+    assert isomorphic(report.counterexample, petersen())
+    assert_cover_ok(report.counterexample, a, report.witness)
 
 
 def test_equivalence_of_bars_and_two_semis():
