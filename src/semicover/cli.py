@@ -4,9 +4,10 @@ Decision subcommands print one JSON object on stdout; graph-producing
 subcommands print a graph file.  Human-oriented notes go to stderr.
 
 Exit codes: 0 yes/success, 1 no/counterexample, 2 usage or validation
-error, 3 target classified NP-complete, 4 search budget or recursion
-depth exhausted, 5 internal check failed (a library self-check, such as
-the re-verification of a witness, caught a wrong result).
+error, 3 target classified NP-complete, 4 search budget, recursion depth
+or the state cap of the equitable dynamic program exhausted, 5 internal
+check failed (a library self-check, such as the re-verification of a
+witness, caught a wrong result).
 """
 
 from __future__ import annotations
@@ -138,6 +139,13 @@ def _parse_items(text: str) -> list[int]:
     return items
 
 
+def _integer(kind: str, name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"gen {kind}: {name} must be an integer, got {text!r}") from None
+
+
 def _cmd_gen(args) -> int:
     kind = args.kind
     if args.semi_ends and kind != "path":
@@ -150,7 +158,7 @@ def _cmd_gen(args) -> int:
         if len(args.params) != 2:
             raise ValueError("binpacking needs: ITEMS BINS (e.g. 2,3,2,3 2)")
         xs = _parse_items(args.params[0])
-        bins = int(args.params[1])
+        bins = _integer(kind, "BINS", args.params[1])
         if bins < 1:
             raise ValueError("bins must be at least 1")
         g, h = build.gen_binpacking(xs, bins)
@@ -160,10 +168,10 @@ def _cmd_gen(args) -> int:
                "items": xs, "bins": bins})
         return 0
     make, names = _FAMILIES[kind]
-    params = [int(x) for x in args.params]
-    if len(params) != len(names):
+    if len(args.params) != len(names):
         raise ValueError(f"gen {kind} needs: {' '.join(names)}" if names
                          else f"gen {kind} takes no parameters")
+    params = [_integer(kind, name, x) for name, x in zip(names, args.params)]
     g = make(*params, semi_ends=args.semi_ends) if kind == "path" else make(*params)
     _write_graph(g, args.output)
     return 0

@@ -13,6 +13,7 @@ components with equal labelled structure share that call and its witness.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 # find_cover is unused here but stays bound: perfbench's tracer wraps it at this name.
@@ -21,6 +22,9 @@ from .cover import (DartMapping, ResourceLimit, _fiber_sizes, find_cover,  # noq
 from .dichotomy import decide_colored
 from .graph import Component, Graph, components
 from .matching import kuhn_matching
+
+# decide_equitable's bound on the states it keeps over all levels
+EQUITABLE_STATE_CAP = 1_000_000
 
 
 @dataclass
@@ -166,9 +170,22 @@ def decide_equitable(pattern: CoveringPattern, n_g: int, n_h: int,
     """Yes iff the components split so every target vertex fiber equals
     k = n_g / n_h.
 
-    Sparse dynamic program over per-target fill vectors: state maps each
-    target component to the summed weight assigned so far (capped at k),
-    with parent pointers for the assignment.
+    Dynamic program over the fills of the target components, one level
+    per source component.  Target components whose pattern columns are
+    equal (the same weight r_ij, or the same missing edge, for every
+    source component i) form a group and are interchangeable, so a state
+    keeps the fills of each group in ascending order: one state per
+    multiset of fills, not per permutation.  From a state, source
+    component i tries one column per (group, fill value), the first of a
+    run of equal fills, and the raised fill moves right to its sorted
+    place.  Each state records its parent and the (group, fill) of the
+    move; sigma is rebuilt forward, sending component i to the
+    lowest-indexed target component of the recorded group whose current
+    fill is the recorded fill.  The real fills are a permutation of the
+    state's within each group, so that component exists.  The problem
+    contains bin packing, so the state count can grow exponentially in
+    the number of target components: once the states kept over all
+    levels exceed EQUITABLE_STATE_CAP, ResourceLimit is raised.
     """
     if n_h == 0:
         if n_g == 0:
@@ -177,32 +194,60 @@ def decide_equitable(pattern: CoveringPattern, n_g: int, n_h: int,
     if n_g % n_h != 0 or n_g // n_h < 1:
         return False, None, f"fiber size {n_g}/{n_h} is not a positive integer"
     k = n_g // n_h
-    q = pattern.q
-    start = (0,) * q
-    levels: list[dict[tuple[int, ...], tuple[tuple[int, ...] | None, int]]]
-    levels = [{start: (None, -1)}]
-    for i, nb in enumerate(pattern.neighbor_lists()):
-        nxt: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        choices = [(j, pattern.edges[(i, j)]) for j in nb]
+    p, q, edges = pattern.p, pattern.q, pattern.edges
+    columns: dict[tuple[int | None, ...], list[int]] = {}
+    for j in range(q):
+        columns.setdefault(tuple(edges.get((i, j)) for i in range(p)), []).append(j)
+    groups = list(columns.values())
+    # moves[i]: (group, first slot, end slot, r_ij) per group that source
+    # component i reaches; a state's slots s..e-1 hold the group's fills
+    moves: list[list[tuple[int, int, int, int]]] = [[] for _ in range(p)]
+    s = 0
+    for g, (col, members) in enumerate(columns.items()):
+        for i, r in enumerate(col):
+            if r is not None:
+                moves[i].append((g, s, s + len(members), r))
+        s += len(members)
+    levels: list[dict[tuple[int, ...], tuple[tuple[int, ...], int, int] | None]]
+    levels = [{(0,) * q: None}]
+    kept = 1
+    for i, choices in enumerate(moves):
+        nxt: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = {}
         for state in levels[i]:
-            for j, r in choices:
-                if state[j] + r > k:
-                    continue
-                new = state[:j] + (state[j] + r,) + state[j + 1:]
-                if new not in nxt:
-                    nxt[new] = (state, j)
+            for g, s, e, r in choices:
+                last = -1
+                for t in range(s, e):
+                    f = state[t]
+                    if f == last:
+                        continue
+                    if f + r > k:
+                        break
+                    last = f
+                    u = bisect_right(state, f + r, t + 1, e)
+                    new = state[:t] + state[t + 1:u] + (f + r,) + state[u:]
+                    if new not in nxt:
+                        nxt[new] = (state, g, f)
+            if kept + len(nxt) > EQUITABLE_STATE_CAP:
+                raise ResourceLimit(
+                    f"equitable DP keeps {kept + len(nxt)} states at source "
+                    f"component g{i}, over the cap of {EQUITABLE_STATE_CAP}")
         if not nxt:
             return False, None, f"no feasible assignment for component g{i}"
+        kept += len(nxt)
         levels.append(nxt)
-    goal = (k,) * q
-    if goal not in levels[pattern.p]:
+    state = (k,) * q
+    if state not in levels[p]:
         return False, None, f"no assignment fills every target fiber to {k}"
-    sigma = [0] * pattern.p
-    state = goal
-    for i in range(pattern.p - 1, -1, -1):
-        prev, j = levels[i + 1][state]
-        sigma[i] = j
-        state = prev
+    steps = []
+    for i in range(p, 0, -1):
+        state, g, f = levels[i][state]
+        steps.append((g, f))
+    fill = [0] * q
+    sigma = []
+    for i, (g, f) in enumerate(reversed(steps)):
+        j = next(j for j in groups[g] if fill[j] == f)
+        fill[j] += edges[(i, j)]
+        sigma.append(j)
     return True, tuple(sigma), ""
 
 

@@ -220,15 +220,49 @@ def test_equitable_dp_versus_enumeration():
         n_g, n_h = sum(sizes_g), sum(sizes_h)
         if n_g % n_h == 0 and n_g // n_h > 12:
             continue
-        pattern = CoveringPattern(tuple(sizes_g), tuple(sizes_h), edges)
-        got, sigma, _ = decide_equitable(pattern, n_g, n_h)
-        assert got == brute_sigma_enumeration(pattern, n_g, n_h)
-        if got:
-            fill = [0] * q
-            for i, j in enumerate(sigma):
-                fill[j] += edges[(i, j)]
-            assert set(fill) == {n_g // n_h}
+        equitable_agrees(CoveringPattern(tuple(sizes_g), tuple(sizes_h), edges))
         done += 1
+    # 3-4 targets of one size whose columns are equal in runs: the DP keeps
+    # one state per multiset of fills within a run
+    done = 0
+    while done < 60:
+        q = rng.randrange(3, 5)
+        size = rng.randrange(1, 3)
+        run_of = sorted(rng.randrange(2) for _ in range(q))
+        # planted: each target's fill k split into parts, one source per part
+        k = rng.randrange(1, 5)
+        built = []
+        for j in range(q):
+            rest = k
+            while rest:
+                r = rng.randrange(1, rest + 1)
+                built.append((r * size, run_of[j]))
+                rest -= r
+        if len(built) > 7:
+            continue
+        if rng.random() < 0.3:
+            built[0] = (size * rng.randrange(1, 5), None)
+        rng.shuffle(built)
+        sizes_g = [sz for sz, _ in built]
+        home = [run for _, run in built]
+        edges = {}
+        for i, sz in enumerate(sizes_g):
+            for run in set(run_of):
+                if run == home[i] or rng.random() < 0.5:
+                    edges.update({(i, j): sz // size for j in range(q) if run_of[j] == run})
+        equitable_agrees(CoveringPattern(tuple(sizes_g), (size,) * q, edges))
+        done += 1
+
+
+def equitable_agrees(pattern):
+    n_g, n_h = sum(pattern.sizes_g), sum(pattern.sizes_h)
+    got, sigma, _ = decide_equitable(pattern, n_g, n_h)
+    assert got == brute_sigma_enumeration(pattern, n_g, n_h)
+    if got:
+        fill = [0] * pattern.q
+        for i, j in enumerate(sigma):
+            fill[j] += pattern.edges[(i, j)]
+        assert set(fill) == {n_g // n_h}
 
 
 def compositions(total, max_parts):

@@ -233,6 +233,13 @@ def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "gen", "cycle", "0")[0] == 2
     assert run(capsys, "gen", "complete", "-2")[0] == 2
     assert run(capsys, "gen", "binpacking", "2,2", "1")[0] == 2
+    out_g, out_h = str(tmp_path / "items.g"), str(tmp_path / "bins.g")
+    for spec, msg in ((("cycle", "x"), "gen cycle: N must be an integer, got 'x'"),
+                      (("w", "0", "0", "2.5", "0", "0"),
+                       "gen w: L must be an integer, got '2.5'"),
+                      (("binpacking", "1,2", "x", "--out-g", out_g, "--out-h", out_h),
+                       "gen binpacking: BINS must be an integer, got 'x'")):
+        assert run(capsys, "gen", *spec) == (2, {"error": msg})
     for spec, msg in ((("f", "1"), "gen f needs: SEMIS LOOPS"),
                       (("w", "1", "1", "1", "1"), "gen w needs: K M L P Q"),
                       (("wd", "1", "1"), "gen wd needs: M L M2"),
@@ -283,3 +290,15 @@ def test_equitable_witness_sums_fibres_of_repeated_target_names(capsys, monkeypa
     assert code == 0
     assert out["fiber_profile"] == {"x": 4, "z": 2}
     assert out["witness"]["fiber_sizes"] == {"x": 4, "z": 2}
+
+
+def test_equitable_state_cap_exits_4(capsys, tmp_path, monkeypatch):
+    import semicover.disconnected
+    monkeypatch.setattr(semicover.disconnected, "EQUITABLE_STATE_CAP", 20)
+    g, h = str(tmp_path / "items.g"), str(tmp_path / "bins.g")
+    assert run(capsys, "gen", "binpacking", "5,3,4,2,2,6,3,1,4,2,3,1", "4",
+               "--out-g", g, "--out-h", h)[0] == 0
+    code, out = run(capsys, "check", g, h, "--semantics", "equitable")
+    assert code == 4
+    assert out["error"].startswith("resource limit: equitable DP keeps ")
+    assert out["error"].endswith("over the cap of 20")

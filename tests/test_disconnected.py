@@ -9,13 +9,13 @@ import pytest
 import semicover.disconnected
 from semicover.build import (build_F, build_W, complete, cycle, gen_binpacking, path,
                              petersen)
-from semicover.cover import ResourceLimit
+from semicover.cover import ResourceLimit, verify_cover
 from semicover.dichotomy import decide_colored
 from semicover.disconnected import (CoveringPattern, build_pattern, decide,
                                     decide_equitable, decide_lbhom, decide_surjective,
                                     max_bipartite_matching)
 from semicover.graph import GraphBuilder, components, disjoint_union
-from util import assert_cover_ok, random_lift
+from util import assert_cover_ok, partition_oracle, random_lift, reference_equitable
 
 
 def union_of_cycles(lengths):
@@ -319,3 +319,97 @@ def test_many_repeated_components_decide_quickly():
         d = decide(g, h, semantics, want_witness=True)
         assert time.perf_counter() - start < 2.0, semantics
         assert d.answer
+
+
+def random_pattern(rng, q, shape):
+    """A CoveringPattern on q target components with a planted equitable
+    assignment, sometimes spoiled.  Targets in one group have equal sizes
+    and equal columns.  shape "equal": up to three groups of size-1 or
+    size-2 targets; "distinct": one target per group, all columns
+    distinct; "mixed": groups of sizes 1-3, so one source weighs
+    differently in different groups."""
+    if shape == "distinct":
+        group_of = list(range(q))
+    else:
+        cuts = sorted(rng.sample(range(1, q), min(q - 1, rng.randrange(3))))
+        group_of = [sum(j >= c for c in cuts) for j in range(q)]
+    size_of = [rng.choice((1, 2) if shape == "equal" else (1, 2, 3))
+               for _ in range(group_of[-1] + 1)]
+    sizes_h = [size_of[g] for g in group_of]
+    k = rng.randrange(1, 6)
+    planted = []
+    for j in range(q):
+        rest = k
+        while rest:
+            r = rng.randrange(1, rest + 1)
+            planted.append((r * sizes_h[j], group_of[j]))
+            rest -= r
+    rng.shuffle(planted)
+    if len(planted) > 9:
+        return None
+    if rng.random() < 0.3:
+        planted[rng.randrange(len(planted))] = (rng.randrange(1, 7), None)
+    edges = {}
+    for i, (sz, home) in enumerate(planted):
+        for g, s in enumerate(size_of):
+            if sz % s == 0 and (g == home or rng.random() < 0.4):
+                edges.update({(i, j): sz // s for j in range(q) if group_of[j] == g})
+    pattern = CoveringPattern(tuple(sz for sz, _ in planted), tuple(sizes_h), edges)
+    columns = {tuple(edges.get((i, j)) for i in range(pattern.p)) for j in range(q)}
+    if shape == "distinct" and len(columns) < q:
+        return None
+    return pattern
+
+
+def test_equitable_matches_reference_dp():
+    """The grouped DP against the DP over unsorted fill vectors."""
+    rng = random.Random(61)
+    answers = []
+    for q in range(1, 7):
+        for shape in ("equal", "distinct", "mixed"):
+            done = 0
+            while done < 15:
+                pattern = random_pattern(rng, q, shape)
+                if pattern is None:
+                    continue
+                n_g, n_h = sum(pattern.sizes_g), sum(pattern.sizes_h)
+                got, sigma, _ = decide_equitable(pattern, n_g, n_h)
+                assert got == reference_equitable(pattern, n_g, n_h)[0], (q, shape, pattern)
+                if got:
+                    assert all((i, j) in pattern.edges for i, j in enumerate(sigma))
+                    fill = [0] * q
+                    for i, j in enumerate(sigma):
+                        fill[j] += pattern.edges[(i, j)]
+                    assert fill == [n_g // n_h] * q
+                answers.append(got)
+                done += 1
+    assert 50 < sum(answers) < len(answers) - 50
+
+
+def seeded_binpacking(bins, items, seed):
+    rng = random.Random(seed)
+    xs = [rng.randint(1, 12) for _ in range(items)]
+    while sum(xs) % bins:
+        xs[rng.randrange(items)] = rng.randint(1, 12)
+    return xs
+
+
+@pytest.mark.parametrize("bins", [6, 8])
+def test_equitable_binpacking_with_many_bins(bins):
+    # on a 2-vCPU VM, the DP over unsorted fill vectors took 11.8 s and
+    # 487 MB at 6 bins, and ran out of memory under a 3 GB limit at 8 bins
+    xs = seeded_binpacking(bins, 3 * bins, 1)
+    g, h = gen_binpacking(xs, bins)
+    d = decide(g, h, "equitable", want_witness=True)
+    assert d.answer == partition_oracle(xs, bins)
+    if d.answer:
+        assert verify_cover(g, h, d.witness, check_fibers=True) == []
+        assert set(d.fiber_profile.values()) == {sum(xs) // bins}
+
+
+def test_equitable_state_cap(monkeypatch):
+    monkeypatch.setattr(semicover.disconnected, "EQUITABLE_STATE_CAP", 20)
+    g, h = gen_binpacking(seeded_binpacking(4, 12, 1), 4)
+    with pytest.raises(ResourceLimit, match=r"keeps \d+ states at source component g\d+, "
+                                            r"over the cap of 20"):
+        decide(g, h, "equitable")

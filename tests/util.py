@@ -293,6 +293,54 @@ def partition_oracle(xs: list[int], q: int) -> bool:
     return rec(0)
 
 
+# The sparse equitable DP over full fill vectors that kept every
+# permutation of the fills of interchangeable target components, kept as
+# the reference for semicover.disconnected.decide_equitable.
+def reference_equitable(pattern: CoveringPattern, n_g: int, n_h: int,
+                          ) -> tuple[bool, tuple[int, ...] | None, str]:
+    """Yes iff the components split so every target vertex fiber equals
+    k = n_g / n_h.
+
+    Sparse dynamic program over per-target fill vectors: state maps each
+    target component to the summed weight assigned so far (capped at k),
+    with parent pointers for the assignment.
+    """
+    if n_h == 0:
+        if n_g == 0:
+            return True, (), ""
+        return False, None, "target has no vertices"
+    if n_g % n_h != 0 or n_g // n_h < 1:
+        return False, None, f"fiber size {n_g}/{n_h} is not a positive integer"
+    k = n_g // n_h
+    q = pattern.q
+    start = (0,) * q
+    levels: list[dict[tuple[int, ...], tuple[tuple[int, ...] | None, int]]]
+    levels = [{start: (None, -1)}]
+    for i, nb in enumerate(pattern.neighbor_lists()):
+        nxt: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+        choices = [(j, pattern.edges[(i, j)]) for j in nb]
+        for state in levels[i]:
+            for j, r in choices:
+                if state[j] + r > k:
+                    continue
+                new = state[:j] + (state[j] + r,) + state[j + 1:]
+                if new not in nxt:
+                    nxt[new] = (state, j)
+        if not nxt:
+            return False, None, f"no feasible assignment for component g{i}"
+        levels.append(nxt)
+    goal = (k,) * q
+    if goal not in levels[pattern.p]:
+        return False, None, f"no assignment fills every target fiber to {k}"
+    sigma = [0] * pattern.p
+    state = goal
+    for i in range(pattern.p - 1, -1, -1):
+        prev, j = levels[i + 1][state]
+        sigma[i] = j
+        state = prev
+    return True, tuple(sigma), ""
+
+
 @cache
 def connected_multigraphs(max_darts: int) -> tuple[Graph, ...]:
     """All connected multigraphs with at most max_darts darts, one per
