@@ -4,16 +4,17 @@ Decision subcommands print one JSON object on stdout; graph-producing
 subcommands print a graph file.  Human-oriented notes go to stderr.
 
 Exit codes: 0 yes/success, 1 no/counterexample, 2 usage or validation
-error, 3 target classified NP-complete, 4 search budget, recursion depth
-or the state cap of the equitable dynamic program exhausted, 5 internal
-check failed (a library self-check, such as the re-verification of a
-witness, caught a wrong result).
+error or a closed stdout, 3 target classified NP-complete, 4 search
+budget, recursion depth or the state cap of the equitable dynamic program
+exhausted, 5 internal check failed (a library self-check, such as the
+re-verification of a witness, caught a wrong result).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import build
@@ -247,6 +248,10 @@ def main(argv: list[str] | None = None) -> int:
                         "for exact search")
     except RuntimeError as e:
         return _fail(5, f"internal check failed: {e}")
+    except BrokenPipeError:  # write no more to stdout; devnull takes its final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _note("stdout was closed before the output was written")
+        return 2
     except OSError as e:
         return _fail(2, str(e))
     except ValueError as e:

@@ -3,22 +3,23 @@ and the polynomial-time decider it drives.
 
 A link's color class is the pair (lower dart color, higher dart color),
 read by _lead; a semi-edge of color c is in (c, c), and a class is
-directed when its colors differ.  dichotomy_table splits a target into
-its class pieces and gives one row per piece: verdict, the rule that
-fired and the method tag.  A one-vertex piece is F(b,c); on two vertices
-that agree in color and type signature a piece is W(k,m,l,p,q),
-WD(m,l,m) or a pair of one-vertex pieces.  dichotomy.classify reads the
-rows, and dichotomy.decide_colored hands a target whose rows are all P
-to the decider with its pieces.  NP rows never reach it: decide_colored
-runs exact search on those targets.
+directed when its colors differ.  _buckets sorts the links of target and
+source alike into pieces by class and by the sides of their ends.
+dichotomy_table buckets a target by its own vertex ids and gives one row
+per piece: verdict, the rule that fired and the method tag.  A one-vertex
+piece is F(b,c); on two vertices that agree in color and type signature
+a class is W(k,m,l,p,q), WD(m,l,m) or a pair of one-vertex pieces.
+dichotomy.classify reads the rows; decide_colored hands a target whose
+rows are all P to the decider with its buckets, and the rest to search.
 
 The decider only finds the side, the target vertex of each source
 vertex: type signatures fix it, or 2-SAT solves one crossing-count rule
-per dart type (_side_clauses).  _map_sides then maps the darts class by
-class.  Each regular bipartite piece (directed loops at a vertex, bars
-between the vertices) goes through one König routine, _konig_onto, which
-sends perfect matching t onto the t-th target link; the oriented
-2-factors of F(b,c) go onto its loops the same way (_onto).
+per dart type (_side_clauses).  _map_sides buckets the source under any
+such vertex map and maps each bucket onto the target's of the same key.
+Each regular bipartite piece (directed loops at a vertex, links between
+two vertices) goes through one König routine, _konig_onto, which sends
+perfect matching t onto the t-th target link; the oriented 2-factors of
+F(b,c) go onto its loops the same way (_onto).
 """
 
 from __future__ import annotations
@@ -62,19 +63,7 @@ def _stitched(g: Graph, h: Graph, dart_map: dict[int, int],
 
 # ------------------------------------------------------------ the table
 
-@dataclass
-class _Piece:
-    """The links of one color class of a target, as target dart ids.
-
-    colors is the class (lo, hi).  Loops are (dart, dart) pairs led by the
-    lower-colored dart.  Bars are (dart at vertex 0, dart at vertex 1)
-    pairs in bars[direction]: a monochromatic bar has direction 0, a
-    directed bar the vertex of its lower-colored dart.
-    """
-    colors: tuple[int, int]
-    semis: tuple[list[int], list[int]]
-    loops: tuple[list[tuple[int, int]], list[tuple[int, int]]]
-    bars: tuple[list[tuple[int, int]], list[tuple[int, int]]]
+_Buckets = tuple[dict[tuple, list[tuple[int, ...]]], dict[tuple, list[tuple[int, ...]]]]
 
 
 def _lead(g: Graph, cell: tuple[int, ...]) -> tuple[tuple[int, int], tuple[int, ...]]:
@@ -83,19 +72,31 @@ def _lead(g: Graph, cell: tuple[int, ...]) -> tuple[tuple[int, int], tuple[int, 
     return ((lo, hi), cell) if lo <= hi else ((hi, lo), cell[::-1])
 
 
-def _h_pieces(h: Graph) -> list[_Piece]:
-    pieces: dict[tuple[int, int], _Piece] = {}
-    for cell in h.links:
-        (lo, hi), led = _lead(h, cell)
-        p = pieces.setdefault((lo, hi), _Piece((lo, hi), ([], []), ([], []), ([], [])))
-        u, w = h.vertex_of[led[0]], h.vertex_of[led[-1]]
-        if len(led) == 1:
-            p.semis[u].append(led[0])
-        elif u == w:
-            p.loops[u].append(led)
+def _buckets(g: Graph, side: Sequence[int]) -> _Buckets:
+    """g's links by color class and side, once side gives each vertex's
+    side: a target's own vertex ids, or a vertex map of a source.
+
+    stay[(class, s)] lists the links with both ends on side s, led by the
+    lower-colored dart (_lead).  cross[(class, a, b)] lists those between
+    sides a and b as (dart on the lower side, dart on the higher side); a
+    is the side of the lower-colored dart, or the lower side if monochromatic.
+    """
+    stay: dict[tuple, list[tuple[int, ...]]] = {}
+    cross: dict[tuple, list[tuple[int, ...]]] = {}
+    for cell in g.links:
+        cls, led = _lead(g, cell)
+        a, b = side[g.vertex_of[led[0]]], side[g.vertex_of[led[-1]]]
+        if a == b:
+            stay.setdefault((cls, a), []).append(led)
         else:
-            p.bars[u if lo != hi else 0].append(led if u == 0 else led[::-1])
-    return [pieces[cls] for cls in sorted(pieces)]
+            key = (cls, a, b) if cls[0] != cls[1] or a < b else (cls, b, a)
+            cross.setdefault(key, []).append(led if a < b else led[::-1])
+    return stay, cross
+
+
+def _semis_loops(cells: list[tuple[int, ...]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """A monochromatic stay bucket as F(b,c): its b semi darts and c loops."""
+    return [c[0] for c in cells if len(c) == 1], [c for c in cells if len(c) == 2]
 
 
 class Row(NamedTuple):
@@ -106,8 +107,8 @@ class Row(NamedTuple):
     method: str            # Verdict.method of the decider
 
 
-def _class_name(p: _Piece) -> str:
-    lo, hi = p.colors
+def _class_name(cls: tuple[int, int]) -> str:
+    lo, hi = cls
     return f"color {lo}" if lo == hi else f"colors ({lo},{hi})"
 
 
@@ -119,12 +120,12 @@ def _sat(key: str, rule: str) -> Row:
     return Row(key, "P", rule, "2-SAT")
 
 
-def _vertex_row(p: _Piece, s: int, key: str) -> Row:
-    """The piece of p at target vertex s, alone: F(b,c) or directed loops."""
-    if p.colors[0] != p.colors[1]:
+def _vertex_row(cls: tuple[int, int], cells: list[tuple[int, ...]], key: str) -> Row:
+    """A stay bucket of class cls at one vertex, alone: F(b,c) or directed loops."""
+    if cls[0] != cls[1]:
         return Row(key, "P", f"{key}: directed loops at one vertex are always polynomial",
                    "bipartite-decomposition")
-    b, c = len(p.semis[s]), len(p.loops[s])
+    b, c = map(len, _semis_loops(cells))
     if b <= 1 or (b, c) == (2, 0):
         method = "matching" if b == 1 else "2-factor" if b == 0 and c else "regularity"
         return Row(key, "P", f"{key}: F({b},{c}) is polynomial ({b} <= 1 or ({b},{c}) = (2,0))",
@@ -132,12 +133,12 @@ def _vertex_row(p: _Piece, s: int, key: str) -> Row:
     return _np(key, f"{key}: F({b},{c}) is NP-complete ({b} >= 2 and {b}+{c} = {b + c} >= 3)")
 
 
-def _pair_row(p: _Piece) -> Row:
-    """A piece of a target whose two vertices agree: its 2-SAT constraint."""
-    key = _class_name(p)
-    ell = len(p.bars[0])
-    if p.colors[0] != p.colors[1]:
-        m = len(p.loops[0])
+def _pair_row(cls: tuple[int, int], stay: dict, cross: dict) -> Row:
+    """A class of a target whose two vertices agree: its 2-SAT constraint."""
+    key = _class_name(cls)
+    ell = len(cross.get((cls, 0, 1), ()))
+    if cls[0] != cls[1]:
+        m = len(stay.get((cls, 0), ()))
         if ell == 0:
             return _sat(key, f"{key}: directed loops with no cross edges: polynomial")
         if m == 0:
@@ -146,8 +147,8 @@ def _pair_row(p: _Piece) -> Row:
             return _sat(key, f"{key}: WD(1,1,1): polynomial (m+l = 2 < 3)")
         return _np(key, f"{key}: WD({m},{ell},{m}) is NP-complete (l = {ell} >= 1, "
                         f"m = {m} > 0 and m+l = {m + ell} >= 3)")
-    k, m = len(p.semis[0]), len(p.loops[0])
-    q, qp = len(p.semis[1]), len(p.loops[1])
+    k, m = map(len, _semis_loops(stay.get((cls, 0), [])))
+    q, qp = map(len, _semis_loops(stay.get((cls, 1), [])))
     t = k + 2 * m
     if ell == 0:
         split = f"{key}: F({k},{m})+F({q},{qp}) with no bars"
@@ -165,26 +166,29 @@ def _pair_row(p: _Piece) -> Row:
                     f"k+2m = q+2p = {t} > 0 and k+2m+l = {t + ell} >= 3)")
 
 
-def dichotomy_table(h: Graph) -> tuple[list[_Piece], list[Row]]:
-    """The color-class pieces of a connected target h on one or two
-    vertices, in class order, and the rows of the table for them.
+def dichotomy_table(h: Graph) -> tuple[_Buckets, list[Row]]:
+    """The link buckets of a connected target h on one or two vertices,
+    by its own vertex ids, and the rows of the table, in class order.
 
     One vertex: each class is F(b,c) or a set of directed loops.  Two
     vertices that differ in color or type signature: the vertex map is
-    forced, so each side's classes are one-vertex pieces, and a keyless
-    last row covers the cross edges.  Two vertices that agree: each class
+    forced, so each stay bucket is a one-vertex piece, and a keyless last
+    row covers the cross buckets.  Two vertices that agree: each class
     constrains the side choice through its crossing counts (_side_clauses).
     """
-    pieces = _h_pieces(h)
+    stay, cross = _buckets(h, range(h.n))
+    stay = dict(sorted(stay.items()))  # class order, for the rows and _side_clauses
     if h.n == 1:
-        return pieces, [_vertex_row(p, 0, _class_name(p)) for p in pieces]
+        return (stay, cross), [_vertex_row(cls, cells, _class_name(cls))
+                               for (cls, _), cells in stay.items()]
     if type_signature(h, 0) != type_signature(h, 1):
-        rows = [_vertex_row(p, s, f"vertex {s} {_class_name(p)}")
-                for p in pieces for s in (0, 1) if p.semis[s] or p.loops[s]]
+        rows = [_vertex_row(cls, cells, f"vertex {s} {_class_name(cls)}")
+                for (cls, s), cells in stay.items()]
         rows.append(Row(None, "P", "cross edges split by color pair into regular bipartite "
                                    "multigraphs: polynomial", "bipartite-decomposition"))
-        return pieces, rows
-    return pieces, [_pair_row(p) for p in pieces]
+        return (stay, cross), rows
+    classes = sorted({key[0] for key in (*stay, *cross)})
+    return (stay, cross), [_pair_row(cls, stay, cross) for cls in classes]
 
 
 # ------------------------------------------------------ one-vertex pieces
@@ -216,11 +220,11 @@ def _konig_onto(g: Graph, arcs: list[tuple[int, int]], tails: Sequence[int],
     return _onto([[arcs[i] for _, _, i in matching] for matching in split], targets)
 
 
-def _decide_f(g: Graph, semis: list[int], loops: list[tuple[int, int]],
-              ) -> dict[int, int] | None:
-    """Dart assignment of g onto a one-vertex target with the given semi
-    darts and loop dart pairs, or None.  The target is a polynomial F(b,c):
-    b <= 1, or b = 2 and c = 0."""
+def _decide_f(g: Graph, cells: list[tuple[int, ...]]) -> dict[int, int] | None:
+    """Dart assignment of g onto a one-vertex target whose links are the
+    monochromatic stay bucket cells, or None.  The target is a polynomial
+    F(b,c): b <= 1, or b = 2 and c = 0."""
+    semis, loops = _semis_loops(cells)
     b, c = len(semis), len(loops)
     if any(g.degree(v) != b + 2 * c for v in range(g.n)):
         return None
@@ -262,55 +266,44 @@ def _decide_f(g: Graph, semis: list[int], loops: list[tuple[int, int]],
 
 # ------------------------------------------------ darts, once sides are fixed
 
-def _map_sides(g: Graph, pieces: list[_Piece], side: list[int]) -> dict[int, int] | None:
-    """Map g's darts onto the target pieces once side gives the target
+def _map_sides(g: Graph, buckets: _Buckets, side: Sequence[int]) -> dict[int, int] | None:
+    """Map g's darts onto the target buckets once side gives the target
     vertex of every g vertex, or None.  Every g vertex must have the type
     signature of its side.
 
-    A link of g stays on one side or crosses.  The links of a
-    monochromatic class that stay on side s form a one-vertex problem onto
-    the class's semis and loops at s.  Every other piece is regular
-    bipartite and goes through _konig_onto: a bicolored class's staying
-    links, led by the lower-colored dart, onto its directed loops at s;
-    and a class's crossing links, one direction at a time, onto its bars.
-    A bicolored link's direction is the side of its lower-colored dart.
+    Each target bucket takes the bucket of g of the same key; a g link
+    under no target key leaves some bucket short, since every g vertex
+    has the dart types of its side.  A monochromatic stay bucket is a
+    one-vertex problem (_decide_f); every other bucket is regular
+    bipartite and goes through _konig_onto: a directed stay bucket onto
+    its directed loops, a cross bucket onto the links between its sides.
     """
-    stay: dict[tuple[tuple[int, int], int], list[tuple[int, ...]]] = {}
-    cross: dict[tuple[tuple[int, int], int], list[tuple[int, ...]]] = {}
-    for cell in g.links:
-        (lo, hi), led = _lead(g, cell)
-        s = side[g.vertex_of[cell[0]]]
-        if side[g.vertex_of[cell[-1]]] == s:
-            stay.setdefault(((lo, hi), s), []).append(led)
-        else:
-            direction = side[g.vertex_of[led[0]]] if lo != hi else 0
-            cross.setdefault(((lo, hi), direction), []).append(cell if s == 0 else cell[::-1])
-    verts = [[v for v, s in enumerate(side) if s == t] for t in (0, 1)]
+    stay, cross = _buckets(g, side)
+    h_stay, h_cross = buckets
+    verts = {t: [v for v, s in enumerate(side) if s == t] for t in set(side)}
     out: dict[int, int] = {}
-    for p in pieces:
-        for s in (0, 1):
-            cells = stay.get((p.colors, s), [])
-            if not (cells or p.semis[s] or p.loops[s]):
-                continue
-            if p.colors[0] == p.colors[1]:
-                darts = sorted(d for cell in cells for d in cell)
-                part = _decide_f(_subgraph(g, verts[s], darts), p.semis[s], p.loops[s])
-                if part is not None:
-                    part = {darts[sd]: td for sd, td in part.items()}
-            else:
-                # by tail, head, then link: the split, and so the witness, follows this order
-                arcs = sorted(cells, key=lambda arc: (g.vertex_of[arc[0]], g.vertex_of[arc[1]]))
-                part = _konig_onto(g, arcs, verts[s], verts[s], p.loops[s])
-            if part is None:
-                return None
-            out.update(part)
-        for direction in (0, 1):
-            arcs = cross.get((p.colors, direction), [])
-            if p.bars[direction] or arcs:
-                part = _konig_onto(g, arcs, verts[0], verts[1], p.bars[direction])
-                if part is None:
-                    return None
-                out.update(part)
+    for key, targets in h_stay.items():
+        (lo, hi), s = key
+        cells, on_s = stay.get(key, []), verts.get(s, [])
+        if lo == hi:
+            darts = sorted(d for cell in cells for d in cell)
+            part = _decide_f(_subgraph(g, on_s, darts), targets)
+            if part is not None:
+                part = {darts[sd]: td for sd, td in part.items()}
+        else:
+            # by tail, head, then link: the split, and so the witness, follows this order
+            arcs = sorted(cells, key=lambda arc: (g.vertex_of[arc[0]], g.vertex_of[arc[1]]))
+            part = _konig_onto(g, arcs, on_s, on_s, targets)
+        if part is None:
+            return None
+        out.update(part)
+    for key, targets in h_cross.items():
+        _, a, b = key
+        part = _konig_onto(g, cross.get(key, []), verts.get(min(a, b), []),
+                           verts.get(max(a, b), []), targets)
+        if part is None:
+            return None
+        out.update(part)
     return out
 
 
@@ -329,7 +322,7 @@ def _differ(clauses: list, u: int, w: int, differ: bool = True) -> None:
     clauses += ((lit(u), x), (neg(lit(u)), neg(x)))
 
 
-def _side_clauses(g: Graph, h: Graph, pieces: list[_Piece], clauses: list) -> None:
+def _side_clauses(g: Graph, h: Graph, buckets: _Buckets, clauses: list) -> None:
     """Append the 2-SAT clauses on the sides of g's vertices, or raise
     _Refuted; h has two vertices of every g vertex's type signature.
 
@@ -340,7 +333,7 @@ def _side_clauses(g: Graph, h: Graph, pieces: list[_Piece], clauses: list) -> No
     edge whose ends differ) or D = 2 (the far ends of the two darts
     differ, a link that cannot cross counting as the vertex itself).
     Each component of a monochromatic class without bars must also cover
-    the one-vertex piece of its side, solved once per distinct piece.
+    the class's stay bucket at its side, solved once per distinct bucket.
     """
     types: dict[tuple[int, int], list[int]] = {}
     for d in h.darts_at[0]:
@@ -367,21 +360,22 @@ def _side_clauses(g: Graph, h: Graph, pieces: list[_Piece], clauses: list) -> No
             _differ(clauses, *ends, x == dd)
         elif x:
             raise _Refuted("a link of a bars-only class does not cross")
-    for p in pieces:
-        if p.colors[0] != p.colors[1] or p.bars[0]:
+    stay, cross = buckets
+    for (cls, s), cells in stay.items():  # class order: 2-SAT's answer follows the clause order
+        if s or cls[0] != cls[1] or (cls, 0, 1) in cross:
             continue
-        sub = _subgraph(g, range(g.n), sorted(darts.get(p.colors, ())))
-        same = (len(p.semis[0]), len(p.loops[0])) == (len(p.semis[1]), len(p.loops[1]))
+        sub = _subgraph(g, range(g.n), sorted(darts.get(cls, ())))
+        same = sorted(map(len, cells)) == sorted(map(len, stay[cls, 1]))
         for comp in components(sub):
-            ok0 = _decide_f(comp.graph, p.semis[0], p.loops[0]) is not None
-            ok1 = ok0 if same else _decide_f(comp.graph, p.semis[1], p.loops[1]) is not None
+            ok0 = _decide_f(comp.graph, cells) is not None
+            ok1 = ok0 if same else _decide_f(comp.graph, stay[cls, 1]) is not None
             if not (ok0 or ok1):
                 raise _Refuted("class component covers neither side")
             if ok0 != ok1:
                 clauses.append((lit(comp.vertex_ids[0], ok0),) * 2)
 
 
-def _decide(g: Graph, h: Graph, pieces: list[_Piece], rows: list[Row]) -> Verdict:
+def _decide(g: Graph, h: Graph, buckets: _Buckets, rows: list[Row]) -> Verdict:
     """Cover g onto a target on one or two vertices whose rows are all P.
 
     A g vertex may only map onto a target vertex of its type signature.
@@ -403,14 +397,14 @@ def _decide(g: Graph, h: Graph, pieces: list[_Piece], rows: list[Row]) -> Verdic
     if not forced:
         clauses: list[tuple[int, int]] = []
         try:
-            _side_clauses(g, h, pieces, clauses)
+            _side_clauses(g, h, buckets, clauses)
         except _Refuted as no:
             return Verdict(False, method, reason=str(no))
         assignment = two_sat_solve(g.n, clauses)
         if assignment is None:
             return Verdict(False, method, reason="2-SAT unsatisfiable")
         side = [0 if x else 1 for x in assignment]
-    dart_map = _map_sides(g, pieces, side)
+    dart_map = _map_sides(g, buckets, side)
     if dart_map is None:
         if not forced:
             raise RuntimeError("satisfying assignment failed witness expansion")
@@ -419,19 +413,19 @@ def _decide(g: Graph, h: Graph, pieces: list[_Piece], rows: list[Row]) -> Verdic
 
 
 # decide_colored calls the decider by case under these names, which perfbench times apart
-def decide_colored_one_vertex(g: Graph, h: Graph, pieces: list[_Piece],
+def decide_colored_one_vertex(g: Graph, h: Graph, buckets: _Buckets,
                               rows: list[Row]) -> Verdict:
     """Cover g onto a one-vertex colored target, class by class."""
-    return _decide(g, h, pieces, rows)
+    return _decide(g, h, buckets, rows)
 
 
-def decide_two_vertex_nonregular(g: Graph, h: Graph, pieces: list[_Piece],
+def decide_two_vertex_nonregular(g: Graph, h: Graph, buckets: _Buckets,
                                  rows: list[Row]) -> Verdict:
     """Cover g onto a two-vertex target whose type signatures differ."""
-    return _decide(g, h, pieces, rows)
+    return _decide(g, h, buckets, rows)
 
 
-def decide_two_vertex_regular_2sat(g: Graph, h: Graph, pieces: list[_Piece],
+def decide_two_vertex_regular_2sat(g: Graph, h: Graph, buckets: _Buckets,
                                    rows: list[Row]) -> Verdict:
     """Cover g onto a two-vertex target whose type signatures agree."""
-    return _decide(g, h, pieces, rows)
+    return _decide(g, h, buckets, rows)

@@ -75,12 +75,12 @@ def decide_colored(g: Graph, h: Graph, *, budget: int | None = None) -> Verdict:
     if h.n == 2 and not is_connected(h):
         raise OutOfScope("disconnected target")
     if h.n in (1, 2):
-        pieces, rows = dichotomy_table(h)
+        buckets, rows = dichotomy_table(h)
         if all(r.verdict == "P" for r in rows):
             if h.n == 1:
-                return decide_colored_one_vertex(g, h, pieces, rows)
+                return decide_colored_one_vertex(g, h, buckets, rows)
             if rows[-1].key is None:
-                return decide_two_vertex_nonregular(g, h, pieces, rows)
-            return decide_two_vertex_regular_2sat(g, h, pieces, rows)
+                return decide_two_vertex_nonregular(g, h, buckets, rows)
+            return decide_two_vertex_regular_2sat(g, h, buckets, rows)
     f = find_cover(g, h, budget=budget)
     return Verdict(f is not None, "brute-force-fallback", f)

@@ -20,6 +20,8 @@ DELETED = [
     ("semicover.deciders", "_SAT_KINDS"),
     ("semicover.deciders", "_decide_forced"),
     ("semicover.deciders", "_equal"),
+    ("semicover.deciders", "_Piece"),
+    ("semicover.deciders", "_h_pieces"),
 ]
 # fields dropped from rows of the dichotomy table
 DELETED_ROW_FIELDS = {"kind", "piece"}

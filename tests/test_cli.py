@@ -1,8 +1,12 @@
 """Command line behavior: exit codes, JSON output, file round trips."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 
+import semicover
 from semicover.build import build_F
 from semicover.cli import main
 from semicover.cover import DartMapping, verify_cover
@@ -302,3 +306,22 @@ def test_equitable_state_cap_exits_4(capsys, tmp_path, monkeypatch):
     assert code == 4
     assert out["error"].startswith("resource limit: equitable DP keeps ")
     assert out["error"].endswith("over the cap of 20")
+
+
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    # an 81 KB witness is more than a pipe holds: the reader takes a few
+    # bytes and closes the pipe while check is still writing
+    from semicover.build import cycle
+    g = write_graph(tmp_path, "c3000.g", cycle(3000))
+    h = write_graph(tmp_path, "f01.g", build_F(0, 1))
+    src = os.path.dirname(os.path.dirname(semicover.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with open(tmp_path / "stderr", "w+", encoding="utf-8") as err:
+        argv = [sys.executable, "-m", "semicover.cli", "check", g, h, "--witness"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=env)
+        assert proc.stdout.read(16)
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 2
+        err.seek(0)
+        note = err.read()
+    assert "Traceback" not in note and "closed" in note, note

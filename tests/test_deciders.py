@@ -6,12 +6,13 @@ import pytest
 
 from semicover import deciders, graph
 from semicover.build import build_F, build_W, build_WD, complete, cycle, path, petersen
-from semicover.cover import find_cover
+from semicover.cover import DartMapping, find_cover
 from semicover.dichotomy import classify, decide_colored
-from semicover.graph import LOOP, GraphBuilder, components, disjoint_union, induced_link_subgraph
+from semicover.graph import (LOOP, GraphBuilder, components, disjoint_union,
+                             induced_link_subgraph, is_connected, type_signature)
 from semicover.matching import exact_link_cover
 from test_dichotomy import barred_pair, small_targets
-from util import assert_cover_ok, perturb, random_graph, random_lift
+from util import assert_cover_ok, connected_multigraphs, perturb, random_graph, random_lift
 
 METHODS = {"regularity", "matching", "2-factor", "bipartite-decomposition",
            "2-SAT", "brute-force-fallback"}
@@ -293,24 +294,25 @@ def test_bar_free_class_solves_each_component_once_per_piece(monkeypatch, h, per
     assert before_mapping == [per_component * len(components(class_0))]
 
 
-def _colorset_pieces(h):
-    """The class grouping that the (lower, higher) pairs replaced: links
-    keyed by their set of dart colors, classes sorted by sorted(), loops
-    and bars led by the dart of the minimum color."""
-    pieces = {}
+def _colorset_buckets(h):
+    """The class grouping that the (lower, higher) pairs replaced, in
+    bucket form: links keyed by their set of dart colors, loops and bars
+    led by the dart of the minimum color, a bar stored as (dart at vertex
+    0, dart at vertex 1) under its direction: 0 when monochromatic, else
+    the vertex of its minimum-colored dart."""
+    stay, cross = {}, {}
     for cell in h.links:
         cs = frozenset(h.dart_color[d] for d in cell)
-        semis, loops, bars = pieces.setdefault(cs, (([], []), ([], []), ([], [])))
-        if len(cell) == 1:
-            semis[h.vertex_of[cell[0]]].append(cell[0])
-            continue
-        di, dj = cell if h.dart_color[cell[0]] == min(cs) else cell[::-1]
-        u, w = h.vertex_of[di], h.vertex_of[dj]
+        cls = (min(cs), max(cs))
+        led = cell if h.dart_color[cell[0]] == min(cs) else cell[::-1]
+        u, w = h.vertex_of[led[0]], h.vertex_of[led[-1]]
         if u == w:
-            loops[u].append((di, dj))
+            stay.setdefault((cls, u), []).append(led)
         else:
-            bars[u if len(cs) == 2 else 0].append((di, dj) if u == 0 else (dj, di))
-    return [(cs, *pieces[cs]) for cs in sorted(pieces, key=sorted)]
+            direction = u if len(cs) == 2 else 0
+            cross.setdefault((cls, direction, 1 - direction), []).append(
+                led if u == 0 else led[::-1])
+    return stay, cross
 
 
 def test_class_pairs_match_colorset_reference():
@@ -320,10 +322,11 @@ def test_class_pairs_match_colorset_reference():
                 for _ in range(300)]
     directed = 0
     for h in targets:
-        pieces = deciders._h_pieces(h)
-        new = [(frozenset(p.colors), p.semis, p.loops, p.bars) for p in pieces]
-        assert new == _colorset_pieces(h), h.links
-        directed += any(p.colors[0] != p.colors[1] for p in pieces)
+        stay, cross = deciders._buckets(h, range(h.n))
+        assert (stay, cross) == _colorset_buckets(h), h.links
+        table_stay = deciders.dichotomy_table(h)[0][0]
+        assert table_stay == stay and list(table_stay) == sorted(stay)
+        directed += any(lo != hi for (lo, hi), *_ in (*stay, *cross))
     assert directed > 100
     # sources: each link's class and lead, and the darts of each class
     # against the subgraph the 2-SAT decider used to build per class
@@ -345,8 +348,14 @@ def test_class_pairs_match_colorset_reference():
                          ids=["one-vertex", "forced", "2-SAT"])
 def test_one_piece_table_per_decision(monkeypatch, h):
     calls = []
-    h_pieces = deciders._h_pieces
-    monkeypatch.setattr(deciders, "_h_pieces", lambda t: calls.append(t) or h_pieces(t))
+    buckets = deciders._buckets
+
+    def counted(t, side):  # the buckets of h, not those of the sources
+        if t is h:
+            calls.append(t)
+        return buckets(t, side)
+
+    monkeypatch.setattr(deciders, "_buckets", counted)
 
     def induced_link_subgraph(*a):
         raise AssertionError("the decider builds class subgraphs itself")
@@ -363,6 +372,73 @@ def test_one_piece_table_per_decision(monkeypatch, h):
     before = len(calls)
     classify(h)
     assert calls[before:] == [h]
+
+
+def _any_map_targets():
+    """3- and 4-vertex targets whose type signatures tell every vertex
+    apart and whose stay buckets are each a polynomial one-vertex piece."""
+    rng = random.Random(89)
+    pool = [h for h in connected_multigraphs(8) if h.n in (3, 4)]
+    pool += [random_graph(rng, rng.choice((3, 4)), rng.randrange(3, 9), colors=range(3))
+             for _ in range(600)]
+    for h in pool:
+        if not is_connected(h) or len({type_signature(h, v) for v in range(h.n)}) < h.n:
+            continue
+        stay, _ = deciders._buckets(h, range(h.n))
+        if all(deciders._vertex_row(cls, cells, "").verdict == "P"
+               for (cls, _), cells in stay.items()):
+            yield h
+
+
+def _switch(g, rng):
+    """g with the far ends of two links of the same dart colors swapped:
+    every vertex keeps its type signature, yet g may stop being a cover."""
+    by_colors = {}
+    for cell in g.links:
+        if len(cell) == 2:
+            by_colors.setdefault(tuple(g.dart_color[d] for d in cell), []).append(cell)
+    pool = [cells for cells in by_colors.values() if len(cells) > 1]
+    swap = {}
+    if pool:
+        x, y = rng.sample(rng.choice(pool), 2)
+        swap = {x: y, y: x}
+    b = GraphBuilder()
+    for v in range(g.n):
+        b.add_vertex(color=g.vertex_color[v])
+    for cell in g.links:
+        colors = tuple(g.dart_color[d] for d in cell)
+        ends = [g.vertex_of[d] for d in (cell[0], swap.get(cell, cell)[-1])]
+        if len(cell) == 1:
+            b.add_semi(ends[0], color=colors[0])
+        elif ends[0] == ends[1]:
+            b.add_loop(ends[0], colors=colors)
+        else:
+            b.add_edge(*ends, colors=colors)
+    return b.build()
+
+
+def test_map_sides_takes_any_vertex_map():
+    """With the vertex map forced by type signatures, _map_sides maps the
+    darts onto a target on three or four vertices exactly when a cover
+    exists, and every map it returns is a cover.  Sources are lifts, lifts
+    with a link rewired, and lifts with two far ends swapped (_switch)."""
+    rng = random.Random(90)
+    targets = yes = 0
+    for h in _any_map_targets():
+        targets += 1
+        buckets = deciders._buckets(h, range(h.n))
+        sides = {type_signature(h, s): s for s in range(h.n)}
+        for k in (1, 2, 3, 4):
+            lift = random_lift(h, k, rng)
+            for g in (lift, perturb(lift, rng), _switch(lift, rng)):
+                side = [sides.get(type_signature(g, u)) for u in range(g.n)]
+                found = None if None in side else deciders._map_sides(g, buckets, side)
+                assert (found is not None) == (find_cover(g, h) is not None), (h.links, g.links)
+                if found is not None:
+                    f = DartMapping(tuple(found[d] for d in range(g.n_darts)), tuple(side))
+                    assert_cover_ok(g, h, f, check_fibers=True)
+                    yes += 1
+    assert targets > 100 and yes > 400
 
 
 def test_hard_two_vertex_raises():
