@@ -35,8 +35,8 @@ _FAMILIES = {
     "complete": (build.complete, ("N",)),
     "petersen": (build.petersen, ()),
 }
-BUDGET_HELP = ("exit 4 instead of running exact search on a source (or source "
-               "component) with more darts than this; polynomial deciders ignore it")
+BUDGET_HELP = ("exit 4 instead of running exact search or side search on a source (or "
+               "source component) with more darts than this; polynomial deciders ignore it")
 # the least value each numeric option accepts
 _MINIMA = {"budget": 0, "jobs": 1, "max_n": 1}
 

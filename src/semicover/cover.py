@@ -172,6 +172,12 @@ def witness_json(g: Graph, h: Graph, f: DartMapping) -> dict:
     }
 
 
+def _check_budget(g: Graph, budget: int | None) -> None:
+    """Raise ResourceLimit before a search on more darts than budget."""
+    if budget is not None and g.n_darts > budget:
+        raise ResourceLimit(f"{g.n_darts} darts exceeds the search budget {budget}")
+
+
 def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping | None:
     """First covering projection from g onto the connected target h, if any.
 
@@ -194,8 +200,7 @@ def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping 
     """
     if not is_connected(h):
         raise ValueError("target must be connected")
-    if budget is not None and g.n_darts > budget:
-        raise ResourceLimit(f"{g.n_darts} darts exceeds the search budget {budget}")
+    _check_budget(g, budget)
     if h.n == 0:
         return DartMapping((), ()) if g.n == 0 else None
     if any(size % h.n for size in Counter(_component_labels(g)).values()):

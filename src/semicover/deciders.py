@@ -10,12 +10,19 @@ per piece: verdict, the rule that fired and the method tag.  A one-vertex
 piece is F(b,c); on two vertices that agree in color and type signature
 a class is W(k,m,l,p,q), WD(m,l,m) or a pair of one-vertex pieces.
 dichotomy.classify reads the rows; decide_colored hands a target whose
-rows are all P to the decider with its buckets, and the rest to search.
+rows are all P to the decider with its buckets, a target whose NP rows
+are all tagged "side-search" to the side search, and the rest to exact
+search.
 
 The decider only finds the side, the target vertex of each source
 vertex: type signatures fix it, or 2-SAT solves one crossing-count rule
 per dart type (_side_clauses).  _map_sides buckets the source under any
 such vertex map and maps each bucket onto the target's of the same key.
+On two vertices that agree, a W or WD class is NP-complete through the
+side choice alone when its stay buckets are polynomial one-vertex
+pieces; its row is then tagged "side-search", and
+decide_two_vertex_side_search branches on the sides under the same
+crossing-count rule (_dart_types) and calls _map_sides at each leaf.
 Each regular bipartite piece (directed loops at a vertex, links between
 two vertices) goes through one König routine, _konig_onto, which sends
 perfect matching t onto the t-th target link; the oriented 2-factors of
@@ -25,9 +32,9 @@ F(b,c) go onto its loops the same way (_onto).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .cover import DartMapping, verify_cover
+from .cover import DartMapping, _check_budget, verify_cover
 from .graph import EDGE, Graph, _subgraph, components, type_signature
 from .matching import exact_link_cover, konig_split, two_factor_orientations
 from .twosat import lit, neg, two_sat_solve
@@ -112,12 +119,16 @@ def _class_name(cls: tuple[int, int]) -> str:
     return f"color {lo}" if lo == hi else f"colors ({lo},{hi})"
 
 
-def _np(key: str, rule: str) -> Row:
-    return Row(key, "NP-complete", rule, "brute-force-fallback")
+def _np(key: str, rule: str, method: str = "brute-force-fallback") -> Row:
+    return Row(key, "NP-complete", rule, method)
 
 
 def _sat(key: str, rule: str) -> Row:
     return Row(key, "P", rule, "2-SAT")
+
+
+def _f_polynomial(b: int, c: int) -> bool:
+    return b <= 1 or (b, c) == (2, 0)
 
 
 def _vertex_row(cls: tuple[int, int], cells: list[tuple[int, ...]], key: str) -> Row:
@@ -126,7 +137,7 @@ def _vertex_row(cls: tuple[int, int], cells: list[tuple[int, ...]], key: str) ->
         return Row(key, "P", f"{key}: directed loops at one vertex are always polynomial",
                    "bipartite-decomposition")
     b, c = map(len, _semis_loops(cells))
-    if b <= 1 or (b, c) == (2, 0):
+    if _f_polynomial(b, c):
         method = "matching" if b == 1 else "2-factor" if b == 0 and c else "regularity"
         return Row(key, "P", f"{key}: F({b},{c}) is polynomial ({b} <= 1 or ({b},{c}) = (2,0))",
                    method)
@@ -146,7 +157,7 @@ def _pair_row(cls: tuple[int, int], stay: dict, cross: dict) -> Row:
         if m + ell <= 2:
             return _sat(key, f"{key}: WD(1,1,1): polynomial (m+l = 2 < 3)")
         return _np(key, f"{key}: WD({m},{ell},{m}) is NP-complete (l = {ell} >= 1, "
-                        f"m = {m} > 0 and m+l = {m + ell} >= 3)")
+                        f"m = {m} > 0 and m+l = {m + ell} >= 3)", "side-search")
     k, m = map(len, _semis_loops(stay.get((cls, 0), [])))
     q, qp = map(len, _semis_loops(stay.get((cls, 1), [])))
     t = k + 2 * m
@@ -163,7 +174,9 @@ def _pair_row(cls: tuple[int, int], stay: dict, cross: dict) -> Row:
     if t + ell <= 2:
         return _sat(key, f"{key}: W({k},{m},{ell},{qp},{q}): polynomial (k+2m+l = {t + ell} < 3)")
     return _np(key, f"{key}: W({k},{m},{ell},{qp},{q}) is NP-complete (l = {ell} >= 1, "
-                    f"k+2m = q+2p = {t} > 0 and k+2m+l = {t + ell} >= 3)")
+                    f"k+2m = q+2p = {t} > 0 and k+2m+l = {t + ell} >= 3)",
+               "side-search" if _f_polynomial(k, m) and _f_polynomial(q, qp)
+               else "brute-force-fallback")
 
 
 def dichotomy_table(h: Graph) -> tuple[_Buckets, list[Row]]:
@@ -229,6 +242,9 @@ def _decide_f(g: Graph, cells: list[tuple[int, ...]]) -> dict[int, int] | None:
     if any(g.degree(v) != b + 2 * c for v in range(g.n)):
         return None
 
+    if (b, c) == (1, 0):
+        # every vertex has one dart, so every link is in the cover
+        return dict.fromkeys(range(g.n_darts), semis[0])
     if b <= 1:
         # A target semi-edge pulls back to all semi-edges of g plus a
         # perfect matching of the semi-free vertices; what remains is
@@ -322,6 +338,17 @@ def _differ(clauses: list, u: int, w: int, differ: bool = True) -> None:
     clauses += ((lit(u), x), (neg(lit(u)), neg(x)))
 
 
+def _dart_types(h: Graph) -> dict[tuple[int, int], tuple[int, int]]:
+    """(D, X) per dart type (dart color, mate color) at target vertex 0:
+    its D darts there, X of them on bars.  Vertex 1 has the same counts
+    when the two vertices agree in type signature."""
+    types: dict[tuple[int, int], tuple[int, int]] = {}
+    for d in h.darts_at[0]:
+        dd, x = types.get(t := (h.dart_color[d], h.dart_color[h.mate[d]]), (0, 0))
+        types[t] = dd + 1, x + (h.link_kind(h.link_of[d]) == EDGE)
+    return types
+
+
 def _side_clauses(g: Graph, h: Graph, buckets: _Buckets, clauses: list) -> None:
     """Append the 2-SAT clauses on the sides of g's vertices, or raise
     _Refuted; h has two vertices of every g vertex's type signature.
@@ -335,11 +362,7 @@ def _side_clauses(g: Graph, h: Graph, buckets: _Buckets, clauses: list) -> None:
     Each component of a monochromatic class without bars must also cover
     the class's stay bucket at its side, solved once per distinct bucket.
     """
-    types: dict[tuple[int, int], list[int]] = {}
-    for d in h.darts_at[0]:
-        dx = types.setdefault((h.dart_color[d], h.dart_color[h.mate[d]]), [0, 0])
-        dx[0] += 1
-        dx[1] += h.link_kind(h.link_of[d]) == EDGE
+    types = _dart_types(h)
     c = g.dart_color
     first: dict[tuple[int, int, int], int] = {}  # far end of a type's first dart
     darts: dict[tuple[int, int], list[int]] = {}  # of each class, from the same pass
@@ -410,6 +433,120 @@ def _decide(g: Graph, h: Graph, buckets: _Buckets, rows: list[Row]) -> Verdict:
             raise RuntimeError("satisfying assignment failed witness expansion")
         return Verdict(False, method)
     return _stitched(g, h, dart_map, side, method)
+
+
+# ------------------------------------------------------ the sides, by search
+
+def decide_two_vertex_side_search(g: Graph, h: Graph, buckets: _Buckets, *,
+                                  budget: int | None = None) -> Verdict:
+    """Cover g onto a two-vertex target whose type signatures agree, some
+    row is NP-complete and every stay bucket is a polynomial one-vertex
+    piece: exact search over the sides alone, tagged "side-search".
+
+    Each source vertex gets a side, component by component in BFS order,
+    over an explicit stack of choice points.  Every assignment propagates
+    the crossing-count rule of _dart_types (exactly X of the D darts of a
+    type at a vertex lie on crossing links) at the vertex and at each
+    assigned neighbour: once a count is met, the free far ends of the
+    type are forced.  At a component's leaf _map_sides maps its darts; a
+    component that maps is final, and one with no valid sides answers no.
+    The budget bounds g's dart count as in find_cover (_check_budget).
+    """
+    _check_budget(g, budget)
+    no = Verdict(False, "side-search")
+    sig = type_signature(h, 0)
+    if any(type_signature(g, u) != sig for u in range(g.n)):
+        return no
+    c = g.dart_color
+    far: list[dict[tuple[int, int], list[int]]] = [{} for _ in range(g.n)]
+    for d in range(g.n_darts):  # far ends of the edges at each vertex, by dart type
+        u, w = g.vertex_of[d], g.vertex_of[g.mate[d]]
+        if u != w:
+            far[u].setdefault((c[d], c[g.mate[d]]), []).append(w)
+    types = _dart_types(h)
+    rules = []  # per vertex: (crossings wanted, stays allowed, far ends) of each type
+    for ends in far:
+        rule = []
+        for t, (_, x) in types.items():
+            ws = ends.get(t, [])
+            if len(ws) < x:
+                return no  # semi-edges and loops cannot cross
+            if ws:
+                rule.append((x, len(ws) - x, ws))
+        rules.append(rule)
+    nbrs = [sorted({w for ws in ends.values() for w in ws}) for ends in far]
+
+    side = [-1] * g.n
+    trail: list[int] = []   # vertices in the order they got a side
+    queue: list[int] = []   # of those, the ones whose neighbours are not yet rechecked
+
+    def settle(v: int, s: int) -> None:
+        side[v] = s
+        trail.append(v)
+        queue.append(v)
+
+    def counts_hold(x: int) -> bool:
+        s = side[x]
+        for cross, stay, ws in rules[x]:
+            for w in ws:
+                if side[w] == s:
+                    stay -= 1
+                elif side[w] >= 0:
+                    cross -= 1
+            if cross < 0 or stay < 0:
+                return False
+            if cross == 0 or stay == 0:
+                for w in ws:
+                    if side[w] < 0:
+                        settle(w, s if cross == 0 else 1 - s)
+        return True
+
+    def propagate() -> bool:
+        while queue:
+            v = queue.pop()
+            for x in (v, *nbrs[v]):
+                if side[x] >= 0 and not counts_hold(x):
+                    queue.clear()
+                    return False
+        return True
+
+    dart_map: dict[int, int] = {}
+    for comp in components(g):
+        order = [comp.vertex_ids[0]]
+        seen = set(order)
+        for v in order:
+            for w in nbrs[v]:
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+        trail.clear()       # the finished components are final
+        stack: list[tuple[int, Iterator[int], int]] = []  # (position, untried sides, trail len)
+        pos = 0
+        while True:
+            while pos < len(order) and side[order[pos]] >= 0:
+                pos += 1
+            if pos < len(order):
+                stack.append((pos, iter((0, 1)), len(trail)))
+            else:
+                part = _map_sides(comp.graph, buckets, [side[v] for v in comp.vertex_ids])
+                if part is not None:
+                    dart_map.update((comp.dart_ids[d], e) for d, e in part.items())
+                    break
+            while stack:
+                pos, untried, t = stack[-1]
+                for v in trail[t:]:
+                    side[v] = -1
+                del trail[t:]
+                s = next(untried, -1)
+                if s == -1:
+                    stack.pop()
+                else:
+                    settle(order[pos], s)
+                    if propagate():
+                        break
+            else:
+                return no
+    return _stitched(g, h, dart_map, side, "side-search")
 
 
 # decide_colored calls the decider by case under these names, which perfbench times apart

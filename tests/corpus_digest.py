@@ -6,14 +6,17 @@ Run from the repository root (pytest does not collect this file):
 
 The corpus is test_dichotomy.small_targets(5): every connected target on
 one or two vertices with at most five links of the corpus link types.
-Three sha256 digests are printed.  The first is over classify's verdict,
+Four sha256 digests are printed.  The first is over classify's verdict,
 rules and pieces per target, the second over decide_colored's answer and
 method on h onto itself, on a seeded 2-fold lift of h and on a perturbed
-copy of that lift.  A refactor that leaves both unchanged gives the same
-classifications, answers and method tags on the corpus.  Every yes
-witness is checked with verify_cover(check_fibers=True).
+copy of that lift, and the third over those answers alone.  A refactor
+that leaves the first two unchanged gives the same classifications,
+answers and method tags on the corpus; a change that routes targets to
+another algorithm moves the second digest but must leave the third
+where it was.  Every yes witness is checked with
+verify_cover(check_fibers=True).
 
-The third digest is over every yes witness (dart_map, vertex_map).  It
+The fourth digest is over every yes witness (dart_map, vertex_map).  It
 has no pin and does not affect the exit status, since witnesses may
 change with the order of the work.  A refactor that claims the same
 witnesses runs this script on the parent commit and on the change and
@@ -40,7 +43,8 @@ MAX_LINKS = 5
 SEED = 20231
 PINS = {
     "classify": "de44595e8ba28bd5172bd12ec71a6e4bb1132576d6fae6643436fdc16238704f",
-    "decide_colored": "8265eb6222c910d94ddb5b55c50ec67ff2a9f2283f1cd55f9db435c88aa30dd6",
+    "decide_colored": "3afab9c5a80083d4c0f4ccbf61eb0a7fd7695f07cb0db12b2ef0598709fa57bd",
+    "answers": "836374e78d8bc100e0f122be8c6dd7071458ba2228c2454884308ca04fbb0f9a",
 }
 
 
@@ -49,6 +53,7 @@ def main() -> int:
     rng = random.Random(SEED)
     classified = hashlib.sha256()
     decided = hashlib.sha256()
+    answered = hashlib.sha256()
     witnessed = hashlib.sha256()
     targets = calls = yes = 0
     for h in small_targets(MAX_LINKS):
@@ -59,6 +64,7 @@ def main() -> int:
         for g in (h, lift, perturb(lift, rng)):
             v = decide_colored(g, h)
             decided.update(repr((v.answer, v.method)).encode())
+            answered.update(repr(v.answer).encode())
             calls += 1
             if v.answer:
                 yes += 1
@@ -69,7 +75,8 @@ def main() -> int:
                     return 1
     print(f"targets {targets}, decide_colored calls {calls}, yes {yes}")
     status = 0
-    for name, digest in (("classify", classified), ("decide_colored", decided)):
+    for name, digest in (("classify", classified), ("decide_colored", decided),
+                         ("answers", answered)):
         print(f"{name:14} {digest.hexdigest()}")
         if digest.hexdigest() != PINS[name]:
             print(f"{name} digest differs from its pin {PINS[name]}", file=sys.stderr)

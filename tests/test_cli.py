@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import semicover
-from semicover.build import build_F
+from semicover.build import build_F, build_W
 from semicover.cli import main
 from semicover.cover import DartMapping, verify_cover
 from semicover.graph import is_simple, parse_graph, serialize_graph
@@ -181,6 +181,16 @@ def test_budget_exhaustion(capsys, tmp_path):
     code, out = run(capsys, "check", g, h, "--budget", "10")
     assert code == 4
     assert "error" in out
+
+
+def test_budget_bounds_the_side_search(capsys, tmp_path):
+    lift = random_lift(build_W(1, 1, 1, 1, 1), 6, random.Random(3))
+    g = write_graph(tmp_path, "lift.g", lift)
+    h = gen_to_file(capsys, tmp_path, "w11111.g", "w", "1", "1", "1", "1", "1")
+    code, out = run(capsys, "check", g, h, "--budget", str(lift.n_darts - 1))
+    assert code == 4 and "exceeds the search budget" in out["error"]
+    code, out = run(capsys, "check", g, h, "--budget", str(lift.n_darts))
+    assert (code, out["method"]) == (0, "side-search")
 
 
 def test_long_cycle_check_answers_with_witness(capsys, tmp_path):

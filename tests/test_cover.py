@@ -8,7 +8,6 @@ from semicover.build import (build_F, build_W, build_WD, complete, cycle, double
                              path, petersen)
 from semicover.cover import (DartMapping, ResourceLimit, find_cover, verify_cover,
                              witness_json)
-from semicover.dichotomy import decide_colored
 from semicover.graph import EDGE, GraphBuilder, disjoint_union, is_connected, parse_graph
 from util import (assert_cover_ok, brute_cover_exists, perturb, random_graph, random_lift,
                   recursive_search)
@@ -226,9 +225,9 @@ def test_long_cycle_onto_one_loop_needs_no_deep_stack():
 def test_large_lift_of_np_target_needs_no_deep_stack():
     h = build_W(1, 0, 2, 0, 1)
     g = random_lift(h, 500, random.Random(1))
-    v = decide_colored(g, h)
-    assert v.answer and v.method == "brute-force-fallback"
-    assert_cover_ok(g, h, v.witness, check_fibers=True)
+    f = find_cover(g, h)  # decide_colored sends this target to the side search
+    assert f is not None
+    assert_cover_ok(g, h, f, check_fibers=True)
 
 
 def _swap_ends(g, rng):

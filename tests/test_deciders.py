@@ -1,6 +1,7 @@
 """Polynomial deciders against canned families and the exact search."""
 
 import random
+import time
 
 import pytest
 
@@ -15,7 +16,7 @@ from test_dichotomy import barred_pair, small_targets
 from util import assert_cover_ok, connected_multigraphs, perturb, random_graph, random_lift
 
 METHODS = {"regularity", "matching", "2-factor", "bipartite-decomposition",
-           "2-SAT", "brute-force-fallback"}
+           "2-SAT", "brute-force-fallback", "side-search"}
 
 
 def check_verdict(v, g, h):
@@ -444,15 +445,119 @@ def test_map_sides_takes_any_vertex_map():
 def test_hard_two_vertex_raises():
     h1 = build_W(1, 1, 1, 1, 1)
     h2 = build_WD(1, 2, 1)
-    # NP-complete targets go to exact search, which finds the identity
+    # NP-complete targets with polynomial stays go to the side search,
+    # which finds the identity
     for h in (h1, h2):
         v = decide_colored(h, h)
-        assert v.answer and v.method == "brute-force-fallback"
+        assert v.answer and v.method == "side-search"
         check_verdict(v, h, h)
     assert not decide_colored(cycle(4), h1).answer
 
 
+# ------------------------------------------------------------ side search
+
+def _side_searched(h):
+    """h has two vertices of one type signature and an NP-complete row,
+    and its stay buckets are each a polynomial one-vertex piece."""
+    if h.n != 2 or type_signature(h, 0) != type_signature(h, 1):
+        return False
+    (stay, _), rows = deciders.dichotomy_table(h)
+    return any(r.verdict != "P" for r in rows) and all(
+        deciders._vertex_row(cls, cells, "").verdict == "P" for (cls, _), cells in stay.items())
+
+
+def _side_search_targets():
+    return [h for h in small_targets(5) if _side_searched(h)]
+
+
+def test_side_search_rows_mark_exactly_the_qualifying_targets():
+    qualifying = 0
+    for h in small_targets(5):
+        rows = deciders.dichotomy_table(h)[1]
+        routed = any(r.verdict != "P" for r in rows) and all(
+            r.method == "side-search" for r in rows if r.verdict != "P")
+        assert routed == _side_searched(h), h.links
+        qualifying += routed
+    assert qualifying == 44
+
+
+def test_side_search_matches_exact_search():
+    """On every qualifying corpus target, the side search answers as
+    find_cover does on h, on seeded lifts (k <= 4), on lifts with a link
+    rewired and on lifts with two far ends swapped (_switch)."""
+    rng = random.Random(98)
+    cases = yes = 0
+    for h in _side_search_targets():
+        sources = [h]
+        for k in (1, 2, 3, 4):
+            lift = random_lift(h, k, rng)
+            sources += [lift, perturb(lift, rng), _switch(lift, rng)]
+        for g in sources:
+            v = decide_colored(g, h)
+            assert v.method == "side-search", h.links
+            assert v.answer == (find_cover(g, h) is not None), (h.links, g.links)
+            if v.answer:
+                assert_cover_ok(g, h, v.witness, check_fibers=True)
+                yes += 1
+            cases += 1
+    assert cases == 44 * 13 and 250 < yes < cases
+
+
+def test_side_search_answers_large_lifts_at_once():
+    h = build_W(1, 1, 1, 1, 1)
+    for seed in range(1, 7):
+        g = random_lift(h, 200, random.Random(seed))
+        t0 = time.monotonic()
+        v = decide_colored(g, h)
+        assert time.monotonic() - t0 < 1.0, seed
+        assert v.answer and v.method == "side-search"
+        assert_cover_ok(g, h, v.witness, check_fibers=True)
+    # the stack of choice points is a list: no RecursionError at depth 1,000
+    h = build_W(1, 0, 2, 0, 1)
+    g = random_lift(h, 500, random.Random(1))
+    v = decide_colored(g, h)
+    assert v.answer and v.method == "side-search"
+    assert_cover_ok(g, h, v.witness, check_fibers=True)
+
+
 # ------------------------------------------------------ perfect matching
+
+def test_f10_piece_maps_every_dart_without_a_matching(monkeypatch):
+    """On F(1,0) every vertex has one dart, so exact_link_cover would put
+    every link in the cover: _decide_f maps each dart to the semi-edge
+    without running it, and refuses every other degree."""
+    cells = deciders.dichotomy_table(build_F(1, 0))[0][0][(0, 0), 0]
+
+    def no_matching(*a):
+        raise AssertionError("an F(1,0) piece needs no matching")
+
+    monkeypatch.setattr(deciders, "exact_link_cover", no_matching)
+    rng = random.Random(97)
+    ones = 0
+    for trial in range(300):
+        n = rng.randrange(1, 12)
+        if trial % 2:
+            g = random_graph(rng, n, rng.randrange(0, 2 * n))
+        else:
+            order = rng.sample(range(n), n)
+            pairs = rng.randrange(n // 2 + 1)
+            b = GraphBuilder()
+            for _ in range(n):
+                b.add_vertex()
+            for i in range(pairs):
+                b.add_edge(order[2 * i], order[2 * i + 1])
+            for v in order[2 * pairs:]:
+                b.add_semi(v)
+            g = b.build()
+        want = None
+        if all(g.degree(v) == 1 for v in range(g.n)):
+            cover = exact_link_cover(g)
+            assert sorted(cover) == list(range(g.n_links))
+            want = {d: cells[0][0] for l in cover for d in g.links[l]}
+            ones += 1
+        assert deciders._decide_f(g, cells) == want, g.links
+    assert ones > 150
+
 
 def test_general_perfect_matching():
     assert exact_link_cover(cycle(6)) is not None

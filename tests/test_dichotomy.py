@@ -171,7 +171,8 @@ def test_classify_agrees_with_deciders_on_small_targets():
     for h in small_targets(4):
         seen += 1
         cls = classify(h)
-        assert cls.polynomial == (decide_colored(h, h).method != "brute-force-fallback"), h.links
+        method = decide_colored(h, h).method
+        assert cls.polynomial == (method not in ("brute-force-fallback", "side-search")), h.links
         if not cls.polynomial:
             continue
         poly += 1
