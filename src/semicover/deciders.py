@@ -15,9 +15,12 @@ are all tagged "side-search" to the side search, and the rest to exact
 search.
 
 The decider only finds the side, the target vertex of each source
-vertex: type signatures fix it, or 2-SAT solves one crossing-count rule
-per dart type (_side_clauses).  _map_sides buckets the source under any
-such vertex map and maps each bucket onto the target's of the same key.
+vertex: type signatures fix it, or _choose_sides applies one
+crossing-count rule per dart type.  The rules make a 2-SAT instance with
+only parity clauses (two sides equal, or differ) and unit clauses, which
+one BFS per component solves (_parity_solve).  _map_sides buckets the
+source under any such vertex map and maps each bucket onto the target's
+of the same key.
 On two vertices that agree, a W or WD class is NP-complete through the
 side choice alone when its stay buckets are polynomial one-vertex
 pieces; its row is then tagged "side-search", and
@@ -32,12 +35,12 @@ F(b,c) go onto its loops the same way (_onto).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 from .cover import DartMapping, _check_budget, verify_cover
 from .graph import EDGE, Graph, _subgraph, components, type_signature
 from .matching import exact_link_cover, konig_split, two_factor_orientations
-from .twosat import lit, neg, two_sat_solve
 
 _TAG_RANK = {"regularity": 0, "matching": 1, "2-factor": 2,
              "bipartite-decomposition": 3, "2-SAT": 4,
@@ -187,10 +190,10 @@ def dichotomy_table(h: Graph) -> tuple[_Buckets, list[Row]]:
     vertices that differ in color or type signature: the vertex map is
     forced, so each stay bucket is a one-vertex piece, and a keyless last
     row covers the cross buckets.  Two vertices that agree: each class
-    constrains the side choice through its crossing counts (_side_clauses).
+    constrains the side choice through its crossing counts (_choose_sides).
     """
     stay, cross = _buckets(h, range(h.n))
-    stay = dict(sorted(stay.items()))  # class order, for the rows and _side_clauses
+    stay = dict(sorted(stay.items()))  # class order, for the rows and _choose_sides
     if h.n == 1:
         return (stay, cross), [_vertex_row(cls, cells, _class_name(cls))
                                for (cls, _), cells in stay.items()]
@@ -323,19 +326,10 @@ def _map_sides(g: Graph, buckets: _Buckets, side: Sequence[int]) -> dict[int, in
     return out
 
 
-# ------------------------------------------------------- the sides, by 2-SAT
+# ------------------------------------------------ the sides, by parity
 
 class _Refuted(Exception):
     """No choice of sides lets every color class map; the message says why."""
-
-
-def _differ(clauses: list, u: int, w: int, differ: bool = True) -> None:
-    """Clauses for side(u) != side(w), or for side(u) == side(w) when not
-    differ.  The variable of a g vertex is true for target vertex 0."""
-    if differ and u == w:
-        raise _Refuted("a vertex would have to differ from itself")
-    x = lit(w) if differ else neg(lit(w))
-    clauses += ((lit(u), x), (neg(lit(u)), neg(x)))
 
 
 def _dart_types(h: Graph) -> dict[tuple[int, int], tuple[int, int]]:
@@ -349,9 +343,38 @@ def _dart_types(h: Graph) -> dict[tuple[int, int], tuple[int, int]]:
     return types
 
 
-def _side_clauses(g: Graph, h: Graph, buckets: _Buckets, clauses: list) -> None:
-    """Append the 2-SAT clauses on the sides of g's vertices, or raise
-    _Refuted; h has two vertices of every g vertex's type signature.
+def _parity_solve(adj: list[list[tuple[int, int]]],
+                  units: list[tuple[int, int]]) -> list[int] | None:
+    """Sides 0/1 of the vertices of adj, or None when none fit.
+
+    adj[u] lists (w, p) for side(u) ^ side(w) = p, each constraint from
+    both ends; units are (v, s) for side(v) = s.  This is 2-SAT with only
+    parity and unit clauses, so one BFS per component of adj solves it:
+    from its first unit if it has one, else from its lowest vertex at
+    side 0.  An odd cycle, or a unit that disagrees, has no solution.
+    """
+    side = [-1] * len(adj)
+    for r, s in chain(units, ((v, 0) for v in range(len(adj)))):
+        if side[r] >= 0:
+            continue
+        side[r] = s
+        queue = [r]
+        for u in queue:
+            su = side[u]
+            for w, p in adj[u]:
+                if side[w] < 0:
+                    side[w] = su ^ p
+                    queue.append(w)
+                elif side[w] != su ^ p:
+                    return None
+    if any(side[v] != s for v, s in units):
+        return None
+    return side
+
+
+def _choose_sides(g: Graph, h: Graph, buckets: _Buckets) -> list[int]:
+    """The side of every g vertex, or raise _Refuted; h has two vertices
+    of every g vertex's type signature.
 
     Of the D darts of a dart type (dart color, mate color) at target
     vertex 0, X lie on bars, so exactly X of the D darts of that type at a
@@ -360,34 +383,44 @@ def _side_clauses(g: Graph, h: Graph, buckets: _Buckets, clauses: list) -> None:
     edge whose ends differ) or D = 2 (the far ends of the two darts
     differ, a link that cannot cross counting as the vertex itself).
     Each component of a monochromatic class without bars must also cover
-    the class's stay bucket at its side, solved once per distinct bucket.
+    the class's stay bucket at its side, solved once per distinct bucket;
+    one that covers a single side is a unit.  These constraints are
+    necessary and sufficient for every class to map, and _parity_solve
+    solves them.
     """
     types = _dart_types(h)
-    c = g.dart_color
-    first: dict[tuple[int, int, int], int] = {}  # far end of a type's first dart
-    darts: dict[tuple[int, int], list[int]] = {}  # of each class, from the same pass
-    for cell in g.links:
-        darts.setdefault(_lead(g, cell)[0], []).extend(cell)
-        dd, x = types[c[cell[0]], c[g.mate[cell[0]]]]
-        ends = [g.vertex_of[d] for d in cell]
-        if 0 < x < dd:
-            for d, u, w in zip(cell, ends, ends[::-1]):
-                a = first.pop(key := (u, c[d], c[g.mate[d]]), None)
+    c, mate, vertex_of = g.dart_color, g.mate, g.vertex_of
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    # far end of the first dart of a D = 2 type at u; empty again after
+    # each vertex, since such a type has two darts at every vertex
+    first: dict[tuple[int, int], int] = {}
+    for u, darts in enumerate(g.darts_at):
+        for d in darts:
+            dd, x = types[t := (c[d], c[mate[d]])]
+            w = vertex_of[mate[d]]
+            if 0 < x < dd:
+                a = first.pop(t, None)
                 if a is None:
-                    first[key] = w
+                    first[t] = w
                 elif a == w == u:
                     raise _Refuted("no link at a vertex can cross")
+                elif a == w:
+                    raise _Refuted("a vertex would have to differ from itself")
                 else:
-                    _differ(clauses, a, w)
-        elif ends[0] != ends[-1]:
-            _differ(clauses, *ends, x == dd)
-        elif x:
-            raise _Refuted("a link of a bars-only class does not cross")
+                    adj[a].append((w, 1))
+                    adj[w].append((a, 1))
+            elif w != u:
+                adj[u].append((w, x == dd))
+            elif x:
+                raise _Refuted("a link of a bars-only class does not cross")
     stay, cross = buckets
-    for (cls, s), cells in stay.items():  # class order: 2-SAT's answer follows the clause order
+    units: list[tuple[int, int]] = []
+    for (cls, s), cells in stay.items():
         if s or cls[0] != cls[1] or (cls, 0, 1) in cross:
             continue
-        sub = _subgraph(g, range(g.n), sorted(darts.get(cls, ())))
+        col = cls[0]
+        sub = _subgraph(g, range(g.n), [d for d in range(g.n_darts)
+                                        if c[d] == col and c[mate[d]] == col])
         same = sorted(map(len, cells)) == sorted(map(len, stay[cls, 1]))
         for comp in components(sub):
             ok0 = _decide_f(comp.graph, cells) is not None
@@ -395,7 +428,11 @@ def _side_clauses(g: Graph, h: Graph, buckets: _Buckets, clauses: list) -> None:
             if not (ok0 or ok1):
                 raise _Refuted("class component covers neither side")
             if ok0 != ok1:
-                clauses.append((lit(comp.vertex_ids[0], ok0),) * 2)
+                units.append((comp.vertex_ids[0], int(ok1)))
+    side = _parity_solve(adj, units)
+    if side is None:
+        raise _Refuted("2-SAT unsatisfiable")
+    return side
 
 
 def _decide(g: Graph, h: Graph, buckets: _Buckets, rows: list[Row]) -> Verdict:
@@ -403,9 +440,10 @@ def _decide(g: Graph, h: Graph, buckets: _Buckets, rows: list[Row]) -> Verdict:
 
     A g vertex may only map onto a target vertex of its type signature.
     When the signatures tell h's vertices apart that fixes the sides;
-    otherwise 2-SAT chooses them over _side_clauses, which are necessary
-    and sufficient for every class to map.  _map_sides then maps the
-    darts; the method is the highest tag among the rows.
+    otherwise _choose_sides chooses them by parity propagation.  A no
+    from it carries the reason that refuted the sides.  _map_sides then
+    maps the darts; the method is the highest tag among the rows, "2-SAT"
+    on two vertices that agree.
     """
     if g.n == 0:
         return _stitched(g, h, {}, [], "regularity")
@@ -418,15 +456,10 @@ def _decide(g: Graph, h: Graph, buckets: _Buckets, rows: list[Row]) -> Verdict:
     method = max((r.method for r in rows), key=_TAG_RANK.__getitem__, default="regularity")
     forced = len(sides) == h.n
     if not forced:
-        clauses: list[tuple[int, int]] = []
         try:
-            _side_clauses(g, h, buckets, clauses)
+            side = _choose_sides(g, h, buckets)
         except _Refuted as no:
             return Verdict(False, method, reason=str(no))
-        assignment = two_sat_solve(g.n, clauses)
-        if assignment is None:
-            return Verdict(False, method, reason="2-SAT unsatisfiable")
-        side = [0 if x else 1 for x in assignment]
     dart_map = _map_sides(g, buckets, side)
     if dart_map is None:
         if not forced:

@@ -45,22 +45,24 @@ def classify(h: Graph) -> Classification:
     always are).  Two distinguishable vertices: the vertex map is forced
     and each side reduces to the one-vertex test.  Two indistinguishable
     vertices: the side choice is a 2-SAT instance iff every class stays
-    inside the polynomial two-vertex families.  The rules after the first
-    are the rows of dichotomy_table.
+    inside the polynomial two-vertex families, and NP-complete otherwise.
+    The rules after the first are the rows of dichotomy_table.
     """
     if h.n == 0 or h.n > 2:
         raise OutOfScope(f"{h.n} vertices")
     if not is_connected(h):
         raise OutOfScope("disconnected target")
     _, rows = dichotomy_table(h)
+    verdict = "P" if all(r.verdict == "P" for r in rows) else "NP-complete"
     if h.n == 1:
         header = "target has one vertex: polynomial iff every color class is"
     elif rows[-1].key is None:
         header = ("target vertices are distinguishable by color or dart "
                   "type signature: the vertex map is forced")
-    else:
+    elif verdict == "P":
         header = "target is regular on two vertices: the side choice reduces to 2-SAT"
-    verdict = "P" if all(r.verdict == "P" for r in rows) else "NP-complete"
+    else:
+        header = "target is regular on two vertices: the side choice is NP-complete"
     return Classification(verdict, (header, *(r.rule for r in rows)),
                           {r.key: r.verdict for r in rows if r.key is not None})
 

@@ -63,7 +63,9 @@ def konig_split(n_left: int, n_right: int, links: list[tuple[int, int, int]],
     """Split a k-regular bipartite multigraph into k perfect matchings.
 
     Returns k lists of (left, right, link_id) or None if the input is not
-    k-regular bipartite (then no split exists).
+    k-regular bipartite (then no split exists).  Each of the first k - 1
+    matchings is a Kuhn search; what they leave is 1-regular, so it is
+    the last matching as it stands.
     """
     if n_left != n_right:
         return None
@@ -76,7 +78,7 @@ def konig_split(n_left: int, n_right: int, links: list[tuple[int, int, int]],
         return None
     remaining = list(links)
     out = []
-    for _ in range(k):
+    for _ in range(k - 1):
         match_left = kuhn_matching(n_left, n_right, remaining)
         if any(m is None for m in match_left):
             return None
@@ -84,6 +86,8 @@ def konig_split(n_left: int, n_right: int, links: list[tuple[int, int, int]],
         matching = [t for t in remaining if t[2] in chosen]
         remaining = [t for t in remaining if t[2] not in chosen]
         out.append(matching)
+    if k:
+        out.append(remaining)
     return out
 
 

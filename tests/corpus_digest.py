@@ -6,7 +6,7 @@ Run from the repository root (pytest does not collect this file):
 
 The corpus is test_dichotomy.small_targets(5): every connected target on
 one or two vertices with at most five links of the corpus link types.
-Four sha256 digests are printed.  The first is over classify's verdict,
+Five sha256 digests are printed.  The first is over classify's verdict,
 rules and pieces per target, the second over decide_colored's answer and
 method on h onto itself, on a seeded 2-fold lift of h and on a perturbed
 copy of that lift, and the third over those answers alone.  A refactor
@@ -21,6 +21,10 @@ has no pin and does not affect the exit status, since witnesses may
 change with the order of the work.  A refactor that claims the same
 witnesses runs this script on the parent commit and on the change and
 compares the two witness digests.
+
+The fifth digest is over the reason of every no, also unpinned: a
+change that refutes in another order moves it while the answers and
+methods stay.  Compare it between parent and change the same way.
 
 The script exits 1 when a witness fails or a pinned digest differs from
 its pin below.  A change that alters a pinned digest on purpose updates
@@ -42,7 +46,7 @@ from util import perturb, random_lift
 MAX_LINKS = 5
 SEED = 20231
 PINS = {
-    "classify": "de44595e8ba28bd5172bd12ec71a6e4bb1132576d6fae6643436fdc16238704f",
+    "classify": "34afdff2f835336d2d182930a32391665297e8ed0eaf863b0721c3e573b76695",
     "decide_colored": "3afab9c5a80083d4c0f4ccbf61eb0a7fd7695f07cb0db12b2ef0598709fa57bd",
     "answers": "836374e78d8bc100e0f122be8c6dd7071458ba2228c2454884308ca04fbb0f9a",
 }
@@ -55,6 +59,7 @@ def main() -> int:
     decided = hashlib.sha256()
     answered = hashlib.sha256()
     witnessed = hashlib.sha256()
+    reasoned = hashlib.sha256()
     targets = calls = yes = 0
     for h in small_targets(MAX_LINKS):
         targets += 1
@@ -73,6 +78,8 @@ def main() -> int:
                 if bad:
                     print(f"bad witness on {h.links} <- {g.links}: {bad[0]}", file=sys.stderr)
                     return 1
+            else:
+                reasoned.update(repr(v.reason).encode())
     print(f"targets {targets}, decide_colored calls {calls}, yes {yes}")
     status = 0
     for name, digest in (("classify", classified), ("decide_colored", decided),
@@ -82,6 +89,7 @@ def main() -> int:
             print(f"{name} digest differs from its pin {PINS[name]}", file=sys.stderr)
             status = 1
     print(f"{'witnesses':14} {witnessed.hexdigest()}")
+    print(f"{'reasons':14} {reasoned.hexdigest()}")
     print(f"{time.perf_counter() - start:.1f} s", file=sys.stderr)
     return status
 

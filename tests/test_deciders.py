@@ -12,6 +12,7 @@ from semicover.dichotomy import classify, decide_colored
 from semicover.graph import (LOOP, GraphBuilder, components, disjoint_union,
                              induced_link_subgraph, is_connected, type_signature)
 from semicover.matching import exact_link_cover
+from semicover.twosat import lit, neg, two_sat_solve
 from test_dichotomy import barred_pair, small_targets
 from util import assert_cover_ok, connected_multigraphs, perturb, random_graph, random_lift
 
@@ -275,6 +276,119 @@ def test_two_sat_refutation_reasons(reason, g, h):
     v = decide_colored(g, h)
     assert (v.answer, v.method, v.reason) == (False, "2-SAT", reason)
     assert find_cover(g, h) is None
+
+
+def crossed_pair(ends):
+    """Two vertices joined by a bar of color 1; ends[v] gives vertex v's
+    (semis, loops) in color 0 and then in color 2."""
+    b = GraphBuilder()
+    b.add_vertex()
+    b.add_vertex()
+    b.add_edge(0, 1, colors=(1, 1))
+    for v, per_color in enumerate(ends):
+        for color, (semis, loops) in zip((0, 2), per_color):
+            for _ in range(semis):
+                b.add_semi(v, color=color)
+            for _ in range(loops):
+                b.add_loop(v, colors=(color, color))
+    return b.build()
+
+
+# F(2,0) at vertex 0 and F(0,1) at vertex 1 in color 0, the other way in color 2
+CROSSED = crossed_pair((((2, 0), (0, 1)), ((0, 1), (2, 0))))
+
+
+@pytest.mark.parametrize("g, h, vertex_map, reason", [
+    # vertex 0, the lowest of its parity component, has the loop: its unit says side 1
+    (barred_pair(0, 1, 2, 0), barred_pair(2, 0, 0, 1), (1, 0), ""),
+    # the same in a second parity component, whose lowest vertex is 2
+    (disjoint_union([barred_pair(2, 0, 0, 1), barred_pair(0, 1, 2, 0)]),
+     barred_pair(2, 0, 0, 1), (0, 1, 1, 0), ""),
+    # both ends of the bar have the loop: their units clash
+    (barred_pair(0, 1, 0, 1), barred_pair(2, 0, 0, 1), None, "2-SAT unsatisfiable"),
+    # vertex 0 has loops in both classes, whose F(0,1) pieces lie on opposite sides
+    (crossed_pair((((0, 1), (0, 1)), ((2, 0), (2, 0)))), CROSSED, None, "2-SAT unsatisfiable"),
+], ids=["unit-flips-the-root", "unit-flips-a-later-root", "units-clash-across-a-bar",
+        "units-clash-at-a-vertex"])
+def test_units_fix_the_sides_of_a_parity_component(g, h, vertex_map, reason):
+    v = decide_colored(g, h)
+    assert (v.answer, v.method, v.reason) == (vertex_map is not None, "2-SAT", reason)
+    if v.answer:
+        assert v.witness.vertex_map == vertex_map
+        assert_cover_ok(g, h, v.witness, check_fibers=True)
+    else:
+        assert find_cover(g, h) is None
+
+
+def _parity_system(rng, n):
+    """A random system of side equalities, inequalities and units on n
+    vertices, as _parity_solve's adjacency and units and as 2-SAT clauses
+    (variable v true for side 0)."""
+    adj = [[] for _ in range(n)]
+    units, clauses = [], []
+    for _ in range(rng.randrange(2 * n)):
+        u, w, p = rng.randrange(n), rng.randrange(n), rng.randrange(2)
+        adj[u].append((w, p))
+        adj[w].append((u, p))
+        x = lit(w) if p else neg(lit(w))
+        clauses += [(lit(u), x), (neg(lit(u)), neg(x))]
+    for _ in range(rng.randrange(3)):
+        v, s = rng.randrange(n), rng.randrange(2)
+        units.append((v, s))
+        clauses.append((lit(v, s == 0),) * 2)
+    return adj, units, clauses
+
+
+def test_parity_solve_matches_two_sat():
+    """_parity_solve agrees with two_sat_solve on satisfiability, and each
+    solution it returns satisfies every clause."""
+    rng = random.Random(101)
+    solved = 0
+    for _ in range(1500):
+        n = rng.randrange(1, 10)
+        adj, units, clauses = _parity_system(rng, n)
+        side = deciders._parity_solve(adj, units)
+        assert (side is None) == (two_sat_solve(n, clauses) is None), (adj, units)
+        if side is not None:
+            solved += 1
+            assert all(side[v] in (0, 1) for v in range(n))
+            assert all((side[a // 2] == 0) != (a & 1) or (side[b // 2] == 0) != (b & 1)
+                       for a, b in clauses)
+    assert 300 < solved < 1200
+
+
+def _parity_targets():
+    """Corpus targets on two vertices of one type signature whose rows are
+    all P: decide_colored gives them to _choose_sides."""
+    for h in small_targets(5):
+        if h.n == 2 and type_signature(h, 0) == type_signature(h, 1) and all(
+                r.verdict == "P" for r in deciders.dichotomy_table(h)[1]):
+            yield h
+
+
+def test_parity_sides_match_exact_search():
+    """On every corpus target that takes the parity path, decide_colored
+    answers as find_cover does on h, on seeded lifts (k <= 3), on lifts
+    with a link rewired and on lifts with two far ends swapped (_switch);
+    every yes passes verify_cover with its fibres checked."""
+    rng = random.Random(102)
+    cases, answers, reasons = 0, set(), set()
+    for h in _parity_targets():
+        sources = [h]
+        for k in (1, 2, 3):
+            lift = random_lift(h, k, rng)
+            sources += [lift, perturb(lift, rng), _switch(lift, rng)]
+        for g in sources:
+            v = decide_colored(g, h)
+            assert v.method in ("2-SAT", "regularity"), h.links
+            assert v.answer == (find_cover(g, h) is not None), (h.links, g.links)
+            if v.answer:
+                assert_cover_ok(g, h, v.witness, check_fibers=True)
+            answers.add(v.answer)
+            reasons.add(v.reason)
+            cases += 1
+    assert cases > 500 and answers == {False, True}
+    assert "2-SAT unsatisfiable" in reasons
 
 
 @pytest.mark.parametrize("h, per_component", [

@@ -44,6 +44,7 @@ def test_polynomial_table():
         assert cls.polynomial, h.links
         assert cls.verdict == "P"
         assert all(v == "P" for v in cls.pieces.values())
+        assert "NP-complete" not in cls.rules[0]
 
 
 def test_hard_table():
@@ -52,6 +53,8 @@ def test_hard_table():
         assert not cls.polynomial, h.links
         assert cls.verdict == "NP-complete"
         assert any(v == "NP-complete" for v in cls.pieces.values())
+        # the header of a regular two-vertex target says its side choice is hard
+        assert "2-SAT" not in cls.rules[0]
 
 
 def test_rules_cite_inequalities():

@@ -9,7 +9,8 @@ from semicover.dichotomy import decide_colored
 from semicover.graph import EDGE, LOOP, SEMI, GraphBuilder
 from semicover.matching import (exact_link_cover, konig_split, kuhn_matching,
                                 two_factor_orientations)
-from util import assert_cover_ok, perturb, random_graph, random_lift
+from util import (assert_cover_ok, perturb, random_graph, random_lift,
+                  reference_konig_split)
 
 
 def test_kuhn_basic():
@@ -110,6 +111,29 @@ def test_konig_split_parallel():
     parts = konig_split(1, 1, links, 2)
     assert parts is not None
     assert sorted(p[0][2] for p in parts) == [0, 1]
+
+
+def test_konig_split_matches_kuhn_per_matching_reference():
+    """konig_split takes what k - 1 Kuhn searches leave as the last
+    matching; the split is the one a k-th search gives, on seeded
+    k-regular bipartite multigraphs with shuffled links and link ids."""
+    rng = random.Random(31)
+    for k in (1, 2, 3, 4):
+        for _ in range(40):
+            n = rng.randrange(1, 8)
+            links = []
+            for _ in range(k):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                links += [(u, w) for u, w in enumerate(perm)]
+            rng.shuffle(links)
+            ids = rng.sample(range(10 * len(links)), len(links))
+            links = [(u, w, i) for (u, w), i in zip(links, ids)]
+            split = konig_split(n, n, links, k)
+            assert split == reference_konig_split(n, n, links, k)
+            assert len(split) == k
+            assert all(sorted(u for u, _, _ in m) == list(range(n)) for m in split)
+            assert all(sorted(w for _, w, _ in m) == list(range(n)) for m in split)
 
 
 def test_exact_link_cover_cycles():

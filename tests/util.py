@@ -341,6 +341,36 @@ def reference_equitable(pattern: CoveringPattern, n_g: int, n_h: int,
     return True, tuple(sigma), ""
 
 
+# The split that ran one Kuhn search per matching, the last included,
+# kept as the reference for semicover.matching.konig_split.
+def reference_konig_split(n_left: int, n_right: int, links: list[tuple[int, int, int]],
+                          k: int) -> list[list[tuple[int, int, int]]] | None:
+    """Split a k-regular bipartite multigraph into k perfect matchings,
+    or None when it is not k-regular."""
+    from semicover.matching import kuhn_matching
+
+    if n_left != n_right:
+        return None
+    deg_l = [0] * n_left
+    deg_r = [0] * n_right
+    for u, w, _ in links:
+        deg_l[u] += 1
+        deg_r[w] += 1
+    if any(d != k for d in deg_l) or any(d != k for d in deg_r):
+        return None
+    remaining = list(links)
+    out = []
+    for _ in range(k):
+        match_left = kuhn_matching(n_left, n_right, remaining)
+        if any(m is None for m in match_left):
+            return None
+        chosen = {m for m in match_left}
+        matching = [t for t in remaining if t[2] in chosen]
+        remaining = [t for t in remaining if t[2] not in chosen]
+        out.append(matching)
+    return out
+
+
 @cache
 def connected_multigraphs(max_darts: int) -> tuple[Graph, ...]:
     """All connected multigraphs with at most max_darts darts, one per
