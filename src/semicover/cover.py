@@ -57,62 +57,68 @@ def verify_cover(g: Graph, h: Graph, f: DartMapping, *,
     are implied by the local conditions, so this is a redundant self-check.
     """
     out: list[CoverViolation] = []
-    if len(f.dart_map) != g.n_darts or len(f.vertex_map) != g.n:
+    dart_map, vertex_map = f.dart_map, f.vertex_map
+    nd, n = h.n_darts, h.n
+    if len(dart_map) != g.n_darts or len(vertex_map) != g.n:
         return [CoverViolation("shape", "mapping arity does not match the graphs")]
-    for d, e in enumerate(f.dart_map):
-        if not 0 <= e < h.n_darts:
+    for d, e in enumerate(dart_map):
+        if not 0 <= e < nd:
             return [CoverViolation("shape", f"dart {d} maps outside the target ({e})")]
-    for u, w in enumerate(f.vertex_map):
-        if not 0 <= w < h.n:
+    for u, w in enumerate(vertex_map):
+        if not 0 <= w < n:
             return [CoverViolation("shape", f"vertex {u} maps outside the target ({w})")]
 
-    for u in range(g.n):
-        w = f.vertex_map[u]
-        images = [f.dart_map[d] for d in g.darts_at[u]]
-        for d, e in zip(g.darts_at[u], images):
-            if h.vertex_of[e] != w:
+    h_vertex_of, h_darts_at = h.vertex_of, h.darts_at
+    g_vertex_color, h_vertex_color = g.vertex_color, h.vertex_color
+    for u, darts in enumerate(g.darts_at):
+        w = vertex_map[u]
+        images = [dart_map[d] for d in darts]
+        for d, e in zip(darts, images):
+            if h_vertex_of[e] != w:
                 out.append(CoverViolation(
                     "not-local-bijection",
                     f"dart {d} at vertex {u} maps to dart {e} away from image vertex {w}"))
         if len(set(images)) != len(images):
             out.append(CoverViolation(
                 "not-local-bijection", f"dart images at vertex {u} repeat"))
-        elif len(images) != h.degree(w):
+        elif len(images) != (degree := len(h_darts_at[w])):
             out.append(CoverViolation(
                 "not-local-bijection",
-                f"vertex {u} has {len(images)} darts, image {w} has {h.degree(w)}"))
-        if g.vertex_color[u] != h.vertex_color[w]:
+                f"vertex {u} has {len(images)} darts, image {w} has {degree}"))
+        if g_vertex_color[u] != h_vertex_color[w]:
             out.append(CoverViolation(
                 "vertex-color-mismatch", f"vertex {u} color differs from image {w}"))
 
-    for d in range(g.n_darts):
-        if g.dart_color[d] != h.dart_color[f.dart_map[d]]:
+    g_dart_color, h_dart_color = g.dart_color, h.dart_color
+    for d, e in enumerate(dart_map):
+        if g_dart_color[d] != h_dart_color[e]:
             out.append(CoverViolation("color-mismatch", f"dart {d} changes color"))
 
-    for l in range(g.n_links):
-        cell = g.links[l]
-        imgs = [f.dart_map[d] for d in cell]
+    # a target dart is on a semi-edge exactly when it is its own mate
+    h_link_of, h_mate, link_kind = h.link_of, h.mate, g.link_kind
+    for l, cell in enumerate(g.links):
         if len(cell) == 1:
-            if len(h.links[h.link_of[imgs[0]]]) != 1:
+            e = dart_map[cell[0]]
+            if h_mate[e] != e:
                 out.append(CoverViolation(
                     "link-broken", f"semi-edge {l} maps to a non-semi link"))
         else:
-            a, b = imgs
+            a, b = dart_map[cell[0]], dart_map[cell[1]]
             if a == b:
-                if len(h.links[h.link_of[a]]) != 1:
+                if h_mate[a] != a:
                     out.append(CoverViolation(
                         "link-broken", f"link {l} collapses onto a non-semi dart"))
-                elif g.link_kind(l) == LOOP:
+                elif link_kind(l) == LOOP:
                     out.append(CoverViolation(
                         "link-broken", f"loop {l} collapses onto a semi-edge"))
-            elif h.link_of[a] != h.link_of[b]:
+            elif h_link_of[a] != h_link_of[b]:
                 out.append(CoverViolation(
                     "link-broken", f"link {l} maps across two target links"))
 
     if require_surjective:
-        if set(f.dart_map) != set(range(h.n_darts)):
+        if set(dart_map) != set(range(nd)):
             out.append(CoverViolation("not-surjective", "some target dart is not hit"))
-        if set(f.vertex_map) != set(range(h.n)):
+        if set(vertex_map) != set(range(n)):
             out.append(CoverViolation("not-surjective", "some target vertex is not hit"))
 
     if check_fibers and not out:

@@ -2,7 +2,7 @@
 and the polynomial-time decider it drives.
 
 A link's color class is the pair (lower dart color, higher dart color),
-read by _lead; a semi-edge of color c is in (c, c), and a class is
+read by _buckets; a semi-edge of color c is in (c, c), and a class is
 directed when its colors differ.  _buckets sorts the links of target and
 source alike into pieces by class and by the sides of their ends.
 dichotomy_table buckets a target by its own vertex ids and gives one row
@@ -64,7 +64,7 @@ class Verdict:
 
 def _stitched(g: Graph, h: Graph, dart_map: dict[int, int],
               vertex_map: list[int], method: str) -> Verdict:
-    f = DartMapping(tuple(dart_map[d] for d in range(g.n_darts)), tuple(vertex_map))
+    f = DartMapping(tuple(map(dart_map.__getitem__, range(g.n_darts))), tuple(vertex_map))
     bad = verify_cover(g, h, f)
     if bad:
         raise RuntimeError(f"decider produced a bad witness: {bad[0]}")
@@ -76,26 +76,24 @@ def _stitched(g: Graph, h: Graph, dart_map: dict[int, int],
 _Buckets = tuple[dict[tuple, list[tuple[int, ...]]], dict[tuple, list[tuple[int, ...]]]]
 
 
-def _lead(g: Graph, cell: tuple[int, ...]) -> tuple[tuple[int, int], tuple[int, ...]]:
-    """A link cell's class (lo, hi), and its darts with the lo-colored first."""
-    lo, hi = g.dart_color[cell[0]], g.dart_color[cell[-1]]
-    return ((lo, hi), cell) if lo <= hi else ((hi, lo), cell[::-1])
-
-
 def _buckets(g: Graph, side: Sequence[int]) -> _Buckets:
     """g's links by color class and side, once side gives each vertex's
     side: a target's own vertex ids, or a vertex map of a source.
 
-    stay[(class, s)] lists the links with both ends on side s, led by the
-    lower-colored dart (_lead).  cross[(class, a, b)] lists those between
-    sides a and b as (dart on the lower side, dart on the higher side); a
-    is the side of the lower-colored dart, or the lower side if monochromatic.
+    A link's class is (lo, hi), its lower and higher dart color, and the
+    link is led by its lo-colored dart (its first when the colors agree).
+    stay[(class, s)] lists the links with both ends on side s, led.
+    cross[(class, a, b)] lists those between sides a and b as (dart on
+    the lower side, dart on the higher side); a is the side of the
+    lower-colored dart, or the lower side if monochromatic.
     """
     stay: dict[tuple, list[tuple[int, ...]]] = {}
     cross: dict[tuple, list[tuple[int, ...]]] = {}
+    c, vertex_of = g.dart_color, g.vertex_of
     for cell in g.links:
-        cls, led = _lead(g, cell)
-        a, b = side[g.vertex_of[led[0]]], side[g.vertex_of[led[-1]]]
+        lo, hi = c[cell[0]], c[cell[-1]]
+        cls, led = ((lo, hi), cell) if lo <= hi else ((hi, lo), cell[::-1])
+        a, b = side[vertex_of[led[0]]], side[vertex_of[led[-1]]]
         if a == b:
             stay.setdefault((cls, a), []).append(led)
         else:
@@ -242,7 +240,8 @@ def _decide_f(g: Graph, cells: list[tuple[int, ...]]) -> dict[int, int] | None:
     F(b,c): b <= 1, or b = 2 and c = 0."""
     semis, loops = _semis_loops(cells)
     b, c = len(semis), len(loops)
-    if any(g.degree(v) != b + 2 * c for v in range(g.n)):
+    degree = b + 2 * c
+    if any(len(darts) != degree for darts in g.darts_at):
         return None
 
     if (b, c) == (1, 0):
@@ -448,9 +447,12 @@ def _decide(g: Graph, h: Graph, buckets: _Buckets, rows: list[Row]) -> Verdict:
     if g.n == 0:
         return _stitched(g, h, {}, [], "regularity")
     sides = {type_signature(h, s): s for s in range(h.n)}
+    # type_signature of each g vertex, from one (dart color, mate color) list
+    c, vertex_color = g.dart_color, g.vertex_color
+    types = list(zip(c, map(c.__getitem__, g.mate)))
     side = []
-    for u in range(g.n):  # stop at the first vertex no target vertex matches
-        side.append(sides.get(type_signature(g, u)))
+    for u, darts in enumerate(g.darts_at):  # stop at the first vertex no target vertex matches
+        side.append(sides.get((vertex_color[u], tuple(sorted(map(types.__getitem__, darts))))))
         if side[-1] is None:
             return Verdict(False, "regularity")
     method = max((r.method for r in rows), key=_TAG_RANK.__getitem__, default="regularity")

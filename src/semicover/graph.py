@@ -10,15 +10,19 @@ links are also an involution on the darts, ``Graph.mate``: the other dart
 of a dart's link, and a semi-edge's dart is its own mate (the dart
 formalism of Malnič, Nedela and Škoviera, Europ. J. Combin. 21, 2000).
 
-Input is checked where it enters: :class:`GraphBuilder` owns the graph
-rules and rejects each bad argument as it arrives; :func:`parse_graph`
-checks only the syntax of the text and reports either kind of error with
-its line number.  :func:`serialize_graph` writes the same format back.
-``Graph(...)`` itself trusts its arrays.
+Input is checked where it enters, by each of the two ways in.
+:class:`GraphBuilder` checks the graph rules (known end vertices,
+non-negative colors, two distinct ends for an edge) on each call and
+rejects a bad argument before it changes anything.  :func:`parse_graph`
+fills the dart arrays straight from the text and checks, on each line,
+its syntax and the same graph rules with the builder's messages; it
+reports every error with its line number.  :func:`serialize_graph`
+writes the same format back.  ``Graph(...)`` itself trusts its arrays.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,8 +31,11 @@ LOOP = "loop"
 EDGE = "edge"
 
 _KIND_RANK = {SEMI: 0, LOOP: 1, EDGE: 2}
-# the color token of a link of one dart and of two: prefix, and its form in messages
-_COLOR_TOKEN = {1: ("color=", "color=<n>"), 2: ("colors=", "colors=<i>,<j>")}
+# the color token of a link of one dart and of two: prefix, its form in
+# messages, and the token itself; a color is ASCII, since int() alone also
+# takes "+3", "1_0" and non-ASCII digits
+_COLOR_TOKEN = {1: ("color=", "color=<n>", re.compile(r"color=(-?[0-9]+)")),
+                2: ("colors=", "colors=<i>,<j>", re.compile(r"colors=(-?[0-9]+),(-?[0-9]+)"))}
 
 
 class Graph:
@@ -58,26 +65,24 @@ class Graph:
         self.dart_color = tuple(dart_color) if dart_color is not None else (0,) * nd
         self.vertex_color = tuple(vertex_color) if vertex_color is not None else (0,) * n
         self.names = tuple(names) if names is not None else tuple(f"v{i}" for i in range(n))
+        # one pass: each dart joins its vertex, and the second dart of a
+        # link pairs with the first, found in the first-dart table
         darts_at: list[list[int]] = [[] for _ in range(n)]
-        for d, v in enumerate(vertex_of):
-            darts_at[v].append(d)
-        self.darts_at = tuple(map(tuple, darts_at))
-        cells: list[list[int]] = [[] for _ in range(max(link_of, default=-1) + 1)]
-        for d, l in enumerate(link_of):
-            cells[l].append(d)
-        self.links = tuple(map(tuple, cells))
+        first = [-1] * (max(link_of, default=-1) + 1)
         mate = list(range(nd))
-        kinds = []
-        for c in cells:
-            if len(c) == 1:
-                kinds.append(SEMI)
+        for d, l in enumerate(link_of):
+            darts_at[vertex_of[d]].append(d)
+            a = first[l]
+            if a < 0:
+                first[l] = d
             else:
-                a, b = c
-                mate[a] = b
-                mate[b] = a
-                kinds.append(LOOP if vertex_of[a] == vertex_of[b] else EDGE)
+                mate[a] = d
+                mate[d] = a
+        self.darts_at = tuple(map(tuple, darts_at))
+        self.links = tuple([(a,) if a == mate[a] else (a, mate[a]) for a in first])
         self.mate = tuple(mate)
-        self._kinds = tuple(kinds)
+        self._kinds = tuple([SEMI if a == (b := mate[a]) else
+                             LOOP if vertex_of[a] == vertex_of[b] else EDGE for a in first])
 
     @property
     def n_darts(self) -> int:
@@ -106,8 +111,9 @@ class GraphBuilder:
     Each call checks its own arguments (known end vertices, one
     non-negative color per dart, two distinct ends for an edge) before it
     changes anything, so a rejected call leaves the builder as it was and
-    every built graph is valid.  These rules have no other owner:
-    parse_graph reports them with the line that broke them.
+    every built graph is valid.  parse_graph does not go through the
+    builder: it checks the same rules on each line, with the same
+    messages, and adds the line number.
     """
 
     def __init__(self) -> None:
@@ -341,63 +347,101 @@ def parse_graph(text: str) -> Graph:
     """Parse the line-based graph format.
 
     Lines are ``vertex <id> [color=<n>]``, ``edge <u> <v> [colors=<i>,<j>]``,
-    ``loop <u> [colors=<i>,<j>]``, and ``semi <u> [color=<i>]``.  Blank lines
-    and ``#`` comments are ignored.  Vertices must be declared before use.
+    ``loop <u> [colors=<i>,<j>]``, and ``semi <u> [color=<i>]``, where a
+    color is an ASCII integer.  Blank lines and ``#`` comments are ignored.
+    Vertices must be declared before use.
 
-    The parser checks the syntax: directives, their arity, color tokens
-    and vertex names.  The graph rules (colors are non-negative, an edge
-    joins two vertices) belong to :class:`GraphBuilder`; every error, of
-    either kind, is raised as :class:`GraphFormatError` with its line.
+    Each line is checked as it is read and goes straight into the dart
+    arrays: first its syntax (directive, arity, vertex names, color
+    tokens), then the graph rules that :class:`GraphBuilder` checks per
+    call, with the builder's messages (an edge joins two vertices, colors
+    are non-negative).  On a line that breaks several, an undeclared
+    vertex comes first, then a bad color token, then coinciding edge
+    ends, then a negative color.  Every error is raised as
+    :class:`GraphFormatError` with its line.
     """
-    b = GraphBuilder()
     ids: dict[str, int] = {}
+    names: list[str] = []
+    vertex_color: list[int] = []
+    vertex_of: list[int] = []
+    link_of: list[int] = []
+    dart_color: list[int] = []
+    n_links = 0
     try:
         for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            if "#" in raw:
+                raw = raw[:raw.index("#")]
+            toks = raw.split()
+            if not toks:
                 continue
-            toks = line.split()
-            kw, args = toks[0], toks[1:]
-            if kw == "vertex":
-                if not args or len(args) > 2:
-                    raise ValueError("vertex takes an id and an optional color")
-                if args[0] in ids:
-                    raise ValueError(f"duplicate vertex {args[0]!r}")
-                c = _colors(args[1], 1)[0] if len(args) == 2 else 0
-                ids[args[0]] = b.add_vertex(c, args[0])
-            elif kw == "edge":
-                if len(args) not in (2, 3):
+            kw = toks[0]
+            n_args = len(toks) - 1
+            if kw == "edge":
+                if n_args != 2 and n_args != 3:
                     raise ValueError("edge takes two vertices and optional colors")
-                b.add_edge(ids[args[0]], ids[args[1]],
-                           _colors(args[2], 2) if len(args) == 3 else (0, 0))
+                u = ids[toks[1]]
+                v = ids[toks[2]]
+                cu, cv = _colors(toks[3], 2) if n_args == 3 else (0, 0)
+                if u == v:
+                    raise ValueError("edge endpoints coincide; use a loop")
+            elif kw == "vertex":
+                if n_args != 1 and n_args != 2:
+                    raise ValueError("vertex takes an id and an optional color")
+                name = toks[1]
+                if name in ids:
+                    raise ValueError(f"duplicate vertex {name!r}")
+                c = _colors(toks[2], 1)[0] if n_args == 2 else 0
+                if c < 0:
+                    raise ValueError(f"negative color {c}")
+                ids[name] = len(names)
+                names.append(name)
+                vertex_color.append(c)
+                continue
             elif kw == "loop":
-                if len(args) not in (1, 2):
+                if n_args != 1 and n_args != 2:
                     raise ValueError("loop takes one vertex and optional colors")
-                b.add_loop(ids[args[0]], _colors(args[1], 2) if len(args) == 2 else (0, 0))
+                u = v = ids[toks[1]]
+                cu, cv = _colors(toks[2], 2) if n_args == 2 else (0, 0)
             elif kw == "semi":
-                if len(args) not in (1, 2):
+                if n_args != 1 and n_args != 2:
                     raise ValueError("semi takes one vertex and an optional color")
-                b.add_semi(ids[args[0]], _colors(args[1], 1)[0] if len(args) == 2 else 0)
+                u = ids[toks[1]]
+                c = _colors(toks[2], 1)[0] if n_args == 2 else 0
+                if c < 0:
+                    raise ValueError(f"negative color {c}")
+                vertex_of.append(u)
+                link_of.append(n_links)
+                dart_color.append(c)
+                n_links += 1
+                continue
             else:
                 raise ValueError(f"unknown directive {kw!r}")
+            # an edge or a loop: a dart at u and one at v, colored in order
+            if cu < 0:
+                raise ValueError(f"negative color {cu}")
+            if cv < 0:
+                raise ValueError(f"negative color {cv}")
+            vertex_of += (u, v)
+            link_of += (n_links, n_links)
+            dart_color += (cu, cv)
+            n_links += 1
     except KeyError as e:  # ids[...] of an undeclared vertex
         raise GraphFormatError(ln, f"reference to undeclared vertex {e.args[0]!r}") from None
     except ValueError as e:
         raise GraphFormatError(ln, str(e)) from None
-    return b.build()
+    return Graph(len(names), vertex_of, link_of, dart_color, vertex_color, names)
 
 
 def _colors(tok: str, count: int) -> tuple[int, ...]:
-    """The integers of a color token of one or two darts; their sign is
-    the builder's to check."""
-    prefix, form = _COLOR_TOKEN[count]
-    parts = tok[len(prefix):].split(",") if tok.startswith(prefix) else ()
-    if len(parts) != count:
+    """The integers of a color token of one or two darts, each ASCII
+    ``-?[0-9]+``; their sign is checked by the caller."""
+    prefix, form, pattern = _COLOR_TOKEN[count]
+    m = pattern.fullmatch(tok)
+    if m is not None:
+        return tuple(map(int, m.groups()))
+    if not tok.startswith(prefix) or tok.count(",") != count - 1:
         raise ValueError(f"expected {form}, got {tok!r}")
-    try:
-        return tuple(map(int, parts))
-    except ValueError:
-        raise ValueError(f"bad color in {tok!r}") from None
+    raise ValueError(f"bad color in {tok!r}")
 
 
 def serialize_graph(g: Graph) -> str:

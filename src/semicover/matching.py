@@ -231,10 +231,11 @@ def eulerian_orientation(g: Graph, link_ids: list[int]) -> dict[int, tuple[int, 
     happens only back at its start once the start has no unused link
     left; orienting along the walks keeps in-degree equal to out-degree.
     """
+    links, link_of, vertex_of, mate = g.links, g.link_of, g.vertex_of, g.mate
     incident: list[list[int]] = [[] for _ in range(g.n)]
     for l in link_ids:
-        for d in g.links[l]:
-            incident[g.vertex_of[d]].append(d)
+        for d in links[l]:
+            incident[vertex_of[d]].append(d)
     for lst in incident:
         lst.sort()
     ptr = [0] * g.n
@@ -243,16 +244,18 @@ def eulerian_orientation(g: Graph, link_ids: list[int]) -> dict[int, tuple[int, 
     for start in range(g.n):
         v = start
         while True:
-            while ptr[v] < len(incident[v]) and g.link_of[incident[v][ptr[v]]] in used:
-                ptr[v] += 1
-            if ptr[v] >= len(incident[v]):
+            darts, p = incident[v], ptr[v]
+            while p < len(darts) and link_of[darts[p]] in used:
+                p += 1
+            ptr[v] = p
+            if p >= len(darts):
                 break
-            d = incident[v][ptr[v]]
-            l = g.link_of[d]
+            d = darts[p]
+            l = link_of[d]
             used.add(l)
-            d2 = g.mate[d]
+            d2 = mate[d]
             orient[l] = (d, d2)
-            v = g.vertex_of[d2]
+            v = vertex_of[d2]
     return orient
 
 
@@ -266,12 +269,13 @@ def two_factor_orientations(g: Graph, link_ids: list[int] | None = None,
     """
     if link_ids is None:
         link_ids = list(range(g.n_links))
-    if any(g.link_kind(l) == SEMI for l in link_ids):
+    link_kind, links, vertex_of = g.link_kind, g.links, g.vertex_of
+    if any(link_kind(l) == SEMI for l in link_ids):
         return None
     deg = [0] * g.n
     for l in link_ids:
-        for v in g.link_ends(l):
-            deg[v] += 1
+        for d in links[l]:
+            deg[vertex_of[d]] += 1
     degs = set(deg)
     if len(degs) > 1 or (degs and (degs.pop() % 2)):
         return None
@@ -279,7 +283,7 @@ def two_factor_orientations(g: Graph, link_ids: list[int] | None = None,
     if c == 0:
         return [] if not link_ids else None
     orient = eulerian_orientation(g, link_ids)
-    triples = [(g.vertex_of[out], g.vertex_of[inn], l)
+    triples = [(vertex_of[out], vertex_of[inn], l)
                for l, (out, inn) in sorted(orient.items())]
     split = konig_split(g.n, g.n, triples, c)
     if split is None:

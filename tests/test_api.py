@@ -22,11 +22,12 @@ DELETED = [
     ("semicover.deciders", "_equal"),
     ("semicover.deciders", "_Piece"),
     ("semicover.deciders", "_h_pieces"),
+    ("semicover.deciders", "_lead"),
 ]
 # fields dropped from rows of the dichotomy table
 DELETED_ROW_FIELDS = {"kind", "piece"}
 # methods dropped from Graph; Graph.mate replaces partner, and
-# deciders._lead gives a link's color class (lower, higher dart color)
+# deciders._buckets reads a link's color class (lower, higher dart color)
 DELETED_GRAPH_ATTRS = ["partner", "link_colorset"]
 
 # only decide_colored calls these; they stay in semicover.deciders

@@ -8,9 +8,10 @@ from semicover.build import (build_F, build_W, build_WD, complete, cycle, double
                              path, petersen)
 from semicover.cover import (DartMapping, ResourceLimit, find_cover, verify_cover,
                              witness_json)
+from semicover.dichotomy import decide_colored
 from semicover.graph import EDGE, GraphBuilder, disjoint_union, is_connected, parse_graph
 from util import (assert_cover_ok, brute_cover_exists, perturb, random_graph, random_lift,
-                  recursive_search)
+                  recursive_search, reference_verify_cover)
 
 
 def test_identity_cover():
@@ -68,6 +69,56 @@ def test_verify_rejects_broken_mapping():
                              require_surjective=surj)
         assert {v.kind for v in found} == kinds, (h_text, dm, vm, found)
         assert any(words in v.detail for v in found), (h_text, dm, vm, found)
+
+
+def _corrupted(g, h, f, rng):
+    """f, and f broken once each way: one dart moved, two darts swapped,
+    one vertex remapped, one dart mapped out of range, the arity changed."""
+    dm, vm = f.dart_map, f.vertex_map
+
+    def put(seq, i, x):
+        seq = list(seq)
+        seq[i] = x
+        return tuple(seq)
+
+    out = [f]
+    if dm:
+        d = rng.randrange(len(dm))
+        out.append(DartMapping(put(dm, d, rng.randrange(h.n_darts)), vm))
+        out.append(DartMapping(put(dm, d, rng.choice((-1, h.n_darts, h.n_darts + 3))), vm))
+        d1, d2 = rng.sample(range(len(dm)), 2) if len(dm) > 1 else (d, d)
+        out.append(DartMapping(put(put(dm, d1, dm[d2]), d2, dm[d1]), vm))
+        out.append(DartMapping(dm[:-1], vm))
+    out.append(DartMapping(dm, put(vm, rng.randrange(len(vm)), rng.randrange(h.n))))
+    out.append(DartMapping(dm + (0,), vm))
+    out.append(DartMapping(dm, vm + (0,)))
+    return out
+
+
+def test_verify_matches_reference_on_corrupted_witnesses():
+    rng = random.Random(53)
+    colored = parse_graph("vertex a color=1\nvertex b\nedge a b colors=1,2\n"
+                          "loop a colors=0,0\nsemi b color=3\nsemi b color=3")
+    uneven = parse_graph("vertex a\nvertex b\nedge a b\nsemi a\nloop b")
+    targets = [build_F(1, 0), build_F(1, 2), build_F(0, 2), build_F(2, 0), build_F(2, 1),
+               build_W(1, 0, 1, 0, 1), build_W(0, 1, 2, 1, 0), build_WD(1, 1, 1), cycle(3),
+               colored, uneven]
+    kinds = set()
+    for h in targets:
+        for k in (1, 2, 3, 5):
+            g = random_lift(h, k, rng)
+            v = decide_colored(g, h)
+            assert v.answer, (h.links, k)
+            for f in _corrupted(g, h, v.witness, rng):
+                for surjective in (False, True):
+                    for fibers in (False, True):
+                        got = verify_cover(g, h, f, require_surjective=surjective,
+                                           check_fibers=fibers)
+                        assert got == reference_verify_cover(
+                            g, h, f, require_surjective=surjective, check_fibers=fibers)
+                        kinds.update(x.kind for x in got)
+    assert kinds == {"shape", "not-local-bijection", "vertex-color-mismatch", "color-mismatch",
+                     "link-broken", "not-surjective"}
 
 
 def test_semi_to_semi_only():

@@ -443,16 +443,18 @@ def test_class_pairs_match_colorset_reference():
         assert table_stay == stay and list(table_stay) == sorted(stay)
         directed += any(lo != hi for (lo, hi), *_ in (*stay, *cross))
     assert directed > 100
-    # sources: each link's class and lead, and the darts of each class
-    # against the subgraph the 2-SAT decider used to build per class
+    # sources: each link's class and lead, read from the buckets of g with
+    # every vertex on side 0, and the darts of each class against the
+    # subgraph the 2-SAT decider used to build per class
     for _ in range(100):
         g = random_graph(rng, rng.randrange(1, 7), rng.randrange(0, 14), colors=range(4))
-        darts = {}
+        darts, leads = {}, {}
         for cell in g.links:
             cs = frozenset(g.dart_color[d] for d in cell)
             led = cell if g.dart_color[cell[0]] == min(cs) else cell[::-1]
-            assert deciders._lead(g, cell) == ((min(cs), max(cs)), led)
-            darts.setdefault(deciders._lead(g, cell)[0], []).extend(cell)
+            leads.setdefault(((min(cs), max(cs)), 0), []).append(led)
+            darts.setdefault((min(cs), max(cs)), []).extend(cell)
+        assert deciders._buckets(g, [0] * g.n) == (leads, {})
         order = sorted({frozenset(pair) for pair in darts}, key=sorted)
         assert [(min(cs), max(cs)) for cs in order] == sorted(darts)
         for cs in order:

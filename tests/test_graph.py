@@ -7,12 +7,12 @@ import pytest
 
 from semicover.build import (build_F, build_W, build_WD, complete, complete_bipartite, cycle,
                              path, petersen)
-from semicover.graph import (EDGE, LOOP, SEMI, GraphBuilder, GraphFormatError,
-                             components, disjoint_union,
+from semicover.graph import (EDGE, LOOP, SEMI, Graph, GraphBuilder, GraphFormatError,
+                             _subgraph, components, disjoint_union,
                              induced_link_subgraph, induced_vertex_subgraph,
                              is_bipartite, is_connected, is_regular, is_simple,
                              parse_graph, serialize_graph, type_signature)
-from util import random_graph, random_lift
+from util import random_graph, random_lift, reference_parse_graph
 
 
 def test_builder_and_degrees():
@@ -333,6 +333,10 @@ def test_parse_errors():
                             ("vertex a\nsemi a colors=1", 2, "expected color=<n>"),
                             ("vertex a\nsemi a color=1,2", 2, "expected color=<n>"),
                             ("vertex a color=", 1, "bad color"),
+                            # int() alone would read these as 10, 3 and 3
+                            ("vertex a color=1_0", 1, "bad color"),
+                            ("vertex a\nsemi a color=+3", 2, "bad color"),
+                            ("vertex a\nvertex b\nedge a b colors=1,\u0663", 3, "bad color"),
                             ("vertex a\n\nedge a b", 3, "undeclared vertex 'b'")):
         with pytest.raises(GraphFormatError) as info:
             parse_graph(text)
@@ -343,3 +347,163 @@ def test_empty_graph_roundtrip():
     g = parse_graph("")
     assert g.n == 0 and g.n_darts == 0
     assert serialize_graph(g) == ""
+
+
+def _structure(g):
+    return g.darts_at, g.links, g.mate, tuple(g.link_kind(l) for l in range(g.n_links))
+
+
+def _structure_reference(g):
+    """darts_at, links, mate and kinds straight from the definitions."""
+    darts = range(len(g.vertex_of))
+    darts_at = tuple(tuple(d for d in darts if g.vertex_of[d] == v) for v in range(g.n))
+    links = tuple(tuple(d for d in darts if g.link_of[d] == l)
+                  for l in range(max(g.link_of, default=-1) + 1))
+    mate = list(darts)
+    for cell in links:
+        mate[cell[0]], mate[cell[-1]] = cell[-1], cell[0]
+    kinds = tuple(SEMI if len(cell) == 1 else
+                  LOOP if g.vertex_of[cell[0]] == g.vertex_of[cell[1]] else EDGE
+                  for cell in links)
+    return darts_at, links, tuple(mate), kinds
+
+
+def test_graph_pairs_links_given_in_any_order():
+    # link ids that are not in dart order: shuffled, shifted by a union,
+    # and renumbered by a subgraph whose vertices and darts are reordered
+    rng = random.Random(29)
+    unordered = 0
+    for _ in range(150):
+        g = random_graph(rng, rng.randrange(1, 7), rng.randrange(0, 12), colors=(0, 1, 2))
+        perm = list(range(g.n_links))
+        rng.shuffle(perm)
+        order = list(range(g.n_darts))
+        rng.shuffle(order)
+        shuffled = Graph(g.n, [g.vertex_of[d] for d in order],
+                         [perm[g.link_of[d]] for d in order],
+                         [g.dart_color[d] for d in order], g.vertex_color, g.names)
+        verts = list(range(g.n))
+        rng.shuffle(verts)
+        sub = _subgraph(g, verts, order)
+        for x in (shuffled, sub, disjoint_union([shuffled, g, sub])):
+            assert _structure(x) == _structure_reference(x), x.link_of
+            unordered += list(x.link_of) != sorted(x.link_of)
+    assert unordered > 200
+
+
+_NAME_CHARS = "abxyz_019-.:/=,\u03b1\u00e9"  # no whitespace and no '#'
+
+
+def _valid_text(rng: random.Random) -> str:
+    """Random graph text with colors, comments, blank lines, tabs and
+    arbitrary names, every line of it valid."""
+    sep = lambda: rng.choice((" ", "  ", "\t", " \t "))
+    color = lambda: rng.choice(("0", "1", "3", "007", "-0", "12"))
+    names: list[str] = []
+    lines = []
+    for _ in range(rng.randrange(0, 25)):
+        roll = rng.random()
+        if not names or roll < 0.25:
+            name = "".join(rng.choice(_NAME_CHARS) for _ in range(rng.randint(1, 5)))
+            if name in names:
+                continue
+            names.append(name)
+            toks = ["vertex", name] + ([f"color={color()}"] if rng.random() < 0.4 else [])
+        elif roll < 0.45 and len(names) >= 2:
+            u, w = rng.sample(names, 2)
+            toks = ["edge", u, w] + ([f"colors={color()},{color()}"] if rng.random() < 0.5 else [])
+        elif roll < 0.6:
+            toks = ["loop", rng.choice(names)] + (
+                [f"colors={color()},{color()}"] if rng.random() < 0.5 else [])
+        elif roll < 0.8:
+            toks = ["semi", rng.choice(names)] + ([f"color={color()}"] if rng.random() < 0.5 else [])
+        else:
+            lines.append(rng.choice(("", "   ", "\t", "# a comment", " \t# edge x y")))
+            continue
+        line = rng.choice(("", " ", "\t")) + sep().join(toks) + rng.choice(("", " ", "\t"))
+        if rng.random() < 0.2:
+            line += rng.choice(("#", " # note", "\t#edge a b"))
+        lines.append(line)
+    return "".join(line + rng.choice(("\n", "\r\n")) for line in lines)
+
+
+def _parsed(parse, text: str):
+    """What parse makes of text: its arrays and names, or its error."""
+    try:
+        g = parse(text)
+    except GraphFormatError as e:
+        return e.line, str(e)
+    return g.n, g.vertex_of, g.link_of, g.dart_color, g.vertex_color, g.names, g.mate
+
+
+def test_parse_matches_builder_reference_on_valid_texts():
+    rng = random.Random(37)
+    links = 0
+    for _ in range(400):
+        text = _valid_text(rng)
+        got = _parsed(parse_graph, text)
+        assert got == _parsed(reference_parse_graph, text), text
+        assert not isinstance(got[1], str), got
+        links += len(set(got[2]))
+    assert links > 2000
+
+
+# Malformed lines after the prelude "vertex a / vertex b color=2": every
+# error in every directive, and lines holding two errors, whose message
+# shows the precedence (the word it must hold, or None).
+_BAD_LINES = [
+    ("flurb a", "unknown directive"), ("Vertex a", "unknown directive"),
+    ("vertex", "vertex takes"), ("vertex c color=1 x", "vertex takes"),
+    ("edge a", "edge takes"), ("edge a b colors=1,2 x", "edge takes"),
+    ("loop", "loop takes"), ("loop a colors=1,1 x", "loop takes"),
+    ("semi", "semi takes"), ("semi a color=1 x", "semi takes"),
+    ("vertex a", "duplicate vertex"), ("vertex b color=1", "duplicate vertex"),
+    ("edge a z", "undeclared vertex 'z'"), ("edge z a", "undeclared vertex 'z'"),
+    ("loop z", "undeclared vertex 'z'"), ("semi z", "undeclared vertex 'z'"),
+    ("vertex c colors=1,2", "expected color=<n>"), ("vertex c color=1,2", "expected color=<n>"),
+    ("edge a b color=1", "expected colors="), ("edge a b colors=1", "expected colors="),
+    ("edge a b colors=1,2,3", "expected colors="), ("loop a color=1", "expected colors="),
+    ("loop a colors=", "expected colors="), ("semi a colors=1", "expected color=<n>"),
+    ("semi a col=1", "expected color=<n>"),
+    ("vertex c color=x", "bad color"), ("vertex c color=+3", "bad color"),
+    ("vertex c color=1_0", "bad color"), ("vertex c color=\u0663", "bad color"),
+    ("edge a b colors=1,x", "bad color"), ("edge a b colors=,1", "bad color"),
+    ("loop a colors=1_0,2", "bad color"), ("semi a color=", "bad color"),
+    ("semi a color=--1", "bad color"), ("semi a color=1.0", "bad color"),
+    ("semi a color=\u00b2", "bad color"), ("loop a colors=-,0", "bad color"),
+    ("edge a a", "coincide"), ("edge b b colors=1,2", "coincide"),
+    ("vertex c color=-1", "negative color -1"), ("semi a color=-2", "negative color -2"),
+    ("edge a b colors=-1,0", "negative color -1"), ("edge a b colors=0,-3", "negative color -3"),
+    ("loop a colors=-1,0", "negative color -1"), ("loop a colors=0,-1", "negative color -1"),
+    # two errors on one line
+    ("edge a z colors=x,1", "undeclared"), ("edge z z colors=-1,-1", "undeclared"),
+    ("loop z colors=-1,0", "undeclared"), ("semi z color=+1", "undeclared"),
+    ("edge a a colors=1_0,1", "bad color"), ("edge a b colors=-1,x", "bad color"),
+    ("semi a color=-1,2", "expected color=<n>"),
+    ("edge a a colors=-1,0", "coincide"), ("edge a b colors=-1,-2", "negative color -1"),
+    ("vertex a color=x", "duplicate vertex"), ("vertex a color=-1", "duplicate vertex"),
+    ("flurb z color=-1", "unknown directive"), ("edge z", "edge takes"),
+]
+
+
+def test_parse_errors_match_builder_reference():
+    rng = random.Random(41)
+    prelude = "vertex a\n\nvertex b color=2\n"
+    for bad, word in _BAD_LINES:
+        for text in (prelude + bad, prelude + bad + "\nsemi a\nflurb", prelude + "\t" + bad + " # x"):
+            got = _parsed(parse_graph, text)
+            assert got == _parsed(reference_parse_graph, text), text
+            assert got[0] == 4 and word in got[1], (text, got)
+    # random lines over the same tokens, valid or not, after the prelude
+    pool = ["a", "b", "z", "color=1", "color=-1", "color=x", "colors=1,2", "colors=-1,0",
+            "colors=0,-2", "colors=1", "color=+2", "colors=1_0,1", "x#y"]
+    errors = 0
+    for _ in range(3000):
+        kw = rng.choice(("vertex", "edge", "loop", "semi", "semi", "flurb"))
+        lines = [kw + " " + " ".join(rng.choices(pool, k=rng.randrange(0, 4)))
+                 for _ in range(rng.randint(1, 3))]
+        text = prelude + "\n".join(lines)
+        got = _parsed(parse_graph, text)
+        assert got == _parsed(reference_parse_graph, text), text
+        errors += isinstance(got[1], str)
+    assert 1500 < errors < 3000

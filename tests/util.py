@@ -10,9 +10,9 @@ import random
 from functools import cache
 from itertools import permutations, product
 
-from semicover.cover import DartMapping
-from semicover.graph import (EDGE, LOOP, SEMI, Graph, GraphBuilder, components,
-                             type_signature)
+from semicover.cover import CoverViolation, DartMapping
+from semicover.graph import (EDGE, LOOP, SEMI, Graph, GraphBuilder, GraphFormatError,
+                             _colors, components, type_signature)
 
 
 def random_graph(rng: random.Random, n: int, m: int, colors=(0,),
@@ -544,3 +544,117 @@ def recursive_search(g: Graph, h: Graph) -> DartMapping | None:
         return False
 
     return DartMapping(tuple(fd), tuple(fv)) if solve(0, 0) else None
+
+
+# The parser that made one GraphBuilder call per line and left the graph
+# rules to the builder, kept as the reference for semicover.graph.parse_graph.
+def reference_parse_graph(text: str) -> Graph:
+    """Parse the line-based graph format through GraphBuilder."""
+    b = GraphBuilder()
+    ids: dict[str, int] = {}
+    try:
+        for ln, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            toks = line.split()
+            kw, args = toks[0], toks[1:]
+            if kw == "vertex":
+                if not args or len(args) > 2:
+                    raise ValueError("vertex takes an id and an optional color")
+                if args[0] in ids:
+                    raise ValueError(f"duplicate vertex {args[0]!r}")
+                c = _colors(args[1], 1)[0] if len(args) == 2 else 0
+                ids[args[0]] = b.add_vertex(c, args[0])
+            elif kw == "edge":
+                if len(args) not in (2, 3):
+                    raise ValueError("edge takes two vertices and optional colors")
+                b.add_edge(ids[args[0]], ids[args[1]],
+                           _colors(args[2], 2) if len(args) == 3 else (0, 0))
+            elif kw == "loop":
+                if len(args) not in (1, 2):
+                    raise ValueError("loop takes one vertex and optional colors")
+                b.add_loop(ids[args[0]], _colors(args[1], 2) if len(args) == 2 else (0, 0))
+            elif kw == "semi":
+                if len(args) not in (1, 2):
+                    raise ValueError("semi takes one vertex and an optional color")
+                b.add_semi(ids[args[0]], _colors(args[1], 1)[0] if len(args) == 2 else 0)
+            else:
+                raise ValueError(f"unknown directive {kw!r}")
+    except KeyError as e:  # ids[...] of an undeclared vertex
+        raise GraphFormatError(ln, f"reference to undeclared vertex {e.args[0]!r}") from None
+    except ValueError as e:
+        raise GraphFormatError(ln, str(e)) from None
+    return b.build()
+
+
+# verify_cover as it read every property and array through g, h and f in
+# its loops, kept as the reference for semicover.cover.verify_cover.
+def reference_verify_cover(g: Graph, h: Graph, f: DartMapping, *,
+                           require_surjective: bool = False,
+                           check_fibers: bool = False) -> list[CoverViolation]:
+    """All violations of f as a covering projection from g to h."""
+    from semicover.cover import _fiber_violations
+
+    out: list[CoverViolation] = []
+    if len(f.dart_map) != g.n_darts or len(f.vertex_map) != g.n:
+        return [CoverViolation("shape", "mapping arity does not match the graphs")]
+    for d, e in enumerate(f.dart_map):
+        if not 0 <= e < h.n_darts:
+            return [CoverViolation("shape", f"dart {d} maps outside the target ({e})")]
+    for u, w in enumerate(f.vertex_map):
+        if not 0 <= w < h.n:
+            return [CoverViolation("shape", f"vertex {u} maps outside the target ({w})")]
+
+    for u in range(g.n):
+        w = f.vertex_map[u]
+        images = [f.dart_map[d] for d in g.darts_at[u]]
+        for d, e in zip(g.darts_at[u], images):
+            if h.vertex_of[e] != w:
+                out.append(CoverViolation(
+                    "not-local-bijection",
+                    f"dart {d} at vertex {u} maps to dart {e} away from image vertex {w}"))
+        if len(set(images)) != len(images):
+            out.append(CoverViolation(
+                "not-local-bijection", f"dart images at vertex {u} repeat"))
+        elif len(images) != h.degree(w):
+            out.append(CoverViolation(
+                "not-local-bijection",
+                f"vertex {u} has {len(images)} darts, image {w} has {h.degree(w)}"))
+        if g.vertex_color[u] != h.vertex_color[w]:
+            out.append(CoverViolation(
+                "vertex-color-mismatch", f"vertex {u} color differs from image {w}"))
+
+    for d in range(g.n_darts):
+        if g.dart_color[d] != h.dart_color[f.dart_map[d]]:
+            out.append(CoverViolation("color-mismatch", f"dart {d} changes color"))
+
+    for l in range(g.n_links):
+        cell = g.links[l]
+        imgs = [f.dart_map[d] for d in cell]
+        if len(cell) == 1:
+            if len(h.links[h.link_of[imgs[0]]]) != 1:
+                out.append(CoverViolation(
+                    "link-broken", f"semi-edge {l} maps to a non-semi link"))
+        else:
+            a, b = imgs
+            if a == b:
+                if len(h.links[h.link_of[a]]) != 1:
+                    out.append(CoverViolation(
+                        "link-broken", f"link {l} collapses onto a non-semi dart"))
+                elif g.link_kind(l) == LOOP:
+                    out.append(CoverViolation(
+                        "link-broken", f"loop {l} collapses onto a semi-edge"))
+            elif h.link_of[a] != h.link_of[b]:
+                out.append(CoverViolation(
+                    "link-broken", f"link {l} maps across two target links"))
+
+    if require_surjective:
+        if set(f.dart_map) != set(range(h.n_darts)):
+            out.append(CoverViolation("not-surjective", "some target dart is not hit"))
+        if set(f.vertex_map) != set(range(h.n)):
+            out.append(CoverViolation("not-surjective", "some target vertex is not hit"))
+
+    if check_fibers and not out:
+        out.extend(_fiber_violations(g, h, f))
+    return out
