@@ -1,5 +1,5 @@
 """The P/NP-complete table for connected targets on at most two vertices,
-and the polynomial-time decider it drives.
+and the decider it drives.
 
 A link's color class is the pair (lower dart color, higher dart color),
 read by _buckets; a semi-edge of color c is in (c, c), and a class is
@@ -10,22 +10,21 @@ per piece: verdict, the rule that fired and the method tag.  A one-vertex
 piece is F(b,c); on two vertices that agree in color and type signature
 a class is W(k,m,l,p,q), WD(m,l,m) or a pair of one-vertex pieces.
 dichotomy.classify reads the rows; decide_colored hands a target whose
-rows are all P to the decider with its buckets, a target whose NP rows
-are all tagged "side-search" to the side search, and the rest to exact
-search.
+rows are each P or tagged "side-search" to the decider with its
+buckets, and the rest to exact search.
 
 The decider only finds the side, the target vertex of each source
 vertex: type signatures fix it, or _choose_sides applies one
-crossing-count rule per dart type.  The rules make a 2-SAT instance with
-only parity clauses (two sides equal, or differ) and unit clauses, which
-one BFS per component solves (_parity_solve).  _map_sides buckets the
-source under any such vertex map and maps each bucket onto the target's
-of the same key.
-On two vertices that agree, a W or WD class is NP-complete through the
-side choice alone when its stay buckets are polynomial one-vertex
-pieces; its row is then tagged "side-search", and
-decide_two_vertex_side_search branches on the sides under the same
-crossing-count rule (_dart_types) and calls _map_sides at each leaf.
+crossing-count rule per dart type (_dart_types).  On a target whose rows
+are all P the rules make a 2-SAT instance with only parity clauses (two
+sides equal, or differ) and unit clauses, which one BFS per component
+solves (graph._parity_solve).  On two vertices that agree, a W or WD
+class is NP-complete through the side choice alone when its stay
+buckets are polynomial one-vertex pieces; its row is then tagged
+"side-search", some of its dart types count crossings beyond parity,
+and _choose_sides searches the sides under the same clauses and counts.
+_map_sides buckets the source under any such vertex map and maps each
+bucket onto the target's of the same key.
 Each regular bipartite piece (directed loops at a vertex, links between
 two vertices) goes through one König routine, _konig_onto, which sends
 perfect matching t onto the t-th target link; the oriented 2-factors of
@@ -35,26 +34,26 @@ F(b,c) go onto its loops the same way (_onto).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 from .cover import DartMapping, _check_budget, verify_cover
-from .graph import EDGE, Graph, _subgraph, components, type_signature
+from .graph import EDGE, Graph, _parity_solve, _subgraph, components, type_signature
 from .matching import exact_link_cover, konig_split, two_factor_orientations
 
 _TAG_RANK = {"regularity": 0, "matching": 1, "2-factor": 2,
-             "bipartite-decomposition": 3, "2-SAT": 4,
-             "brute-force-fallback": 5}
+             "bipartite-decomposition": 3, "2-SAT": 4, "side-search": 5}
 
 
 @dataclass(frozen=True)
 class Verdict:
     """A decider's answer.
 
-    method names the algorithm behind the answer.  A no is tagged
-    "regularity" when the type signatures alone rule the cover out;
-    any other no of a polynomial decider carries its case's tag, the
-    highest method among the target's rows.
+    method names the algorithm behind the answer: the highest method
+    among the target's rows.  A no is tagged "regularity" when the type
+    signatures alone rule the cover out, except on a target with a
+    "side-search" row, where every answer, yes or no, is tagged
+    "side-search".  reason says which side constraint refuted a no of
+    the decider, when one did.
     """
     answer: bool
     method: str
@@ -264,22 +263,11 @@ def _decide_f(g: Graph, cells: list[tuple[int, ...]]) -> dict[int, int] | None:
 
     # b == 2, c == 0: 2-color the darts so that link mates agree and the
     # two darts at a vertex differ; the two darts of a loop do both.
-    val: dict[int, int] = {}
-    for start in range(g.n_darts):
-        if start in val:
-            continue
-        val[start] = 0
-        stack = [start]
-        while stack:
-            d = stack.pop()
-            for x, want in ((g.mate[d], val[d]),
-                            (sum(g.darts_at[g.vertex_of[d]]) - d, 1 - val[d])):
-                if x not in val:
-                    val[x] = want
-                    stack.append(x)
-                elif val[x] != want:
-                    return None
-    return {d: semis[v] for d, v in val.items()}
+    sibling = [0] * g.n_darts
+    for d, e in g.darts_at:
+        sibling[d], sibling[e] = e, d
+    val = _parity_solve([[(m, 0), (sibling[d], 1)] for d, m in enumerate(g.mate)], [])
+    return None if val is None else {d: semis[v] for d, v in enumerate(val)}
 
 
 # ------------------------------------------------ darts, once sides are fixed
@@ -325,7 +313,7 @@ def _map_sides(g: Graph, buckets: _Buckets, side: Sequence[int]) -> dict[int, in
     return out
 
 
-# ------------------------------------------------ the sides, by parity
+# ------------------------------------------------------------ the sides
 
 class _Refuted(Exception):
     """No choice of sides lets every color class map; the message says why."""
@@ -342,64 +330,52 @@ def _dart_types(h: Graph) -> dict[tuple[int, int], tuple[int, int]]:
     return types
 
 
-def _parity_solve(adj: list[list[tuple[int, int]]],
-                  units: list[tuple[int, int]]) -> list[int] | None:
-    """Sides 0/1 of the vertices of adj, or None when none fit.
-
-    adj[u] lists (w, p) for side(u) ^ side(w) = p, each constraint from
-    both ends; units are (v, s) for side(v) = s.  This is 2-SAT with only
-    parity and unit clauses, so one BFS per component of adj solves it:
-    from its first unit if it has one, else from its lowest vertex at
-    side 0.  An odd cycle, or a unit that disagrees, has no solution.
-    """
-    side = [-1] * len(adj)
-    for r, s in chain(units, ((v, 0) for v in range(len(adj)))):
-        if side[r] >= 0:
-            continue
-        side[r] = s
-        queue = [r]
-        for u in queue:
-            su = side[u]
-            for w, p in adj[u]:
-                if side[w] < 0:
-                    side[w] = su ^ p
-                    queue.append(w)
-                elif side[w] != su ^ p:
-                    return None
-    if any(side[v] != s for v, s in units):
-        return None
-    return side
-
-
-def _choose_sides(g: Graph, h: Graph, buckets: _Buckets) -> list[int]:
-    """The side of every g vertex, or raise _Refuted; h has two vertices
-    of every g vertex's type signature.
+def _choose_sides(g: Graph, h: Graph, buckets: _Buckets,
+                  ) -> tuple[list[int], dict[int, int] | None]:
+    """The side of every g vertex and g's darts mapped under them, the map
+    None when no sides let every component map; or raise _Refuted.  h has
+    two vertices of every g vertex's type signature.
 
     Of the D darts of a dart type (dart color, mate color) at target
     vertex 0, X lie on bars, so exactly X of the D darts of that type at a
-    g vertex lie on crossing links.  The table lets a type through when
-    X = 0 (an edge keeps its ends on one side), X = D (every link is an
-    edge whose ends differ) or D = 2 (the far ends of the two darts
-    differ, a link that cannot cross counting as the vertex itself).
-    Each component of a monochromatic class without bars must also cover
-    the class's stay bucket at its side, solved once per distinct bucket;
-    one that covers a single side is a unit.  These constraints are
-    necessary and sufficient for every class to map, and _parity_solve
-    solves them.
+    g vertex lie on crossing links.  A type with X = 0 (an edge keeps its
+    ends on one side), X = D (every link is an edge whose ends differ) or
+    D = 2 (the far ends of the two darts differ, a link that cannot cross
+    counting as the vertex itself) gives parity edges.  Each component of
+    a monochromatic class without bars must also cover the class's stay
+    bucket at its side, solved once per distinct bucket; one that covers
+    a single side is a unit.  When the rows are all P every type is of
+    these kinds, the constraints are necessary and sufficient for every
+    class to map, and _parity_solve solves them.
+
+    Any other type (0 < X < D, D > 2) is a counting rule, and the sides
+    are searched: component by component in BFS order, over an explicit
+    stack of choice points, side 0 before side 1.  The units are set
+    first.  Every assignment propagates the parity edges, and the
+    counting rules at the vertex and at each neighbour: once a count is
+    met, the free far ends of the type are forced.  At a
+    component's leaf _map_sides maps its darts; a component that maps is
+    final, and one with no valid sides answers no.
     """
     types = _dart_types(h)
+    counting = [(t, x) for t, (dd, x) in types.items() if dd > 2 and 0 < x < dd]
     c, mate, vertex_of = g.dart_color, g.mate, g.vertex_of
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    # per vertex: (crossings wanted, stays allowed, far ends) of each counting type
+    rules: list[list[tuple[int, int, list[int]]]] = []
     # far end of the first dart of a D = 2 type at u; empty again after
     # each vertex, since such a type has two darts at every vertex
     first: dict[tuple[int, int], int] = {}
     for u, darts in enumerate(g.darts_at):
+        far: dict[tuple[int, int], list[int]] = {}
         for d in darts:
             dd, x = types[t := (c[d], c[mate[d]])]
             w = vertex_of[mate[d]]
             if 0 < x < dd:
-                a = first.pop(t, None)
-                if a is None:
+                if dd > 2:
+                    if w != u:
+                        far.setdefault(t, []).append(w)
+                elif (a := first.pop(t, None)) is None:
                     first[t] = w
                 elif a == w == u:
                     raise _Refuted("no link at a vertex can cross")
@@ -412,6 +388,12 @@ def _choose_sides(g: Graph, h: Graph, buckets: _Buckets) -> list[int]:
                 adj[u].append((w, x == dd))
             elif x:
                 raise _Refuted("a link of a bars-only class does not cross")
+        rules.append([])
+        for t, x in counting:
+            ws = far.get(t, [])
+            if len(ws) < x:
+                raise _Refuted("semi-edges and loops cannot cross")
+            rules[u].append((x, len(ws) - x, ws))
     stay, cross = buckets
     units: list[tuple[int, int]] = []
     for (cls, s), cells in stay.items():
@@ -428,92 +410,20 @@ def _choose_sides(g: Graph, h: Graph, buckets: _Buckets) -> list[int]:
                 raise _Refuted("class component covers neither side")
             if ok0 != ok1:
                 units.append((comp.vertex_ids[0], int(ok1)))
-    side = _parity_solve(adj, units)
-    if side is None:
-        raise _Refuted("2-SAT unsatisfiable")
-    return side
-
-
-def _decide(g: Graph, h: Graph, buckets: _Buckets, rows: list[Row]) -> Verdict:
-    """Cover g onto a target on one or two vertices whose rows are all P.
-
-    A g vertex may only map onto a target vertex of its type signature.
-    When the signatures tell h's vertices apart that fixes the sides;
-    otherwise _choose_sides chooses them by parity propagation.  A no
-    from it carries the reason that refuted the sides.  _map_sides then
-    maps the darts; the method is the highest tag among the rows, "2-SAT"
-    on two vertices that agree.
-    """
-    if g.n == 0:
-        return _stitched(g, h, {}, [], "regularity")
-    sides = {type_signature(h, s): s for s in range(h.n)}
-    # type_signature of each g vertex, from one (dart color, mate color) list
-    c, vertex_color = g.dart_color, g.vertex_color
-    types = list(zip(c, map(c.__getitem__, g.mate)))
-    side = []
-    for u, darts in enumerate(g.darts_at):  # stop at the first vertex no target vertex matches
-        side.append(sides.get((vertex_color[u], tuple(sorted(map(types.__getitem__, darts))))))
-        if side[-1] is None:
-            return Verdict(False, "regularity")
-    method = max((r.method for r in rows), key=_TAG_RANK.__getitem__, default="regularity")
-    forced = len(sides) == h.n
-    if not forced:
-        try:
-            side = _choose_sides(g, h, buckets)
-        except _Refuted as no:
-            return Verdict(False, method, reason=str(no))
-    dart_map = _map_sides(g, buckets, side)
-    if dart_map is None:
-        if not forced:
+    if not counting:
+        side = _parity_solve(adj, units)
+        if side is None:
+            raise _Refuted("2-SAT unsatisfiable")
+        dart_map = _map_sides(g, buckets, side)
+        if dart_map is None:
             raise RuntimeError("satisfying assignment failed witness expansion")
-        return Verdict(False, method)
-    return _stitched(g, h, dart_map, side, method)
+        return side, dart_map
 
-
-# ------------------------------------------------------ the sides, by search
-
-def decide_two_vertex_side_search(g: Graph, h: Graph, buckets: _Buckets, *,
-                                  budget: int | None = None) -> Verdict:
-    """Cover g onto a two-vertex target whose type signatures agree, some
-    row is NP-complete and every stay bucket is a polynomial one-vertex
-    piece: exact search over the sides alone, tagged "side-search".
-
-    Each source vertex gets a side, component by component in BFS order,
-    over an explicit stack of choice points.  Every assignment propagates
-    the crossing-count rule of _dart_types (exactly X of the D darts of a
-    type at a vertex lie on crossing links) at the vertex and at each
-    assigned neighbour: once a count is met, the free far ends of the
-    type are forced.  At a component's leaf _map_sides maps its darts; a
-    component that maps is final, and one with no valid sides answers no.
-    The budget bounds g's dart count as in find_cover (_check_budget).
-    """
-    _check_budget(g, budget)
-    no = Verdict(False, "side-search")
-    sig = type_signature(h, 0)
-    if any(type_signature(g, u) != sig for u in range(g.n)):
-        return no
-    c = g.dart_color
-    far: list[dict[tuple[int, int], list[int]]] = [{} for _ in range(g.n)]
-    for d in range(g.n_darts):  # far ends of the edges at each vertex, by dart type
-        u, w = g.vertex_of[d], g.vertex_of[g.mate[d]]
-        if u != w:
-            far[u].setdefault((c[d], c[g.mate[d]]), []).append(w)
-    types = _dart_types(h)
-    rules = []  # per vertex: (crossings wanted, stays allowed, far ends) of each type
-    for ends in far:
-        rule = []
-        for t, (_, x) in types.items():
-            ws = ends.get(t, [])
-            if len(ws) < x:
-                return no  # semi-edges and loops cannot cross
-            if ws:
-                rule.append((x, len(ws) - x, ws))
-        rules.append(rule)
-    nbrs = [sorted({w for ws in ends.values() for w in ws}) for ends in far]
-
+    nbrs = [sorted({w for d in darts if (w := vertex_of[mate[d]]) != u})
+            for u, darts in enumerate(g.darts_at)]
     side = [-1] * g.n
     trail: list[int] = []   # vertices in the order they got a side
-    queue: list[int] = []   # of those, the ones whose neighbours are not yet rechecked
+    queue: list[int] = []   # of those, the ones not yet propagated
 
     def settle(v: int, s: int) -> None:
         side[v] = s
@@ -539,12 +449,24 @@ def decide_two_vertex_side_search(g: Graph, h: Graph, buckets: _Buckets, *,
     def propagate() -> bool:
         while queue:
             v = queue.pop()
+            s = side[v]
+            for w, p in adj[v]:
+                if side[w] < 0:
+                    settle(w, s ^ p)
+                elif side[w] != s ^ p:
+                    queue.clear()
+                    return False
             for x in (v, *nbrs[v]):
                 if side[x] >= 0 and not counts_hold(x):
                     queue.clear()
                     return False
         return True
 
+    for v, s in units:
+        if side[v] < 0:
+            settle(v, s)
+        if side[v] != s or not propagate():
+            return side, None
     dart_map: dict[int, int] = {}
     for comp in components(g):
         order = [comp.vertex_ids[0]]
@@ -554,7 +476,7 @@ def decide_two_vertex_side_search(g: Graph, h: Graph, buckets: _Buckets, *,
                 if w not in seen:
                     seen.add(w)
                     order.append(w)
-        trail.clear()       # the finished components are final
+        trail.clear()       # the units and the finished components are final
         stack: list[tuple[int, Iterator[int], int]] = []  # (position, untried sides, trail len)
         pos = 0
         while True:
@@ -580,8 +502,50 @@ def decide_two_vertex_side_search(g: Graph, h: Graph, buckets: _Buckets, *,
                     if propagate():
                         break
             else:
-                return no
-    return _stitched(g, h, dart_map, side, "side-search")
+                return side, None
+    return side, dart_map
+
+
+def _decide(g: Graph, h: Graph, buckets: _Buckets, rows: list[Row], *,
+            budget: int | None = None) -> Verdict:
+    """Cover g onto a target on one or two vertices whose rows are each P
+    or tagged "side-search".
+
+    A g vertex may only map onto a target vertex of its type signature.
+    When the signatures tell h's vertices apart that fixes the sides, and
+    _map_sides maps the darts; otherwise _choose_sides chooses the sides
+    and maps the darts, and a no from one of its refutations carries the
+    reason.  The method is the highest tag among the rows: "2-SAT" on two
+    vertices that agree, "side-search" when a row is NP-complete.  Then
+    every answer is tagged "side-search", and the budget bounds g's dart
+    count as in find_cover (_check_budget) before any other work.
+    """
+    method = max((r.method for r in rows), key=_TAG_RANK.__getitem__, default="regularity")
+    searched = method == "side-search"
+    if searched:
+        _check_budget(g, budget)
+    plain = method if searched else "regularity"  # the tag when type signatures decide
+    if g.n == 0:
+        return _stitched(g, h, {}, [], plain)
+    sides = {type_signature(h, s): s for s in range(h.n)}
+    # type_signature of each g vertex, from one (dart color, mate color) list
+    c, vertex_color = g.dart_color, g.vertex_color
+    types = list(zip(c, map(c.__getitem__, g.mate)))
+    side = []
+    for u, darts in enumerate(g.darts_at):  # stop at the first vertex no target vertex matches
+        side.append(sides.get((vertex_color[u], tuple(sorted(map(types.__getitem__, darts))))))
+        if side[-1] is None:
+            return Verdict(False, plain)
+    if len(sides) == h.n:
+        dart_map = _map_sides(g, buckets, side)
+    else:
+        try:
+            side, dart_map = _choose_sides(g, h, buckets)
+        except _Refuted as no:
+            return Verdict(False, method, reason=str(no))
+    if dart_map is None:
+        return Verdict(False, method)
+    return _stitched(g, h, dart_map, side, method)
 
 
 # decide_colored calls the decider by case under these names, which perfbench times apart
@@ -598,6 +562,6 @@ def decide_two_vertex_nonregular(g: Graph, h: Graph, buckets: _Buckets,
 
 
 def decide_two_vertex_regular_2sat(g: Graph, h: Graph, buckets: _Buckets,
-                                   rows: list[Row]) -> Verdict:
+                                   rows: list[Row], *, budget: int | None = None) -> Verdict:
     """Cover g onto a two-vertex target whose type signatures agree."""
-    return _decide(g, h, buckets, rows)
+    return _decide(g, h, buckets, rows, budget=budget)

@@ -6,9 +6,9 @@ over its color classes.  The case split lives in one place,
 deciders.dichotomy_table, which gives each piece a verdict, a rule and a
 decider.  classify reads that table and adds one header rule per case.
 decide_colored is the one place that picks an algorithm for a connected
-target: the polynomial decider of the case, handed the rows it has
-already read, the side search when only the choice of sides is hard, or
-bounded exact search for every other target.
+target: the decider of the case, handed the rows it has already read,
+which searches the sides when only their choice is hard, or bounded
+exact search for every other target.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from .cover import find_cover
 from .deciders import (Verdict, decide_colored_one_vertex,
                        decide_two_vertex_nonregular,
-                       decide_two_vertex_regular_2sat,
-                       decide_two_vertex_side_search, dichotomy_table)
+                       decide_two_vertex_regular_2sat, dichotomy_table)
 from .graph import Graph, is_connected
 
 
@@ -70,27 +69,24 @@ def classify(h: Graph) -> Classification:
 def decide_colored(g: Graph, h: Graph, *, budget: int | None = None) -> Verdict:
     """Cover g onto the connected target h.
 
-    A target on one or two vertices whose dichotomy_table rows are all P
-    goes to the decider of its case with those rows: one vertex, a forced
-    vertex map (a last row with key None) or 2-SAT.  A two-vertex target
-    whose NP-complete rows are all tagged "side-search" (only _pair_row
-    tags them so) goes to the side search, which branches on the sides
-    and maps the darts in polynomial time at each leaf.  Every other
-    target, the empty one included, falls back to exact search.  Both
-    searches honour the dart budget.  A disconnected target raises
-    ValueError.
+    A target on one or two vertices whose dichotomy_table rows are each
+    P or tagged "side-search" goes to the decider of its case with those
+    rows: one vertex, a forced vertex map (a last row with key None) or
+    two vertices that agree.  Only _pair_row tags a row "side-search";
+    then the decider branches on the sides and maps the darts in
+    polynomial time at each leaf.  Every other target, the empty one
+    included, falls back to exact search.  Both searches honour the dart
+    budget.  A disconnected target raises ValueError.
     """
     if h.n == 2 and not is_connected(h):
         raise OutOfScope("disconnected target")
     if h.n in (1, 2):
         buckets, rows = dichotomy_table(h)
-        if all(r.verdict == "P" for r in rows):
+        if all(r.verdict == "P" or r.method == "side-search" for r in rows):
             if h.n == 1:
                 return decide_colored_one_vertex(g, h, buckets, rows)
             if rows[-1].key is None:
                 return decide_two_vertex_nonregular(g, h, buckets, rows)
-            return decide_two_vertex_regular_2sat(g, h, buckets, rows)
-        if all(r.method == "side-search" for r in rows if r.verdict != "P"):
-            return decide_two_vertex_side_search(g, h, buckets, budget=budget)
+            return decide_two_vertex_regular_2sat(g, h, buckets, rows, budget=budget)
     f = find_cover(g, h, budget=budget)
     return Verdict(f is not None, "brute-force-fallback", f)

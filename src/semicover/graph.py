@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 SEMI = "semi"
@@ -214,26 +215,39 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_bipartite(g: Graph) -> bool:
-    """2-colorability of the edge structure; any loop or semi-edge fails."""
-    for l in range(g.n_links):
-        if g.link_kind(l) != EDGE:
-            return False
-    side = [-1] * g.n
-    for start in range(g.n):
-        if side[start] != -1:
+    """2-colorability of the edge structure; any loop or semi-edge fails,
+    since it joins a vertex to itself."""
+    return _parity_solve([[(g.vertex_of[g.mate[d]], 1) for d in darts]
+                          for darts in g.darts_at], []) is not None
+
+
+def _parity_solve(adj: list[list[tuple[int, int]]],
+                  units: list[tuple[int, int]]) -> list[int] | None:
+    """Sides 0/1 of the vertices of adj, or None when none fit.
+
+    adj[u] lists (w, p) for side(u) ^ side(w) = p, each constraint from
+    both ends; units are (v, s) for side(v) = s.  This is 2-SAT with only
+    parity and unit clauses, so one BFS per component of adj solves it:
+    from its first unit if it has one, else from its lowest vertex at
+    side 0.  An odd cycle, or a unit that disagrees, has no solution.
+    """
+    side = [-1] * len(adj)
+    for r, s in chain(units, ((v, 0) for v in range(len(adj)))):
+        if side[r] >= 0:
             continue
-        side[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for d in g.darts_at[u]:
-                w = g.vertex_of[g.mate[d]]
-                if side[w] == -1:
-                    side[w] = 1 - side[u]
-                    stack.append(w)
-                elif side[w] == side[u]:
-                    return False
-    return True
+        side[r] = s
+        queue = [r]
+        for u in queue:
+            su = side[u]
+            for w, p in adj[u]:
+                if side[w] < 0:
+                    side[w] = su ^ p
+                    queue.append(w)
+                elif side[w] != su ^ p:
+                    return None
+    if any(side[v] != s for v, s in units):
+        return None
+    return side
 
 
 @dataclass(frozen=True)

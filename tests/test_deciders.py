@@ -14,7 +14,8 @@ from semicover.graph import (LOOP, GraphBuilder, components, disjoint_union,
 from semicover.matching import exact_link_cover
 from semicover.twosat import lit, neg, two_sat_solve
 from test_dichotomy import barred_pair, small_targets
-from util import assert_cover_ok, connected_multigraphs, perturb, random_graph, random_lift
+from util import (assert_cover_ok, connected_multigraphs, perturb, random_graph, random_lift,
+                  reference_f20_darts)
 
 METHODS = {"regularity", "matching", "2-factor", "bipartite-decomposition",
            "2-SAT", "brute-force-fallback", "side-search"}
@@ -347,7 +348,7 @@ def test_parity_solve_matches_two_sat():
     for _ in range(1500):
         n = rng.randrange(1, 10)
         adj, units, clauses = _parity_system(rng, n)
-        side = deciders._parity_solve(adj, units)
+        side = graph._parity_solve(adj, units)
         assert (side is None) == (two_sat_solve(n, clauses) is None), (adj, units)
         if side is not None:
             solved += 1
@@ -634,6 +635,115 @@ def test_side_search_answers_large_lifts_at_once():
     v = decide_colored(g, h)
     assert v.answer and v.method == "side-search"
     assert_cover_ok(g, h, v.witness, check_fibers=True)
+
+
+def _unit_target():
+    """W(1,1,1,1,1) in color 0 beside F(2,0) at vertex 0 and F(0,1) at
+    vertex 1 in color 1: a class without bars next to an NP-complete one."""
+    b = GraphBuilder()
+    b.add_vertex()
+    b.add_vertex()
+    b.add_edge(0, 1)
+    for v in (0, 1):
+        b.add_semi(v)
+        b.add_loop(v)
+    b.add_semi(0, color=1)
+    b.add_semi(0, color=1)
+    b.add_loop(1, colors=(1, 1))
+    return b.build()
+
+
+def _one_sided(g):
+    """The color-1 components of g that cover F(2,0) or F(0,1) but not
+    both: a path between two semi-edges, or an odd cycle (a loop too)."""
+    sub, _ = graph.induced_link_subgraph(g, frozenset({1}))
+    count = 0
+    for comp in components(sub):
+        c = comp.graph
+        if any(c.degree(v) != 2 for v in range(c.n)):
+            continue
+        semis = sum(c.link_kind(l) == graph.SEMI for l in range(c.n_links))
+        count += semis == 2 or (semis == 0 and c.n % 2 == 1)
+    return count
+
+
+def test_side_search_propagates_units():
+    """On a side-search target with a color class that has no bars, each
+    component of that class covering one side only is a unit that the
+    search sets before it branches.  The answers equal find_cover's on
+    seeded lifts (k <= 4), on lifts with a link rewired and on lifts with
+    two far ends swapped (_switch); every answer is tagged "side-search"
+    and every yes passes verify_cover with its fibres checked."""
+    h = _unit_target()
+    rows = deciders.dichotomy_table(h)[1]
+    assert [r.verdict for r in rows] == ["NP-complete", "P"] and rows[0].method == "side-search"
+    rng = random.Random(103)
+    cases = yes = units = 0
+    for _ in range(12):
+        for k in (1, 2, 3, 4):
+            lift = random_lift(h, k, rng)
+            for g in (lift, perturb(lift, rng), _switch(lift, rng)):
+                v = decide_colored(g, h)
+                assert v.method == "side-search", g.links
+                assert v.answer == (find_cover(g, h) is not None), g.links
+                if v.answer:
+                    assert_cover_ok(g, h, v.witness, check_fibers=True)
+                    yes += 1
+                cases += 1
+                units += _one_sided(g)
+    assert 60 < yes < cases and units > 100
+    for k in (8, 64, 200):
+        lift = random_lift(h, k, random.Random(k))
+        for g in (lift, _switch(lift, random.Random(k))):
+            t0 = time.monotonic()
+            v = decide_colored(g, h)
+            assert time.monotonic() - t0 < 1.0, k
+            assert v.method == "side-search" and (v.answer or g is not lift)
+            if v.answer:
+                assert_cover_ok(g, h, v.witness, check_fibers=True)
+
+
+def _two_regular_piece(rng):
+    """A 2-regular graph of a few components, its vertex ids shuffled:
+    cycles (a loop, two parallel edges, longer) and paths between two
+    semi-edges (one vertex with two semi-edges, longer)."""
+    comps = [rng.randrange(1, 6) for _ in range(rng.randrange(1, 5))]
+    ids = rng.sample(range(sum(comps)), sum(comps))
+    b = GraphBuilder()
+    for _ in ids:
+        b.add_vertex()
+    at = 0
+    for size in comps:
+        vs = ids[at:at + size]
+        at += size
+        if rng.random() < 0.5:
+            if size == 1:
+                b.add_loop(vs[0])
+            else:
+                for i, u in enumerate(vs):
+                    b.add_edge(u, vs[(i + 1) % size])
+        else:
+            b.add_semi(vs[0])
+            for u, w in zip(vs, vs[1:]):
+                b.add_edge(u, w)
+            b.add_semi(vs[-1])
+    return b.build()
+
+
+def test_f20_darts_match_the_reference_coloring():
+    """The F(2,0) branch of _decide_f, a call of _parity_solve, gives the
+    same dart map as the dart 2-coloring it replaced, or None with it, on
+    seeded 2-regular pieces with loops, semi-edges and several components."""
+    cells = deciders.dichotomy_table(build_F(2, 0))[0][0][(0, 0), 0]
+    semis = deciders._semis_loops(cells)[0]
+    rng = random.Random(104)
+    found = 0
+    for _ in range(400):
+        g = _two_regular_piece(rng)
+        want = reference_f20_darts(g, semis)
+        assert deciders._decide_f(g, cells) == want, g.links
+        found += want is not None
+    assert 100 < found < 300
 
 
 # ------------------------------------------------------ perfect matching

@@ -12,7 +12,7 @@ from semicover.graph import (EDGE, LOOP, SEMI, Graph, GraphBuilder, GraphFormatE
                              induced_link_subgraph, induced_vertex_subgraph,
                              is_bipartite, is_connected, is_regular, is_simple,
                              parse_graph, serialize_graph, type_signature)
-from util import random_graph, random_lift, reference_parse_graph
+from util import random_graph, random_lift, reference_is_bipartite, reference_parse_graph
 
 
 def test_builder_and_degrees():
@@ -177,6 +177,48 @@ def test_signatures_agree_with_colorset_reference():
     for new, ref in sigs:
         for new2, ref2 in sigs:
             assert (new == new2) == (ref == ref2)
+
+
+def _planted_bipartite(rng, n):
+    """Edges across a random split of n vertices, parallel ones included,
+    and at times one more link: a loop, a semi-edge or an edge that may
+    lie inside a side."""
+    split = [rng.randrange(2) for _ in range(n)]
+    gb = GraphBuilder()
+    for _ in range(n):
+        gb.add_vertex()
+    for _ in range(rng.randrange(2 * n)):
+        u, w = rng.randrange(n), rng.randrange(n)
+        if split[u] != split[w]:
+            gb.add_edge(u, w)
+    extra, v = rng.randrange(4), rng.randrange(n)
+    if extra == 1:
+        gb.add_loop(v)
+    elif extra == 2:
+        gb.add_semi(v)
+    elif extra == 3 and (w := rng.randrange(n)) != v:
+        gb.add_edge(v, w)
+    return gb.build()
+
+
+def test_is_bipartite_matches_the_bfs_reference():
+    """is_bipartite answers as the BFS 2-coloring it replaced, on seeded
+    multigraphs with loops, semi-edges, parallel edges and isolated
+    vertices, in one part or several."""
+    rng = random.Random(131)
+    seen = {True: 0, False: 0}
+    for trial in range(600):
+        parts = []
+        for _ in range(rng.randrange(1, 4)):
+            n = rng.randrange(1, 9)
+            parts.append(_planted_bipartite(rng, n) if trial % 2 else
+                         random_graph(rng, n, rng.randrange(n + 2), semis=rng.random() < 0.3,
+                                      loops=rng.random() < 0.3))
+        g = disjoint_union(parts)
+        want = reference_is_bipartite(g)
+        assert is_bipartite(g) == want, g.links
+        seen[want] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_components_and_union():

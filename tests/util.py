@@ -658,3 +658,51 @@ def reference_verify_cover(g: Graph, h: Graph, f: DartMapping, *,
     if check_fibers and not out:
         out.extend(_fiber_violations(g, h, f))
     return out
+
+
+# The BFS 2-coloring that semicover.graph.is_bipartite ran before it went
+# through graph._parity_solve, kept as its reference.
+def reference_is_bipartite(g: Graph) -> bool:
+    """2-colorability of the edge structure; any loop or semi-edge fails."""
+    for l in range(g.n_links):
+        if g.link_kind(l) != EDGE:
+            return False
+    side = [-1] * g.n
+    for start in range(g.n):
+        if side[start] != -1:
+            continue
+        side[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for d in g.darts_at[u]:
+                w = g.vertex_of[g.mate[d]]
+                if side[w] == -1:
+                    side[w] = 1 - side[u]
+                    stack.append(w)
+                elif side[w] == side[u]:
+                    return False
+    return True
+
+
+# The dart 2-coloring that the F(2,0) branch of semicover.deciders._decide_f
+# ran before it went through graph._parity_solve, kept as its reference.
+def reference_f20_darts(g: Graph, semis: list[int]) -> dict[int, int] | None:
+    """Map the darts of a 2-regular g onto the two semi darts of F(2,0) so
+    that link mates agree and the two darts at a vertex differ, or None."""
+    val: dict[int, int] = {}
+    for start in range(g.n_darts):
+        if start in val:
+            continue
+        val[start] = 0
+        stack = [start]
+        while stack:
+            d = stack.pop()
+            for x, want in ((g.mate[d], val[d]),
+                            (sum(g.darts_at[g.vertex_of[d]]) - d, 1 - val[d])):
+                if x not in val:
+                    val[x] = want
+                    stack.append(x)
+                elif val[x] != want:
+                    return None
+    return {d: semis[v] for d, v in val.items()}
