@@ -10,7 +10,8 @@ find_cover returns the first cover of a deterministic backtracking search,
 one loop over an explicit stack of choice points whose options come from a
 table built once per call, so no source is too deep for it;
 dichotomy.decide_colored calls it for every target without a polynomial
-decider.
+decider.  At each component's anchor it skips a target link that swapping
+parallel links, or reversing a loop, maps onto one tried without a cover.
 """
 
 from __future__ import annotations
@@ -203,6 +204,14 @@ def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping 
     vertices in order.  Components share nothing, so a finished one is
     final and a component that has no cover ends the search.  The order is
     deterministic, so the cover found is reproducible.
+
+    At the anchor a target dart is dropped when it has a lower twin (a
+    parallel link, or the loop reversed, with the same colours) and neither
+    link is touched yet: the anchor's darts come first, so the links touched
+    are those of its images, and swapping the two links is an automorphism
+    of h that fixes the map so far and carries the dart's subtree onto the
+    twin's, tried first without a cover.  Only subtrees without a cover
+    go, so the cover found does not move.
     """
     if not is_connected(h):
         raise ValueError("target must be connected")
@@ -222,6 +231,16 @@ def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping 
                        and k in (EDGE, h.link_kind(h.link_of[e]))] for w in range(h.n)]
              for c, k in kinds}
     opts = [table[g.dart_color[d], g.link_kind(g.link_of[d])] for d in range(g.n_darts)]
+    # twin[e]: the next lower dart at e's vertex with the same colours, mate vertex
+    # and link kind (a semi-edge is its own mate); bits[e]: e's link, whose mate at
+    # another vertex never shows in used
+    twin = [-1] * h.n_darts
+    bits = [1 << e | 1 << m for e, m in enumerate(h.mate)]
+    last: dict[tuple, int] = {}
+    for e, m in enumerate(h.mate):
+        key = (h.vertex_of[e], h.vertex_of[m], h.dart_color[e], h.dart_color[m], e == m)
+        twin[e] = last.get(key, -1)
+        last[key] = e
 
     fv = [-1] * g.n
     fd = [-1] * g.n_darts
@@ -252,7 +271,12 @@ def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping 
             pi += 1
         if pi < len(pending):
             d = pending[pi]
-            options = opts[d][fv[g.vertex_of[d]]]
+            u = g.vertex_of[d]
+            options = opts[d][fv[u]]
+            if u == anchor:     # drop a twin of a tried dart whose two links are untouched
+                taken = used[u]
+                options = [e for e in options
+                           if twin[e] < 0 or taken & (bits[e] | bits[twin[e]])]
         else:
             while anchor < g.n and fv[anchor] != -1:
                 anchor += 1
@@ -263,7 +287,7 @@ def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping 
                 fv[anchor] = cands[anchor][0]
                 continue
             d = g.darts_at[anchor][0]
-            options = [e for w in cands[anchor] for e in opts[d][w]]
+            options = [e for w in cands[anchor] for e in opts[d][w] if twin[e] < 0]
         stack.append((d, iter(options), len(trail), len(pending), pi))
         while stack:
             d, untried, t, p, pi = stack[-1]

@@ -52,8 +52,10 @@ class Verdict:
     among the target's rows.  A no is tagged "regularity" when the type
     signatures alone rule the cover out, except on a target with a
     "side-search" row, where every answer, yes or no, is tagged
-    "side-search".  reason says which side constraint refuted a no of
-    the decider, when one did.
+    "side-search".  reason says why the decider answered no: the vertex
+    whose type signature no target vertex has, a color class that does
+    not map once type signatures fix the sides, or the side constraint,
+    unit or component that refuted every choice of sides.
     """
     answer: bool
     method: str
@@ -331,10 +333,9 @@ def _dart_types(h: Graph) -> dict[tuple[int, int], tuple[int, int]]:
 
 
 def _choose_sides(g: Graph, h: Graph, buckets: _Buckets,
-                  ) -> tuple[list[int], dict[int, int] | None]:
-    """The side of every g vertex and g's darts mapped under them, the map
-    None when no sides let every component map; or raise _Refuted.  h has
-    two vertices of every g vertex's type signature.
+                  ) -> tuple[list[int], dict[int, int]]:
+    """The side of every g vertex and g's darts mapped under them, or raise
+    _Refuted.  h has two vertices of every g vertex's type signature.
 
     Of the D darts of a dart type (dart color, mate color) at target
     vertex 0, X lie on bars, so exactly X of the D darts of that type at a
@@ -355,7 +356,8 @@ def _choose_sides(g: Graph, h: Graph, buckets: _Buckets,
     counting rules at the vertex and at each neighbour: once a count is
     met, the free far ends of the type are forced.  At a
     component's leaf _map_sides maps its darts; a component that maps is
-    final, and one with no valid sides answers no.
+    final.  A unit that clashes with the side constraints, or a
+    component that no sides map, refutes; the reason names its vertex.
     """
     types = _dart_types(h)
     counting = [(t, x) for t, (dd, x) in types.items() if dd > 2 and 0 < x < dd]
@@ -466,7 +468,7 @@ def _choose_sides(g: Graph, h: Graph, buckets: _Buckets,
         if side[v] < 0:
             settle(v, s)
         if side[v] != s or not propagate():
-            return side, None
+            raise _Refuted(f"the unit side {s} of vertex {v} clashes with the side constraints")
     dart_map: dict[int, int] = {}
     for comp in components(g):
         order = [comp.vertex_ids[0]]
@@ -502,7 +504,7 @@ def _choose_sides(g: Graph, h: Graph, buckets: _Buckets,
                     if propagate():
                         break
             else:
-                return side, None
+                raise _Refuted(f"no sides map the component of vertex {comp.vertex_ids[0]}")
     return side, dart_map
 
 
@@ -535,7 +537,8 @@ def _decide(g: Graph, h: Graph, buckets: _Buckets, rows: list[Row], *,
     for u, darts in enumerate(g.darts_at):  # stop at the first vertex no target vertex matches
         side.append(sides.get((vertex_color[u], tuple(sorted(map(types.__getitem__, darts))))))
         if side[-1] is None:
-            return Verdict(False, plain)
+            return Verdict(False, plain,
+                           reason=f"no target vertex has the type signature of vertex {u}")
     if len(sides) == h.n:
         dart_map = _map_sides(g, buckets, side)
     else:
@@ -544,7 +547,7 @@ def _decide(g: Graph, h: Graph, buckets: _Buckets, rows: list[Row], *,
         except _Refuted as no:
             return Verdict(False, method, reason=str(no))
     if dart_map is None:
-        return Verdict(False, method)
+        return Verdict(False, method, reason="a color class does not map")
     return _stitched(g, h, dart_map, side, method)
 
 

@@ -1,6 +1,7 @@
 """Covering projection verification and exhaustive search."""
 
 import random
+import time
 
 import pytest
 
@@ -157,6 +158,20 @@ def test_open_paths_cover_two_semis():
         assert_cover_ok(p, f20, f)
 
 
+def _flower_snark(m):
+    """J_m (m odd): star i has centre a_i and leaves b_i, c_i, d_i; the b_i
+    form an m-cycle and the c_i and d_i together one 2m-cycle."""
+    gb = GraphBuilder()
+    a, b, c, d = ([gb.add_vertex() for _ in range(m)] for _ in range(4))
+    for i in range(m):
+        j = (i + 1) % m
+        for u, w in ((a[i], b[i]), (a[i], c[i]), (a[i], d[i]), (b[i], b[j])):
+            gb.add_edge(u, w)
+        gb.add_edge(c[i], c[j] if j else d[0])
+        gb.add_edge(d[i], d[j] if j else c[0])
+    return gb.build()
+
+
 def test_known_cubic_targets():
     f11, f30 = build_F(1, 1), build_F(3, 0)
     k4, pet = complete(4), petersen()
@@ -164,6 +179,8 @@ def test_known_cubic_targets():
     assert find_cover(k4, f30) is not None
     assert find_cover(pet, f11) is not None
     assert find_cover(pet, f30) is None
+    for m in (5, 7, 9, 11):     # snarks: no 3-edge-colouring
+        assert find_cover(_flower_snark(m), f30) is None, m
 
 
 def test_fiber_and_surjective_flags():
@@ -335,7 +352,10 @@ def _random_source(h, k, rng):
 def _search_corpus(rng):
     """Seeded (source, target) pairs: lifts, lifts with a link rewired or two
     edge ends swapped, unions of lifts, and random sources, over random
-    small targets and named ones."""
+    small targets and named ones.  The last targets have bundles of
+    interchangeable links (parallel edges, loops and semi-edges at one
+    vertex), where find_cover skips symmetric options; their lifts stay
+    at k <= 2 so that the unpruned reference stays fast."""
     targets = [petersen(), complete(4), build_W(1, 1, 1, 1, 1), build_WD(1, 2, 1),
                build_F(2, 1)]
     while len(targets) < 45:
@@ -343,8 +363,11 @@ def _search_corpus(rng):
         h = random_graph(rng, rng.randrange(1, 5), rng.randrange(1, 5), colors=colors)
         if is_connected(h):
             targets.append(h)
-    for h in targets:
-        reps, max_k = (2, 2) if h.n > 4 else (4, 3)
+    bundles = [build_F(2, 2), build_F(3, 1), build_F(2, 3), build_F(3, 0),
+               parse_graph("vertex a\nvertex b" + "\nedge a b" * 3),
+               parse_graph("vertex a\nvertex b\nedge a b\nloop a\nloop a\nsemi b")]
+    plan = [(h, 2, 2) if h.n > 4 else (h, 4, 3) for h in targets] + [(h, 4, 2) for h in bundles]
+    for h, reps, max_k in plan:
         for _ in range(reps):
             k = rng.randrange(1, max_k + 1)
             g = random_lift(h, k, rng)
@@ -366,3 +389,14 @@ def test_search_matches_recursive_reference():
             yes += 1
         total += 1
     assert total > 500 and yes > 100
+
+
+def test_interchangeable_target_links_are_tried_once_at_the_anchor():
+    """A no-instance onto F(2,3).  A search that does not skip
+    interchangeable target links tries every ordering of the two
+    semi-edges, the three loops and their reversals here, for seconds."""
+    g = parse_graph("vertex v0\nvertex v1\nvertex v2\nloop v1\nloop v1\n"
+                    + "edge v0 v1\n" * 2 + "edge v0 v2\n" * 6 + "edge v1 v2\n" * 2)
+    t0 = time.monotonic()
+    assert find_cover(g, build_F(2, 3)) is None
+    assert time.monotonic() - t0 < 1.0

@@ -672,8 +672,9 @@ def test_side_search_propagates_units():
     component of that class covering one side only is a unit that the
     search sets before it branches.  The answers equal find_cover's on
     seeded lifts (k <= 4), on lifts with a link rewired and on lifts with
-    two far ends swapped (_switch); every answer is tagged "side-search"
-    and every yes passes verify_cover with its fibres checked."""
+    two far ends swapped (_switch); every answer is tagged "side-search",
+    every yes passes verify_cover with its fibres checked and every no
+    gives a reason."""
     h = _unit_target()
     rows = deciders.dichotomy_table(h)[1]
     assert [r.verdict for r in rows] == ["NP-complete", "P"] and rows[0].method == "side-search"
@@ -686,6 +687,7 @@ def test_side_search_propagates_units():
                 v = decide_colored(g, h)
                 assert v.method == "side-search", g.links
                 assert v.answer == (find_cover(g, h) is not None), g.links
+                assert v.answer or v.reason, g.links
                 if v.answer:
                     assert_cover_ok(g, h, v.witness, check_fibers=True)
                     yes += 1
@@ -699,6 +701,7 @@ def test_side_search_propagates_units():
             v = decide_colored(g, h)
             assert time.monotonic() - t0 < 1.0, k
             assert v.method == "side-search" and (v.answer or g is not lift)
+            assert v.answer or v.reason, k
             if v.answer:
                 assert_cover_ok(g, h, v.witness, check_fibers=True)
 

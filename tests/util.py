@@ -430,8 +430,11 @@ def recursive_search(g: Graph, h: Graph) -> DartMapping | None:
     cover.find_cover must agree with: same first cover, or None for both.
 
     Components are anchored at their lowest vertex and candidate target
-    darts are tried in increasing id.  The recursion depth grows with the
-    source, so only use it on small inputs.
+    darts are tried in increasing id.  It has no symmetry pruning, on
+    purpose: find_cover skips interchangeable target links at each anchor,
+    and must still find the cover this search finds first.  The recursion
+    depth grows with the source, and interchangeable links multiply the
+    work, so only use it on small inputs.
     """
     if h.n == 0:
         return DartMapping((), ()) if g.n == 0 else None
