@@ -8,14 +8,18 @@ exactly 1..d, later vertices are discovered in consecutive label order,
 and every vertex is completed before the next one starts.  Twin
 candidates (vertices interchangeable in the partial graph) are only ever
 picked as a prefix of their group, which cuts the search without losing
-classes; the leaves are then deduplicated.  General connected graphs are
-grown by vertex augmentation: every connected graph on n vertices arises
-from a connected one on n-1 by attaching a non-cut vertex.  Attachment
-sets in one orbit of the parent's automorphisms (those the certificate
-search found) give isomorphic graphs, so only the first of each orbit is
-tried (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
-1998).  Each generator returns the first graph it built of each class, in
-the order the classes were found.
+classes.  Each node up to depth n // 2, and each leaf, is keyed by its
+depth and the certificate of its partial graph; a node whose key was
+seen before is skipped, since an earlier isomorphic node already reached
+every class below it, and the leaf keys keep one graph per class.
+General connected graphs are grown by vertex augmentation: every
+connected graph on n vertices arises from a connected one on n-1 by
+attaching a non-cut vertex.  Attachment sets in one orbit of the
+parent's automorphisms (those the certificate search found) give
+isomorphic graphs, so only the first of each orbit is tried (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Each
+generator returns the first graph it built of each class, in the order
+the classes were found.
 """
 
 from __future__ import annotations
@@ -69,7 +73,27 @@ def _prefix_choices(groups: list[list[int]], take: int) -> list[list[int]]:
 
 
 def _regular_connected_search(n: int, d: int) -> list[Graph]:
-    found: dict[tuple, list[int]] = {}     # certificate -> masks of its first leaf
+    """The connected d-regular graphs on n vertices, one per class, each
+    the first leaf of its class in search order.
+
+    A node at depth u has completed vertices 0..u-1; its state is the
+    partial graph S on the vertices labelled so far.  The classes of the
+    leaves below a node depend only on S up to isomorphism, so a node whose
+    S is isomorphic to one already expanded at the same depth is skipped:
+    the earlier node's subtree, searched first, already holds a leaf of
+    each class the later one would reach.  The code relies on three things:
+
+    - S is connected, as _mask_certificate requires: each vertex is
+      labelled when it is first attached, breadth first.
+    - The depth is part of the key: a node whose vertex u already has
+      full degree passes the same S to its child, and one set for all
+      depths would skip the child as a copy of its parent.
+    - Only depths u <= n // 2 and the leaves are keyed.  Past the middle
+      most states are distinct, and there a certificate per node cost
+      more than it saved when measured on cubic and quartic searches.
+    """
+    seen: set[tuple] = set()     # (depth, certificate) of each state expanded
+    leaves: list[list[int]] = []
     adjm = [0] * n
     deg = [0] * n
     for w in range(1, d + 1):
@@ -93,10 +117,15 @@ def _regular_connected_search(n: int, d: int) -> list[Graph]:
         return slack % 2 == 0
 
     def rec(u: int, labeled: int):
-        if u == n:
-            found.setdefault(_mask_certificate(adjm)[0], list(adjm))
+        if labeled <= u < n:
             return
-        if u >= labeled:
+        if u == n or u <= n // 2:
+            key = (u, _mask_certificate(adjm[:labeled])[0])
+            if key in seen:
+                return
+            seen.add(key)
+        if u == n:
+            leaves.append(list(adjm))
             return
         need = d - deg[u]
         if need < 0 or need > (n - 1 - u):
@@ -131,7 +160,7 @@ def _regular_connected_search(n: int, d: int) -> list[Graph]:
                     deg[w] -= 1
 
     rec(1, d + 1)
-    return [_from_masks(n, adj) for adj in found.values()]
+    return [_from_masks(n, adj) for adj in leaves]
 
 
 def _all_regular_graphs(n: int, d: int) -> list[Graph]:

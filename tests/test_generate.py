@@ -6,6 +6,7 @@ from semicover import generate
 from semicover.canon import CanonicalSet, isomorphic
 from semicover.generate import connected_regular_graphs, connected_simple_graphs
 from semicover.graph import is_connected, is_simple, serialize_graph
+from util import reference_regular_connected_search
 
 REGULAR_COUNTS = {
     (1, 0): 1, (2, 0): 0, (3, 0): 0,
@@ -18,6 +19,9 @@ REGULAR_COUNTS = {
     (3, 3): 0, (2, 2): 0, (5, 5): 0,
 }
 
+# past the range that test_output_order_is_pinned covers: OEIS A002851, A006820
+LARGE_REGULAR_COUNTS = {(14, 3): 509, (11, 4): 265}
+
 SIMPLE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 
@@ -25,6 +29,21 @@ def test_regular_counts():
     for (n, d), want in REGULAR_COUNTS.items():
         got = connected_regular_graphs(n, d)
         assert len(got) == want, (n, d, len(got))
+
+
+def test_regular_counts_past_the_pinned_range():
+    for (n, d), want in LARGE_REGULAR_COUNTS.items():
+        assert len(connected_regular_graphs(n, d)) == want, (n, d)
+
+
+def test_regular_search_matches_the_leaf_deduplicated_reference():
+    # lists, not sets: one key set shared by all depths finds every class
+    # but moves some of them later in the search
+    cases = ([(n, 3) for n in range(4, 13, 2)] + [(n, 4) for n in range(5, 11)]
+             + [(6, 5), (8, 5)])
+    for n, d in cases:
+        got = [generate._masks(g) for g in generate._regular_connected_search(n, d)]
+        assert got == reference_regular_connected_search(n, d), (n, d)
 
 
 def test_regular_outputs_are_what_they_claim():
@@ -100,3 +119,19 @@ def test_simple_generation_certifies_one_subset_per_orbit(monkeypatch):
     out = connected_simple_graphs(7)
     assert calls["certificate"] <= 4159
     assert calls["graph"] == len(out) == 853
+
+
+def test_regular_search_skips_states_it_has_expanded(monkeypatch):
+    # 2,999 and 2,224 certificates when only the leaves were deduplicated
+    calls = [0]
+    certificate = generate._mask_certificate
+
+    def counted(masks):
+        calls[0] += 1
+        return certificate(masks)
+
+    monkeypatch.setattr(generate, "_mask_certificate", counted)
+    for (n, d), pin, classes in [((12, 3), 971, 85), ((10, 4), 884, 59)]:
+        calls[0] = 0
+        assert len(connected_regular_graphs(n, d)) == classes
+        assert calls[0] <= pin, (n, d, calls[0])

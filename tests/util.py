@@ -709,3 +709,76 @@ def reference_f20_darts(g: Graph, semis: list[int]) -> dict[int, int] | None:
                 elif val[x] != want:
                     return None
     return {d: semis[v] for d, v in val.items()}
+
+
+# semicover.generate._regular_connected_search as it was before it skipped
+# states whose partial graph it had already expanded: the same breadth-first
+# labelled search with twin-prefix pruning, deduplicated only at the leaves.
+# Kept as the reference that the pruned search must match, order included.
+def reference_regular_connected_search(n: int, d: int) -> list[list[int]]:
+    """The neighbour bitmasks of the first leaf of each class of connected
+    d-regular graphs on n vertices, in the order the search finds them."""
+    from semicover.canon import _mask_certificate
+    from semicover.generate import _prefix_choices
+
+    found: dict[tuple, list[int]] = {}
+    adjm = [0] * n
+    deg = [0] * n
+    for w in range(1, d + 1):
+        adjm[0] |= 1 << w
+        adjm[w] |= 1
+        deg[0] += 1
+        deg[w] += 1
+
+    def feasible(u: int, labeled: int) -> bool:
+        window = labeled - u - 2
+        fresh = n - labeled
+        slack = 0
+        for w in range(u + 1, labeled):
+            r = d - deg[w]
+            slack += r
+            inside = (adjm[w] >> (u + 1)) & ((1 << (labeled - u - 1)) - 1)
+            if r > window - inside.bit_count() + fresh:
+                return False
+        slack += (n - labeled) * d
+        return slack % 2 == 0
+
+    def rec(u: int, labeled: int):
+        if u == n:
+            found.setdefault(_mask_certificate(adjm)[0], list(adjm))
+            return
+        if u >= labeled:
+            return
+        need = d - deg[u]
+        if need < 0 or need > (n - 1 - u):
+            return
+        old = [w for w in range(u + 1, labeled)
+               if deg[w] < d and not (adjm[u] >> w) & 1]
+        groups: list[list[int]] = []
+        for w in old:
+            for grp in groups:
+                v = grp[0]
+                if adjm[v] == adjm[w] or (adjm[v] | (1 << v)) == (adjm[w] | (1 << w)):
+                    grp.append(w)
+                    break
+            else:
+                groups.append([w])
+        for t in range(min(need, n - labeled), -1, -1):
+            fresh = list(range(labeled, labeled + t))
+            for chosen in _prefix_choices(groups, need - t):
+                nbrs = chosen + fresh
+                for w in nbrs:
+                    adjm[u] |= 1 << w
+                    adjm[w] |= 1 << u
+                    deg[u] += 1
+                    deg[w] += 1
+                if feasible(u, labeled + t):
+                    rec(u + 1, labeled + t)
+                for w in nbrs:
+                    adjm[u] &= ~(1 << w)
+                    adjm[w] &= ~(1 << u)
+                    deg[u] -= 1
+                    deg[w] -= 1
+
+    rec(1, d + 1)
+    return list(found.values())
