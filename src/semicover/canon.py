@@ -13,8 +13,11 @@ by automorphisms found from equal leaves, and keeps the best leaf.
 A Graph and the neighbour bitmasks of a connected simple graph are two
 ways into one core (initial coloring, distances, refinement), and give
 equal certificates for equal graphs.  The mask entry, which generation
-uses, also returns the automorphisms the search found: one permutation
-per pair of equal leaves and one swap per pruned twin.
+uses, also returns the automorphisms the search found, one permutation
+per pair of equal leaves and one swap per pruned twin, which together
+generate the automorphism group, and the canonical labelling, the best
+leaf's coloring: renaming each vertex by it gives the same masks for
+every graph of the class.
 """
 
 from itertools import groupby
@@ -112,8 +115,10 @@ def _refine(prof, col: list[int], cells: int):
 
 def _best_leaf(prof, col: list[int], trace: tuple) -> tuple:
     """The adjacency of the best leaf below col (the trace of a discrete
-    coloring), the automorphisms found from equal leaves and the twin swaps
-    pruned, as vertex pairs.  Leaves compare by the traces along their paths."""
+    coloring), the automorphisms found from equal leaves, the twin swaps
+    pruned, as vertex pairs, and the best leaf's coloring, which gives each
+    vertex its canonical label.  Leaves compare by the traces along their
+    paths."""
     n = len(col)
     best: list = []                     # traces, coloring and path of the best leaf
     gens: list[list[int]] = []          # automorphisms found from equal leaves
@@ -172,7 +177,7 @@ def _best_leaf(prof, col: list[int], trace: tuple) -> tuple:
         return None
 
     visit(col, [], (trace,))
-    return best[0][-1], gens, swaps
+    return best[0][-1], gens, swaps, best[1]
 
 
 def _certificate(g: Graph, root: tuple | None = None) -> tuple:
@@ -189,24 +194,25 @@ def _run_lengths(keys: tuple) -> tuple:
     return tuple((k, len(list(r))) for k, r in groupby(key[0] for key in keys))
 
 
-def _mask_certificate(masks: list[int]) -> tuple[tuple, list[list[int]]]:
+def _mask_certificate(masks: list[int]) -> tuple[tuple, list[list[int]], list[int]]:
     """The certificate of the connected simple graph with these neighbour
-    bitmasks, equal to _certificate of that graph built as a Graph, and
-    automorphisms of it, as vertex permutations, found by the search.  The
-    root is read from the masks alone: every self key is _PLAIN and every
-    neighbour label _EDGE."""
+    bitmasks, equal to _certificate of that graph built as a Graph,
+    generators of its automorphism group, as vertex permutations, and its
+    canonical labelling: renaming each vertex v to label[v] gives the same
+    masks for every graph with this certificate.  The root is read from the
+    masks alone: every self key is _PLAIN and every neighbour label _EDGE."""
     n = len(masks)
     nbrs = [[(w, 0) for w in range(n) if m >> w & 1] for m in masks]
     (table, keys, _), state = _core((_EDGE,) if any(masks) else (), nbrs, [_PLAIN] * n,
                                     [m.bit_count() for m in masks])
     if state is None:
         raise ValueError("a mask certificate needs a connected graph")
-    leaf, gens, swaps = _best_leaf(*state)
+    leaf, gens, swaps, label = _best_leaf(*state)
     for u, v in swaps:
         gam = list(range(n))
         gam[u], gam[v] = v, u
         gens.append(gam)
-    return (table, _run_lengths(keys), leaf), gens
+    return (table, _run_lengths(keys), leaf), gens, label
 
 
 def isomorphic(g1: Graph, g2: Graph) -> bool:

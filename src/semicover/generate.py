@@ -1,25 +1,28 @@
 """Exhaustive generation of small simple graphs, one per isomorphism class.
 
-Candidates are neighbour bitmasks, deduplicated by the certificate that
-canon computes straight from the masks; a Graph is built only for the
-first candidate of each class.  Regular graphs come from a
-breadth-first-labeled backtracking search: vertex 0's neighbors are
-exactly 1..d, later vertices are discovered in consecutive label order,
-and every vertex is completed before the next one starts.  Twin
-candidates (vertices interchangeable in the partial graph) are only ever
-picked as a prefix of their group, which cuts the search without losing
-classes.  Each node up to depth n // 2, and each leaf, is keyed by its
-depth and the certificate of its partial graph; a node whose key was
+Candidates are neighbour bitmasks, certified by canon straight from the
+masks; a Graph is built only for the graph kept for each class.  Regular
+graphs come from a breadth-first-labeled backtracking search: vertex 0's
+neighbors are exactly 1..d, later vertices are discovered in consecutive
+label order, and every vertex is completed before the next one starts.
+Twin candidates (vertices interchangeable in the partial graph) are only
+ever picked as a prefix of their group, which cuts the search without
+losing classes.  Each node up to depth n // 2, and each leaf, is keyed by
+its depth and the certificate of its partial graph; a node whose key was
 seen before is skipped, since an earlier isomorphic node already reached
 every class below it, and the leaf keys keep one graph per class.
-General connected graphs are grown by vertex augmentation: every
+General connected graphs are grown by canonical augmentation (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998): every
 connected graph on n vertices arises from a connected one on n-1 by
-attaching a non-cut vertex.  Attachment sets in one orbit of the
-parent's automorphisms (those the certificate search found) give
-isomorphic graphs, so only the first of each orbit is tried (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Each
-generator returns the first graph it built of each class, in the order
-the classes were found.
+attaching a non-cut vertex.  From each parent, one attachment set per
+orbit of the parent's automorphisms is tried, and a candidate is kept
+only when its new vertex is in the orbit of its canonical deletion
+vertex: the non-cut vertex of least (degree, sorted neighbour degrees),
+ties going to the one that comes first in the canonical labelling.  Only
+tied candidates, and the kept ones whose automorphisms the next level
+needs, are certified.  The regular search returns the first graph it
+built of each class, in the order the classes were found; the simple
+generator returns the kept candidates, parent by parent.
 """
 
 from __future__ import annotations
@@ -211,40 +214,130 @@ def connected_regular_graphs(n: int, d: int) -> list[Graph]:
     return _regular_connected_search(n, d)
 
 
-def _orbit_firsts(k: int, gens: list[list[int]]):
-    """The nonempty subsets of range(k) as bitmasks, by size and then in
-    combinations order, that come first in their orbit under gens."""
+def _orbit_firsts(k: int, gens: list[list[int]], top: int):
+    """The nonempty subsets of range(k) of at most top elements as
+    bitmasks, by size and then in combinations order, that come first in
+    their orbit under gens."""
     seen: set[int] = set()
-    for r in range(1, k + 1):
+    for r in range(1, top + 1):
         for subset in combinations(range(k), r):
-            s = sum(1 << w for w in subset)
+            s = sum([1 << w for w in subset])
             if s in seen:
                 continue
             seen.add(s)
-            todo = [s]
+            todo = [subset]
             while todo:
                 t = todo.pop()
                 for gam in gens:
-                    image = sum(1 << gam[w] for w in range(k) if t >> w & 1)
-                    if image not in seen:
-                        seen.add(image)
+                    image = [gam[w] for w in t]
+                    bits = sum([1 << w for w in image])
+                    if bits not in seen:
+                        seen.add(bits)
                         todo.append(image)
             yield s
 
 
+def _non_cut(masks: list[int], v: int) -> bool:
+    """Whether the graph with these neighbour bitmasks stays connected
+    when v is removed."""
+    rest = ((1 << len(masks)) - 1) & ~(1 << v)
+    seen = frontier = rest & -rest
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & rest & ~seen
+        seen |= frontier
+    return seen == rest
+
+
+def _neighbour_degrees(masks: list[int], deg: list[int], v: int) -> list[int]:
+    """The degrees of v's neighbours, sorted."""
+    m, out = masks[v], []
+    while m:
+        low = m & -m
+        out.append(deg[low.bit_length() - 1])
+        m ^= low
+    out.sort()
+    return out
+
+
+def _deletion_ties(masks: list[int], k: int) -> list[int] | None:
+    """None when some non-cut vertex has a smaller deletion key, (degree,
+    sorted neighbour degrees), than k; else the non-cut vertices other than
+    k whose key equals k's."""
+    deg = [m.bit_count() for m in masks]
+    mine = None
+    ties = []
+    for v in range(k):
+        if deg[v] > deg[k]:
+            continue
+        tie = deg[v] == deg[k]
+        if tie:
+            if mine is None:
+                mine = _neighbour_degrees(masks, deg, k)
+            theirs = _neighbour_degrees(masks, deg, v)
+            if theirs > mine:
+                continue
+            tie = theirs == mine
+        if _non_cut(masks, v):
+            if not tie:
+                return None
+            ties.append(v)
+    return ties
+
+
+def _orbit(v: int, gens: list[list[int]]) -> set[int]:
+    """The orbit of v under the group that gens generate."""
+    orbit, todo = {v}, [v]
+    while todo:
+        u = todo.pop()
+        for gam in gens:
+            if gam[u] not in orbit:
+                orbit.add(gam[u])
+                todo.append(gam[u])
+    return orbit
+
+
 def connected_simple_graphs(n: int) -> list[Graph]:
-    """All connected simple graphs on n vertices, one per class."""
+    """All connected simple graphs on n vertices, one per class, parent
+    by parent.
+
+    A candidate B + k is kept when k lies in the automorphism orbit of m,
+    its canonical deletion vertex.  Every class has a kept candidate, as
+    deleting m leaves a connected graph of the level below.  Two kept
+    candidates of one class are isomorphic by a map fixing k, so they have
+    one parent and attachment sets in one orbit of its automorphisms, so
+    they are one candidate.  Orbits are read from the automorphisms that
+    _mask_certificate found, so this relies on them generating the whole
+    group.  A candidate that a non-cut vertex beats on the deletion key is
+    dropped, and one whose k alone has the least key is kept, without a
+    certificate; below the last level a kept candidate is still certified,
+    since the next level needs its automorphisms.
+    """
     if n < 1:
         return []
     level: list[tuple[list[int], list[list[int]]]] = [([0], [])]   # (masks, automorphisms)
     for k in range(1, n):
-        grown: dict[tuple, tuple] = {}
+        grown = []
         for base, gens in level:
-            # Subsets in one orbit of base's automorphisms give isomorphic
-            # graphs, so only the first of each can be a class's first.
-            for s in _orbit_firsts(k, gens):
+            # A non-cut vertex v of base stays non-cut when k joins two or
+            # more vertices and gains at most one edge, so a larger set
+            # would give v a smaller deletion key than k.
+            top = min([k] + [m.bit_count() + 1 for v, m in enumerate(base)
+                             if _non_cut(base, v)])
+            for s in _orbit_firsts(k, gens, top):
                 adj = [m | (s >> w & 1) << k for w, m in enumerate(base)] + [s]
-                cert, auts = _mask_certificate(adj)
-                grown.setdefault(cert, (adj, auts))
-        level = list(grown.values())
+                ties = _deletion_ties(adj, k)
+                if ties is None:
+                    continue
+                auts: list[list[int]] = []
+                if ties or k < n - 1:
+                    _, auts, label = _mask_certificate(adj)
+                    if ties and k not in _orbit(min(ties + [k], key=label.__getitem__), auts):
+                        continue
+                grown.append((adj, auts))
+        level = grown
     return [_from_masks(n, adj) for adj, _ in level]

@@ -254,12 +254,45 @@ def test_mask_certificate_matches_graph_certificate():
         _mask_certificate([0, 0])
 
 
+def with_twin(masks, v, closed):
+    """The masks with one more vertex, an open or closed twin of v."""
+    n = len(masks)
+    twin = masks[v] | (1 << v if closed else 0)
+    return [m | (twin >> w & 1) << n for w, m in enumerate(masks)] + [twin]
+
+
+def test_canonical_labelling_gives_one_adjacency_per_class():
+    rng = random.Random(12)
+    for _ in range(300):
+        masks = random_connected_masks(rng, rng.randrange(1, 11))
+        cert, _, label = _mask_certificate(masks)
+        assert sorted(label) == list(range(len(masks)))
+        canonical = relabelled(masks, label)
+        for _ in range(3):
+            perm = list(range(len(masks)))
+            rng.shuffle(perm)
+            copy = relabelled(masks, perm)
+            got, _, copy_label = _mask_certificate(copy)
+            assert got == cert
+            assert relabelled(copy, copy_label) == canonical, masks
+
+
 def test_mask_certificate_generates_the_automorphism_group():
-    for g in (complete(6), complete_bipartite(3, 3), cube(), petersen(), cycle(7)):
-        masks = _masks(g)
+    # canonical augmentation in connected_simple_graphs reads orbits from
+    # these generators: a proper subgroup would drop or repeat classes
+    rng = random.Random(13)
+    cases = [_masks(g) for g in (complete(6), complete_bipartite(3, 3), cube(),
+                                 petersen(), cycle(7))]
+    for _ in range(150):
+        masks = random_connected_masks(rng, rng.randrange(1, 9))
+        cases.append(masks)
+        if 1 < len(masks) < 8:
+            cases.append(with_twin(masks, rng.randrange(len(masks)), rng.random() < 0.5))
+    for masks in cases:
+        n = len(masks)
         gens = _mask_certificate(masks)[1]
         assert all(relabelled(masks, gam) == masks for gam in gens)
-        group = {tuple(range(g.n))}
+        group = {tuple(range(n))}
         todo = list(group)
         while todo:
             p = todo.pop()
@@ -268,6 +301,7 @@ def test_mask_certificate_generates_the_automorphism_group():
                 if q not in group:
                     group.add(q)
                     todo.append(q)
-        x = nx.Graph([(u, w) for u in range(g.n) for w in range(u) if masks[u] >> w & 1])
+        x = nx.Graph([(u, w) for u in range(n) for w in range(u) if masks[u] >> w & 1])
+        x.add_nodes_from(range(n))
         want = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(x, x).isomorphisms_iter())
-        assert len(group) == want, g.n
+        assert len(group) == want, masks

@@ -6,7 +6,7 @@ from semicover import generate
 from semicover.canon import CanonicalSet, isomorphic
 from semicover.generate import connected_regular_graphs, connected_simple_graphs
 from semicover.graph import is_connected, is_simple, serialize_graph
-from util import reference_regular_connected_search
+from util import reference_connected_simple_graphs, reference_regular_connected_search
 
 REGULAR_COUNTS = {
     (1, 0): 1, (2, 0): 0, (3, 0): 0,
@@ -22,7 +22,8 @@ REGULAR_COUNTS = {
 # past the range that test_output_order_is_pinned covers: OEIS A002851, A006820
 LARGE_REGULAR_COUNTS = {(14, 3): 509, (11, 4): 265}
 
-SIMPLE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+# OEIS A001349
+SIMPLE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
 def test_regular_counts():
@@ -61,7 +62,18 @@ def test_regular_outputs_are_what_they_claim():
 
 def test_simple_counts():
     for n, want in SIMPLE_COUNTS.items():
-        assert len(connected_simple_graphs(n)) == want, n
+        out = connected_simple_graphs(n)
+        certs = {generate._mask_certificate(generate._masks(g))[0] for g in out}
+        assert len(out) == len(certs) == want, n
+
+
+def test_simple_generation_matches_the_orbit_pruned_reference():
+    # the same classes; each is kept as a different candidate, so the lists differ
+    for n in range(1, 8):
+        got = {generate._mask_certificate(generate._masks(g))[0]
+               for g in connected_simple_graphs(n)}
+        want = {generate._mask_certificate(m)[0] for m in reference_connected_simple_graphs(n)}
+        assert got == want, n
 
 
 def test_simple_outputs_are_what_they_claim():
@@ -90,21 +102,32 @@ def test_complete_graphs_appear():
         assert g.n_links == n * (n - 1) // 2
 
 
-def test_output_order_is_pinned():
-    # which representative comes first, and where, is part of the output:
-    # StrongerReport.generated counts the candidates before a counterexample
-    graphs = [g for n in range(1, 8) for g in connected_simple_graphs(n)]
-    graphs += [g for n in range(4, 13, 2) for g in connected_regular_graphs(n, 3)]
-    graphs += [g for n in range(5, 10) for g in connected_regular_graphs(n, 4)]
+def _digest(graphs) -> str:
     digest = hashlib.sha256()
     for g in graphs:
         digest.update(serialize_graph(g).encode())
-    assert digest.hexdigest() == ("4f8ff364a7ee1ca937c0598f65ba0778"
-                                  "80da0423376c404106258270c8abbf8c")
+    return digest.hexdigest()
+
+
+def test_output_order_is_pinned():
+    # which representative comes first, and where, is part of the output:
+    # StrongerReport.generated counts the candidates before a counterexample
+    graphs = [g for n in range(4, 13, 2) for g in connected_regular_graphs(n, 3)]
+    graphs += [g for n in range(5, 10) for g in connected_regular_graphs(n, 4)]
+    assert _digest(graphs) == ("05fd555e8401b269ee017e7e8166ddea"
+                               "886676c129aa3fe2b5aebc865fdb1e0b")
+
+
+def test_simple_output_order_is_pinned():
+    graphs = [g for n in range(1, 8) for g in connected_simple_graphs(n)]
+    assert _digest(graphs) == ("81892a54a2ce6731e37380654db3bd62"
+                               "5128dc6bd5fd3b761161479f3a6aae99")
 
 
 def test_simple_generation_certifies_one_subset_per_orbit(monkeypatch):
-    # 7,815 candidates without orbit pruning; 4,159 with the full groups
+    # 7,815 candidates without orbit pruning and 4,159 with the full groups,
+    # all certified; canonical augmentation certifies only the candidates
+    # whose new vertex ties for deletion, and kept ones below the last level
     calls = {"certificate": 0, "graph": 0}
     certificate, build = generate._mask_certificate, generate._from_masks
 
@@ -117,8 +140,11 @@ def test_simple_generation_certifies_one_subset_per_orbit(monkeypatch):
     monkeypatch.setattr(generate, "_mask_certificate", counted("certificate", certificate))
     monkeypatch.setattr(generate, "_from_masks", counted("graph", build))
     out = connected_simple_graphs(7)
-    assert calls["certificate"] <= 4159
+    assert calls["certificate"] <= 463
     assert calls["graph"] == len(out) == 853
+    calls["certificate"] = 0
+    assert len(connected_simple_graphs(8)) == 11117
+    assert calls["certificate"] <= 4414    # 71,300 with every candidate certified
 
 
 def test_regular_search_skips_states_it_has_expanded(monkeypatch):

@@ -782,3 +782,27 @@ def reference_regular_connected_search(n: int, d: int) -> list[list[int]]:
 
     rec(1, d + 1)
     return list(found.values())
+
+
+# semicover.generate.connected_simple_graphs as it was before canonical
+# augmentation: one attachment set per orbit of the parent's automorphisms,
+# every candidate certified, the first candidate of each class kept.
+# Kept as the reference whose classes the generator must reproduce.
+def reference_connected_simple_graphs(n: int) -> list[list[int]]:
+    """The neighbour bitmasks of one connected simple graph on n vertices
+    per class, each the first candidate of its class."""
+    from semicover.canon import _mask_certificate
+    from semicover.generate import _orbit_firsts
+
+    if n < 1:
+        return []
+    level: list[tuple[list[int], list[list[int]]]] = [([0], [])]
+    for k in range(1, n):
+        grown: dict[tuple, tuple] = {}
+        for base, gens in level:
+            for s in _orbit_firsts(k, gens, k):
+                adj = [m | (s >> w & 1) << k for w, m in enumerate(base)] + [s]
+                cert, auts, _ = _mask_certificate(adj)
+                grown.setdefault(cert, (adj, auts))
+        level = list(grown.values())
+    return [adj for adj, _ in level]
