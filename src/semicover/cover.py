@@ -7,8 +7,8 @@ semi-edge, a loop maps to a loop, and an ordinary edge maps to an edge, a
 loop, or collapses onto a semi-edge (both darts to the same image dart).
 Colors, when present, must be preserved on darts and on vertices.
 find_cover returns the first cover of a deterministic backtracking search,
-one loop over an explicit stack of choice points whose options come from a
-table built once per call, so no source is too deep for it;
+one flat loop over an explicit stack of choice points whose options come
+from a table kept in the target's plan, so no source is too deep for it;
 dichotomy.decide_colored calls it for every target without a polynomial
 decider.  At each component's anchor it skips a target link that swapping
 parallel links, or reversing a loop, maps onto one tried without a cover.
@@ -19,8 +19,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import (EDGE, LOOP, SEMI, Graph, _component_labels, is_connected,
-                    type_signature)
+from .graph import (EDGE, LOOP, SEMI, Graph, _component_labels, _planned,
+                    is_connected, type_signature)
 
 
 class ResourceLimit(RuntimeError):
@@ -185,22 +185,56 @@ def _check_budget(g: Graph, budget: int | None) -> None:
         raise ResourceLimit(f"{g.n_darts} darts exceeds the search budget {budget}")
 
 
+def _search_plan(h: Graph) -> tuple:
+    """What find_cover takes from the target h alone, for _planned: the
+    vertices of each type signature, the option table, the twin and bits
+    arrays, and the semi-edge count of each dart colour."""
+    if not is_connected(h):
+        raise ValueError("target must be connected")
+    sigs: dict = {}
+    for w in range(h.n):
+        sigs.setdefault(type_signature(h, w), []).append(w)
+    kinds = [h._kinds[l] for l in h.link_of]
+    table = {(c, k): [[e for e in h.darts_at[w] if h.dart_color[e] == c and k in (EDGE, kinds[e])]
+                      for w in range(h.n)]
+             for c in set(h.dart_color) for k in (SEMI, LOOP, EDGE)}
+    # twin[e]: the next lower dart at e's vertex with the same colours, mate vertex
+    # and link kind (a semi-edge is its own mate); bits[e]: e's link, whose mate at
+    # another vertex never shows in used
+    twin = [-1] * h.n_darts
+    last: dict[tuple, int] = {}
+    for e, m in enumerate(h.mate):
+        key = (h.vertex_of[e], h.vertex_of[m], h.dart_color[e], h.dart_color[m], e == m)
+        twin[e] = last.get(key, -1)
+        last[key] = e
+    bits = [1 << e | 1 << m for e, m in enumerate(h.mate)]
+    semis = Counter(h.dart_color[e] for e, m in enumerate(h.mate) if e == m)
+    return sigs, table, twin, bits, semis
+
+
 def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping | None:
     """First covering projection from g onto the connected target h, if any.
 
     The optional budget bounds the dart count of g; exceeding it raises
     ResourceLimit rather than starting a search that may not finish.
 
+    What depends on h alone is built once and kept in h's plan
+    (_search_plan).  Before any search, each component of g needs fibres
+    of one size m = |component| / h.n, and per dart colour c its S_c
+    semi-edges and h's B_c need S_c = B_c * m (mod 2), and S_c >= B_c for
+    odd m: a target semi-edge takes one dart of each of the m vertices over
+    its vertex, from semi-edges or from edges collapsed in pairs.
+
     The search is one loop over an explicit stack of choice points, so the
     depth of the source costs heap, not Python stack.  A choice point picks
-    the image of one source dart from a row of an option table built once:
+    the image of one source dart from a row of the plan's option table:
     per (dart colour, link kind), the darts of each target vertex in
     increasing id that it may land on (a semi-edge or loop only on its own
     kind, an edge on any link).  Choosing a dart e for d also maps d's mate
     onto e's mate, so an edge onto a semi-edge collapses, and fixes the
-    image of every vertex reached for the first time; the trail records
-    each of these so backtracking can undo them.  A component is anchored
-    at its lowest vertex, whose first dart takes the rows of the candidate
+    image of every vertex reached for the first time.  The trail holds d
+    for a mapped dart and ~u for a vertex image, so backtracking can undo
+    each.  A component is anchored at its lowest vertex, whose first dart takes the rows of the candidate
     vertices in order.  Components share nothing, so a finished one is
     final and a component that has no cover ends the search.  The order is
     deterministic, so the cover found is reproducible.
@@ -213,57 +247,32 @@ def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping 
     twin's, tried first without a cover.  Only subtrees without a cover
     go, so the cover found does not move.
     """
-    if not is_connected(h):
-        raise ValueError("target must be connected")
+    sigs, table, twin, bits, h_semis = _planned(h, _search_plan)
     _check_budget(g, budget)
     if h.n == 0:
         return DartMapping((), ()) if g.n == 0 else None
-    if any(size % h.n for size in Counter(_component_labels(g)).values()):
+    labels = _component_labels(g)
+    sizes = Counter(labels)
+    if any(size % h.n for size in sizes.values()):
         return None
-    h_sigs: dict = {}
-    for w in range(h.n):
-        h_sigs.setdefault(type_signature(h, w), []).append(w)
-    cands = [h_sigs.get(type_signature(g, u)) for u in range(g.n)]
+    vertex_of, mate, color, darts_at = g.vertex_of, g.mate, g.dart_color, g.darts_at
+    semis = Counter((labels[vertex_of[d]], color[d]) for d, m in enumerate(mate) if d == m)
+    for label, c in {*semis, *((label, c) for label in sizes for c in h_semis)}:
+        s, b, m = semis[label, c], h_semis[c], sizes[label] // h.n
+        if (s - b * m) % 2 or m % 2 and s < b:
+            return None
+    cands = [sigs.get(type_signature(g, u)) for u in range(g.n)]
     if None in cands:
         return None
-    kinds = {(g.dart_color[d], g.link_kind(g.link_of[d])) for d in range(g.n_darts)}
-    table = {(c, k): [[e for e in h.darts_at[w] if h.dart_color[e] == c
-                       and k in (EDGE, h.link_kind(h.link_of[e]))] for w in range(h.n)]
-             for c, k in kinds}
-    opts = [table[g.dart_color[d], g.link_kind(g.link_of[d])] for d in range(g.n_darts)]
-    # twin[e]: the next lower dart at e's vertex with the same colours, mate vertex
-    # and link kind (a semi-edge is its own mate); bits[e]: e's link, whose mate at
-    # another vertex never shows in used
-    twin = [-1] * h.n_darts
-    bits = [1 << e | 1 << m for e, m in enumerate(h.mate)]
-    last: dict[tuple, int] = {}
-    for e, m in enumerate(h.mate):
-        key = (h.vertex_of[e], h.vertex_of[m], h.dart_color[e], h.dart_color[m], e == m)
-        twin[e] = last.get(key, -1)
-        last[key] = e
+    # every dart colour of g is one of h's, since its vertex has a target's signature
+    opts = [table[c, g._kinds[l]] for c, l in zip(color, g.link_of)]
+    h_vertex_of, h_mate, h_color = h.vertex_of, h.mate, h.dart_color
 
     fv = [-1] * g.n
     fd = [-1] * g.n_darts
     used = [0] * g.n            # bitmask of the target darts taken at each vertex
-    trail: list[tuple[int, int, int]] = []  # (vertex, dart or -1, target dart or vertex)
+    trail: list[int] = []       # d for a mapped dart, ~u for a vertex image
     pending: list[int] = []     # darts of the reached vertices, in reaching order
-
-    def assign(d: int, e: int) -> bool:
-        u, w = g.vertex_of[d], h.vertex_of[e]
-        if fv[u] == -1 and w in cands[u]:
-            fv[u] = w
-            trail.append((u, -1, w))
-            pending.extend(g.darts_at[u])
-        if fv[u] != w or used[u] >> e & 1 or g.dart_color[d] != h.dart_color[e]:
-            return False
-        fd[d] = e
-        used[u] |= 1 << e
-        trail.append((u, d, e))
-        d2 = g.mate[d]
-        if fd[d2] != -1:
-            return True         # a semi-edge, or the mate that called us
-        return assign(d2, h.mate[e])
-
     stack: list[tuple] = []     # (dart, untried options, trail len, pending len, pi)
     anchor = pi = 0
     while True:
@@ -271,7 +280,7 @@ def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping 
             pi += 1
         if pi < len(pending):
             d = pending[pi]
-            u = g.vertex_of[d]
+            u = vertex_of[d]
             options = opts[d][fv[u]]
             if u == anchor:     # drop a twin of a tried dart whose two links are untouched
                 taken = used[u]
@@ -283,27 +292,52 @@ def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping 
             if anchor == g.n:
                 return DartMapping(tuple(fd), tuple(fv))
             stack.clear()       # the finished components share nothing with the rest
-            if not g.darts_at[anchor]:
+            if not darts_at[anchor]:
                 fv[anchor] = cands[anchor][0]
                 continue
-            d = g.darts_at[anchor][0]
+            d = darts_at[anchor][0]
             options = [e for w in cands[anchor] for e in opts[d][w] if twin[e] < 0]
         stack.append((d, iter(options), len(trail), len(pending), pi))
         while stack:
             d, untried, t, p, pi = stack[-1]
             while len(trail) > t:
-                u, x, e = trail.pop()
-                if x == -1:
-                    fv[u] = -1
+                x = trail.pop()
+                if x < 0:
+                    fv[~x] = -1
                 else:
+                    used[vertex_of[x]] ^= 1 << fd[x]
                     fd[x] = -1
-                    used[u] ^= 1 << e
             del pending[p:]
             e = next(untried, -1)
             if e == -1:
                 stack.pop()
-            elif assign(d, e):
+                continue
+            # e is in d's row, so only the anchor's vertex is new and only
+            # a taken e can clash; d's mate is checked in full
+            u = vertex_of[d]
+            if fv[u] == -1:
+                fv[u] = h_vertex_of[e]
+                trail.append(~u)
+                pending.extend(darts_at[u])
+            elif used[u] >> e & 1:
+                continue
+            fd[d] = e
+            used[u] |= 1 << e
+            trail.append(d)
+            d = mate[d]
+            if fd[d] != -1:     # a semi-edge
                 break
+            e = h_mate[e]
+            u, w = vertex_of[d], h_vertex_of[e]
+            if fv[u] == -1 and w in cands[u]:
+                fv[u] = w
+                trail.append(~u)
+                pending.extend(darts_at[u])
+            if fv[u] != w or used[u] >> e & 1 or color[d] != h_color[e]:
+                continue
+            fd[d] = e
+            used[u] |= 1 << e
+            trail.append(d)
+            break
         else:
             return None
-

@@ -9,9 +9,11 @@ dichotomy_table buckets a target by its own vertex ids and gives one row
 per piece: verdict, the rule that fired and the method tag.  A one-vertex
 piece is F(b,c); on two vertices that agree in color and type signature
 a class is W(k,m,l,p,q), WD(m,l,m) or a pair of one-vertex pieces.
-dichotomy.classify reads the rows; decide_colored hands a target whose
-rows are each P or tagged "side-search" to the decider with its
-buckets, and the rest to exact search.
+The table, with all else the decider reads of the target alone, is
+kept in the target's plan (_Plan), so dichotomy.classify and every
+decision onto one target bucket it once.  decide_colored hands a target
+whose rows are each P or tagged "side-search" to the decider with its
+plan, and the rest to exact search.
 
 The decider only finds the side, the target vertex of each source
 vertex: type signatures fix it, or _choose_sides applies one
@@ -206,6 +208,31 @@ def dichotomy_table(h: Graph) -> tuple[_Buckets, list[Row]]:
     return (stay, cross), [_pair_row(cls, stay, cross) for cls in classes]
 
 
+class _Plan(NamedTuple):
+    """What deciding onto a connected target on one or two vertices takes
+    from the target alone: built by _decider_plan on the target's first
+    use and kept on it (graph._planned)."""
+    buckets: _Buckets
+    rows: list[Row]
+    route: str | None      # the case decide_colored hands g to; None: exact search
+    method: str            # the highest tag among the rows, once routed
+    sides: dict            # type signature -> target vertex
+    types: dict            # _dart_types(h)
+    counting: list         # the types (dart color, mate color) with D > 2, 0 < X < D
+
+
+def _decider_plan(h: Graph) -> _Plan:
+    buckets, rows = dichotomy_table(h)
+    route, method = None, "brute-force-fallback"
+    if all(r.verdict == "P" or r.method == "side-search" for r in rows):
+        route = "one vertex" if h.n == 1 else "forced" if rows[-1].key is None else "agree"
+        method = max((r.method for r in rows), key=_TAG_RANK.__getitem__, default="regularity")
+    types = _dart_types(h)
+    return _Plan(buckets, rows, route, method, {type_signature(h, s): s for s in range(h.n)},
+                 types,
+                 [(t, x) for t, (dd, x) in types.items() if dd > 2 and 0 < x < dd])
+
+
 # ------------------------------------------------------ one-vertex pieces
 
 def _onto(matchings: list[list[tuple[int, int]]],
@@ -332,10 +359,10 @@ def _dart_types(h: Graph) -> dict[tuple[int, int], tuple[int, int]]:
     return types
 
 
-def _choose_sides(g: Graph, h: Graph, buckets: _Buckets,
-                  ) -> tuple[list[int], dict[int, int]]:
+def _choose_sides(g: Graph, plan: _Plan) -> tuple[list[int], dict[int, int]]:
     """The side of every g vertex and g's darts mapped under them, or raise
-    _Refuted.  h has two vertices of every g vertex's type signature.
+    _Refuted.  The target of plan has two vertices of every g vertex's type
+    signature.
 
     Of the D darts of a dart type (dart color, mate color) at target
     vertex 0, X lie on bars, so exactly X of the D darts of that type at a
@@ -359,8 +386,7 @@ def _choose_sides(g: Graph, h: Graph, buckets: _Buckets,
     final.  A unit that clashes with the side constraints, or a
     component that no sides map, refutes; the reason names its vertex.
     """
-    types = _dart_types(h)
-    counting = [(t, x) for t, (dd, x) in types.items() if dd > 2 and 0 < x < dd]
+    buckets, types, counting = plan.buckets, plan.types, plan.counting
     c, mate, vertex_of = g.dart_color, g.mate, g.vertex_of
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     # per vertex: (crossings wanted, stays allowed, far ends) of each counting type
@@ -508,8 +534,7 @@ def _choose_sides(g: Graph, h: Graph, buckets: _Buckets,
     return side, dart_map
 
 
-def _decide(g: Graph, h: Graph, buckets: _Buckets, rows: list[Row], *,
-            budget: int | None = None) -> Verdict:
+def _decide(g: Graph, h: Graph, plan: _Plan, *, budget: int | None = None) -> Verdict:
     """Cover g onto a target on one or two vertices whose rows are each P
     or tagged "side-search".
 
@@ -522,14 +547,14 @@ def _decide(g: Graph, h: Graph, buckets: _Buckets, rows: list[Row], *,
     every answer is tagged "side-search", and the budget bounds g's dart
     count as in find_cover (_check_budget) before any other work.
     """
-    method = max((r.method for r in rows), key=_TAG_RANK.__getitem__, default="regularity")
+    method = plan.method
     searched = method == "side-search"
     if searched:
         _check_budget(g, budget)
     plain = method if searched else "regularity"  # the tag when type signatures decide
     if g.n == 0:
         return _stitched(g, h, {}, [], plain)
-    sides = {type_signature(h, s): s for s in range(h.n)}
+    sides = plan.sides
     # type_signature of each g vertex, from one (dart color, mate color) list
     c, vertex_color = g.dart_color, g.vertex_color
     types = list(zip(c, map(c.__getitem__, g.mate)))
@@ -540,10 +565,10 @@ def _decide(g: Graph, h: Graph, buckets: _Buckets, rows: list[Row], *,
             return Verdict(False, plain,
                            reason=f"no target vertex has the type signature of vertex {u}")
     if len(sides) == h.n:
-        dart_map = _map_sides(g, buckets, side)
+        dart_map = _map_sides(g, plan.buckets, side)
     else:
         try:
-            side, dart_map = _choose_sides(g, h, buckets)
+            side, dart_map = _choose_sides(g, plan)
         except _Refuted as no:
             return Verdict(False, method, reason=str(no))
     if dart_map is None:
@@ -552,19 +577,17 @@ def _decide(g: Graph, h: Graph, buckets: _Buckets, rows: list[Row], *,
 
 
 # decide_colored calls the decider by case under these names, which perfbench times apart
-def decide_colored_one_vertex(g: Graph, h: Graph, buckets: _Buckets,
-                              rows: list[Row]) -> Verdict:
+def decide_colored_one_vertex(g: Graph, h: Graph, plan: _Plan) -> Verdict:
     """Cover g onto a one-vertex colored target, class by class."""
-    return _decide(g, h, buckets, rows)
+    return _decide(g, h, plan)
 
 
-def decide_two_vertex_nonregular(g: Graph, h: Graph, buckets: _Buckets,
-                                 rows: list[Row]) -> Verdict:
+def decide_two_vertex_nonregular(g: Graph, h: Graph, plan: _Plan) -> Verdict:
     """Cover g onto a two-vertex target whose type signatures differ."""
-    return _decide(g, h, buckets, rows)
+    return _decide(g, h, plan)
 
 
-def decide_two_vertex_regular_2sat(g: Graph, h: Graph, buckets: _Buckets,
-                                   rows: list[Row], *, budget: int | None = None) -> Verdict:
+def decide_two_vertex_regular_2sat(g: Graph, h: Graph, plan: _Plan, *,
+                                   budget: int | None = None) -> Verdict:
     """Cover g onto a two-vertex target whose type signatures agree."""
-    return _decide(g, h, buckets, rows, budget=budget)
+    return _decide(g, h, plan, budget=budget)

@@ -4,11 +4,13 @@ Every connected colored target on one or two vertices defines a covering
 problem that is either polynomial or NP-complete, decided piece by piece
 over its color classes.  The case split lives in one place,
 deciders.dichotomy_table, which gives each piece a verdict, a rule and a
-decider.  classify reads that table and adds one header rule per case.
-decide_colored is the one place that picks an algorithm for a connected
-target: the decider of the case, handed the rows it has already read,
-which searches the sides when only their choice is hard, or bounded
-exact search for every other target.
+decider.  The table is part of the target's plan, built on the
+target's first use and kept on the target, so classify and every
+decision onto one target object read one table.  classify adds one
+header rule per case.  decide_colored is the one place that picks an
+algorithm for a connected target: the decider of the plan's route,
+handed the plan, which searches the sides when only their choice is
+hard, or bounded exact search for every other target.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cover import find_cover
-from .deciders import (Verdict, decide_colored_one_vertex,
-                       decide_two_vertex_nonregular,
-                       decide_two_vertex_regular_2sat, dichotomy_table)
-from .graph import Graph, is_connected
+from .deciders import (Verdict, _decider_plan, decide_colored_one_vertex,
+                       decide_two_vertex_nonregular, decide_two_vertex_regular_2sat)
+from .graph import Graph, _planned, is_connected
 
 
 class OutOfScope(ValueError):
@@ -51,7 +52,7 @@ def classify(h: Graph) -> Classification:
         raise OutOfScope(f"{h.n} vertices")
     if not is_connected(h):
         raise OutOfScope("disconnected target")
-    _, rows = dichotomy_table(h)
+    rows = _planned(h, _decider_plan).rows
     verdict = "P" if all(r.verdict == "P" for r in rows) else "NP-complete"
     if h.n == 1:
         header = "target has one vertex: polynomial iff every color class is"
@@ -70,8 +71,8 @@ def decide_colored(g: Graph, h: Graph, *, budget: int | None = None) -> Verdict:
     """Cover g onto the connected target h.
 
     A target on one or two vertices whose dichotomy_table rows are each
-    P or tagged "side-search" goes to the decider of its case with those
-    rows: one vertex, a forced vertex map (a last row with key None) or
+    P or tagged "side-search" goes to the decider of its case with its
+    plan: one vertex, a forced vertex map (a last row with key None) or
     two vertices that agree.  Only _pair_row tags a row "side-search";
     then the decider branches on the sides and maps the darts in
     polynomial time at each leaf.  Every other target, the empty one
@@ -81,12 +82,12 @@ def decide_colored(g: Graph, h: Graph, *, budget: int | None = None) -> Verdict:
     if h.n == 2 and not is_connected(h):
         raise OutOfScope("disconnected target")
     if h.n in (1, 2):
-        buckets, rows = dichotomy_table(h)
-        if all(r.verdict == "P" or r.method == "side-search" for r in rows):
-            if h.n == 1:
-                return decide_colored_one_vertex(g, h, buckets, rows)
-            if rows[-1].key is None:
-                return decide_two_vertex_nonregular(g, h, buckets, rows)
-            return decide_two_vertex_regular_2sat(g, h, buckets, rows, budget=budget)
+        plan = _planned(h, _decider_plan)
+        if plan.route == "one vertex":
+            return decide_colored_one_vertex(g, h, plan)
+        if plan.route == "forced":
+            return decide_two_vertex_nonregular(g, h, plan)
+        if plan.route == "agree":
+            return decide_two_vertex_regular_2sat(g, h, plan, budget=budget)
     f = find_cover(g, h, budget=budget)
     return Verdict(f is not None, "brute-force-fallback", f)

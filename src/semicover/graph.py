@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 SEMI = "semi"
 LOOP = "loop"
@@ -53,7 +53,7 @@ class Graph:
     """
 
     __slots__ = ("n", "vertex_of", "link_of", "dart_color", "vertex_color",
-                 "names", "darts_at", "links", "mate", "_kinds")
+                 "names", "darts_at", "links", "mate", "_kinds", "_plan")
 
     def __init__(self, n: int, vertex_of: Sequence[int], link_of: Sequence[int],
                  dart_color: Sequence[int] | None = None,
@@ -84,6 +84,7 @@ class Graph:
         self.mate = tuple(mate)
         self._kinds = tuple([SEMI if a == (b := mate[a]) else
                              LOOP if vertex_of[a] == vertex_of[b] else EDGE for a in first])
+        self._plan: dict | None = None  # see _planned
 
     @property
     def n_darts(self) -> int:
@@ -176,6 +177,22 @@ class GraphBuilder:
     def build(self) -> Graph:
         return Graph(len(self._vertex_color), self._vertex_of, self._link_of,
                      self._dart_color, self._vertex_color, self._names)
+
+
+_T = TypeVar("_T")
+
+
+def _planned(g: Graph, build: Callable[[Graph], _T]) -> _T:
+    """build(g), built the first time g is used as a target and kept in
+    g's plan, one part per builder, so that it is freed with g.  No part
+    refers to g, so nothing but g's users keeps g alive."""
+    plan = g._plan
+    if plan is None:
+        plan = g._plan = {}
+    part = plan.get(build)
+    if part is None:
+        part = plan[build] = build(g)
+    return part
 
 
 def type_signature(g: Graph, v: int) -> tuple[int, tuple[tuple[int, int], ...]]:

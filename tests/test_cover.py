@@ -10,6 +10,7 @@ from semicover.build import (build_F, build_W, build_WD, complete, cycle, double
 from semicover.cover import (DartMapping, ResourceLimit, find_cover, verify_cover,
                              witness_json)
 from semicover.dichotomy import decide_colored
+from semicover.generate import connected_regular_graphs
 from semicover.graph import EDGE, GraphBuilder, disjoint_union, is_connected, parse_graph
 from util import (assert_cover_ok, brute_cover_exists, perturb, random_graph, random_lift,
                   recursive_search, reference_verify_cover)
@@ -400,3 +401,29 @@ def test_interchangeable_target_links_are_tried_once_at_the_anchor():
     t0 = time.monotonic()
     assert find_cover(g, build_F(2, 3)) is None
     assert time.monotonic() - t0 < 1.0
+
+
+def test_semi_edge_parity_refutes_before_search():
+    """A cover onto F(2,1) puts one of the two semi-edges over every fibre.
+    On an odd-order quartic graph the fibre is odd and the source has no
+    semi-edge, so find_cover answers no before any search.  The odd-k
+    lifts, which have semi-edges, still cover, and every answer and first
+    cover is the reference search's."""
+    h = build_F(2, 1)
+    rng = random.Random(3)
+    lifts = [random_lift(h, k, rng) for k in (1, 3, 5) for _ in range(3)]
+    quartic = [g for n in (5, 7, 9) for g in connected_regular_graphs(n, 4)]
+    for g in quartic + lifts + [perturb(g, rng) for g in lifts]:
+        assert find_cover(g, h) == recursive_search(g, h)
+    assert all(find_cover(g, h) is not None for g in lifts)
+    # without the parity test, exhaustive search takes seconds to refute C23(1,2)
+    gb = GraphBuilder()
+    for v in range(23):
+        gb.add_vertex()
+    for v in range(23):
+        gb.add_edge(v, (v + 1) % 23)
+        gb.add_edge(v, (v + 2) % 23)
+    slow = [*connected_regular_graphs(9, 4), gb.build()]
+    t0 = time.monotonic()
+    assert len(slow) == 17 and all(find_cover(g, h) is None for g in slow)
+    assert time.monotonic() - t0 < 0.5

@@ -1,7 +1,9 @@
 """Complexity classification and the colored dispatch decider."""
 
 import itertools
+import pickle
 import random
+import sys
 
 import pytest
 
@@ -191,3 +193,22 @@ def test_classify_agrees_with_deciders_on_small_targets():
         assert v.answer, (h.links, g.links)
         assert_cover_ok(g, h, v.witness)
     assert seen > 1000 and 0 < poly < seen
+
+
+def test_target_plan_is_kept_on_the_target():
+    """A target's plan lives on the target alone: deciding, searching and
+    classifying leave its reference count as it was, so nothing else holds
+    it.  A target that carries a plan survives a pickle round-trip, as
+    check_stronger's workers need, and decides the same."""
+    for h in (build_F(1, 1), build_F(2, 1), build_W(1, 1, 1, 1, 1), build_WD(1, 2, 1),
+              barred_pair(1, 0, 1, 0)):
+        g = random_lift(h, 3, random.Random(4))
+        before = sys.getrefcount(h)
+        verdict, cover, classification = decide_colored(g, h), find_cover(g, h), classify(h)
+        assert sys.getrefcount(h) == before
+        copy = pickle.loads(pickle.dumps(h))
+        assert copy._plan.keys() == h._plan.keys()
+        again = decide_colored(g, copy)
+        assert (again.answer, again.method, again.witness) == (
+            verdict.answer, verdict.method, verdict.witness)
+        assert find_cover(g, copy) == cover and classify(copy) == classification
