@@ -45,28 +45,25 @@ def build_W(k: int, m: int, l: int, p: int, q: int) -> Graph:
     return gb.build()
 
 
-def build_WD(m: int, l: int, m2: int, colors: tuple[int, int] = (1, 2)) -> Graph:
+def build_WD(m: int, l: int, m2: int) -> Graph:
     """Directed two-vertex family: m loops at one vertex, m2 at the other,
     l edges in each direction.  Direction is encoded by the ordered dart
-    color pair, so this builder emits colored darts by necessity."""
+    color pair (1, 2), so this builder emits colored darts by necessity."""
     if l < 1:
         raise ValueError("the directed two-vertex family needs connecting edges")
     if min(m, m2) < 0:
         raise ValueError("negative multiplicity")
-    i, j = colors
-    if i == j:
-        raise ValueError("direction needs two distinct dart colors")
     gb = GraphBuilder()
     a = gb.add_vertex()
     b = gb.add_vertex()
     for _ in range(m):
-        gb.add_loop(a, (i, j))
+        gb.add_loop(a, (1, 2))
     for _ in range(l):
-        gb.add_edge(a, b, (i, j))
+        gb.add_edge(a, b, (1, 2))
     for _ in range(l):
-        gb.add_edge(b, a, (i, j))
+        gb.add_edge(b, a, (1, 2))
     for _ in range(m2):
-        gb.add_loop(b, (i, j))
+        gb.add_loop(b, (1, 2))
     return gb.build()
 
 

@@ -38,7 +38,7 @@ _FAMILIES = {
 BUDGET_HELP = ("exit 4 instead of running exact search or side search on a source (or "
                "source component) with more darts than this; polynomial deciders ignore it")
 # the least value each numeric option accepts
-_MINIMA = {"budget": 0, "jobs": 1, "max_n": 1}
+_MINIMA = {"budget": 0, "max_n": 1}
 
 
 def _load(path: str) -> Graph:
@@ -118,7 +118,7 @@ def _cmd_double_cover(args) -> int:
 def _cmd_stronger(args) -> int:
     a = _load(args.a)
     b = _load(args.b)
-    report = check_stronger(a, b, args.max_n, jobs=args.jobs)
+    report = check_stronger(a, b, args.max_n)
     out = report.as_json()
     if report.counterexample is not None:
         out["counterexample"] = serialize_graph(report.counterexample)
@@ -213,8 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("b", metavar="B")
     c.add_argument("--max-n", type=int, required=True,
                    help="largest candidate order to enumerate")
-    c.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at most the CPU count (default 1)")
     c.add_argument("--emit", default=None,
                    help="write a counterexample graph to this file")
     c.set_defaults(func=_cmd_stronger)

@@ -555,12 +555,9 @@ def _decide(g: Graph, h: Graph, plan: _Plan, *, budget: int | None = None) -> Ve
     if g.n == 0:
         return _stitched(g, h, {}, [], plain)
     sides = plan.sides
-    # type_signature of each g vertex, from one (dart color, mate color) list
-    c, vertex_color = g.dart_color, g.vertex_color
-    types = list(zip(c, map(c.__getitem__, g.mate)))
     side = []
-    for u, darts in enumerate(g.darts_at):  # stop at the first vertex no target vertex matches
-        side.append(sides.get((vertex_color[u], tuple(sorted(map(types.__getitem__, darts))))))
+    for u in range(g.n):  # stop at the first vertex no target vertex matches
+        side.append(sides.get(type_signature(g, u)))
         if side[-1] is None:
             return Verdict(False, plain,
                            reason=f"no target vertex has the type signature of vertex {u}")

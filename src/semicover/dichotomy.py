@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import find_cover
+from .cover import find_cover, verify_cover
 from .deciders import (Verdict, _decider_plan, decide_colored_one_vertex,
                        decide_two_vertex_nonregular, decide_two_vertex_regular_2sat)
 from .graph import Graph, _planned, is_connected
@@ -76,8 +76,10 @@ def decide_colored(g: Graph, h: Graph, *, budget: int | None = None) -> Verdict:
     two vertices that agree.  Only _pair_row tags a row "side-search";
     then the decider branches on the sides and maps the darts in
     polynomial time at each leaf.  Every other target, the empty one
-    included, falls back to exact search.  Both searches honour the dart
-    budget.  A disconnected target raises ValueError.
+    included, falls back to exact search, whose cover is re-checked with
+    verify_cover like every decider's (RuntimeError when it fails).  Both
+    searches honour the dart budget.  A disconnected target raises
+    ValueError.
     """
     if h.n == 2 and not is_connected(h):
         raise OutOfScope("disconnected target")
@@ -90,4 +92,7 @@ def decide_colored(g: Graph, h: Graph, *, budget: int | None = None) -> Verdict:
         if plan.route == "agree":
             return decide_two_vertex_regular_2sat(g, h, plan, budget=budget)
     f = find_cover(g, h, budget=budget)
+    bad = f is not None and verify_cover(g, h, f)
+    if bad:
+        raise RuntimeError(f"exact search produced a bad witness: {bad[0]}")
     return Verdict(f is not None, "brute-force-fallback", f)

@@ -4,14 +4,13 @@ Base A is stronger than base B when every connected simple graph covering
 A also covers B.  That is checked exhaustively up to a vertex bound:
 candidates are connected d-regular simple graphs (d the degree of A),
 streamed one isomorphism class at a time in increasing order, so the
-first failure is a minimum-order counterexample.
+first failure is a minimum-order counterexample.  Each candidate is
+decided as it is generated, in the calling process: generation is most
+of the work, so deciding elsewhere could save little of it.
 """
 
 from __future__ import annotations
 
-import contextlib
-import multiprocessing
-import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -70,39 +69,32 @@ class StrongerReport:
         return out
 
 
-def _test_pair(args) -> tuple[Graph, DartMapping | None, bool]:
-    """The candidate, its cover onto a or None, and whether it covers b."""
-    g, a, b = args
-    wa = decide_colored(g, a).witness
-    return g, wa, wa is not None and decide_colored(g, b).answer
-
-
 def check_stronger(a: Graph, b: Graph, n_max: int, jobs: int = 1) -> StrongerReport:
     """Does every connected simple cover of a (up to n_max) also cover b?
 
-    jobs > 1 checks candidates in that many worker processes, at most one
-    per CPU.
+    Each candidate is decided onto a as it is generated, and onto b only
+    when it covers a; the first that covers a but not b is returned as
+    the counterexample, with its cover onto a as the witness.  jobs
+    accepts only 1.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs}")
     if b.n == 0 or not is_connected(b):
         raise UnsupportedBase("target graph must be connected and nonempty")
     generated = 0
     covers = 0
-    tasks = ((g, a, b) for g in _candidates(a, n_max))
-    jobs = min(jobs, os.cpu_count() or 1)
-    with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
-        results = pool.imap(_test_pair, tasks, chunksize=4) if pool else map(_test_pair, tasks)
-        for g, wa, covers_b in results:
-            generated += 1
-            if wa is None:
-                continue
-            covers += 1
-            if not covers_b:
-                return StrongerReport(False, n_max, generated, covers,
-                                      counterexample=g, witness=wa)
+    for g in _candidates(a, n_max):
+        generated += 1
+        wa = decide_colored(g, a).witness
+        if wa is None:
+            continue
+        covers += 1
+        if not decide_colored(g, b).answer:
+            return StrongerReport(False, n_max, generated, covers,
+                                  counterexample=g, witness=wa)
     return StrongerReport(True, n_max, generated, covers)
 
 
-def check_equivalent(a: Graph, b: Graph, n_max: int,
-                     jobs: int = 1) -> tuple[StrongerReport, StrongerReport]:
+def check_equivalent(a: Graph, b: Graph, n_max: int) -> tuple[StrongerReport, StrongerReport]:
     """Stronger-than in both directions; equivalent when both verify."""
-    return check_stronger(a, b, n_max, jobs), check_stronger(b, a, n_max, jobs)
+    return check_stronger(a, b, n_max), check_stronger(b, a, n_max)

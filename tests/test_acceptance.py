@@ -359,12 +359,11 @@ def test_double_cover_laws(bipartite_pool):
 
 def test_stronger_evidence():
     t0 = time.monotonic()
-    rep = check_stronger(build_F(2, 0), build_F(0, 1), 10, jobs=4)
+    rep = check_stronger(build_F(2, 0), build_F(0, 1), 10)
     assert rep.stronger
     assert rep.covers_found == 4
 
-    fwd, back = check_equivalent(build_W(0, 0, 2, 0, 0), build_F(2, 0), 10,
-                                 jobs=4)
+    fwd, back = check_equivalent(build_W(0, 0, 2, 0, 0), build_F(2, 0), 10)
     assert fwd.stronger and back.stronger
     for base in (build_W(0, 0, 2, 0, 0), build_F(2, 0)):
         covers = list(enumerate_simple_covers(base, 10))
@@ -372,7 +371,7 @@ def test_stronger_evidence():
         for g in covers:
             assert regular(g, 2)
 
-    rep = check_stronger(build_F(1, 1), build_F(3, 0), 10, jobs=4)
+    rep = check_stronger(build_F(1, 1), build_F(3, 0), 10)
     assert not rep.stronger
     assert rep.counterexample.n == 10
     assert isomorphic(rep.counterexample, petersen())

@@ -6,10 +6,13 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 import semicover
-from semicover.build import build_F, build_W
+from semicover.build import build_F, build_W, cycle
 from semicover.cli import main
-from semicover.cover import DartMapping, verify_cover
+from semicover.cover import DartMapping, find_cover, verify_cover
+from semicover.dichotomy import decide_colored
 from semicover.graph import is_simple, parse_graph, serialize_graph
 from util import random_lift
 
@@ -235,6 +238,25 @@ def test_failed_self_check_exits_5(capsys, tmp_path, monkeypatch):
     assert "internal check failed" in out["error"]
 
 
+def test_bad_exact_search_witness_exits_5(capsys, tmp_path, monkeypatch):
+    # exact search's yes is re-checked like every decider's: a real cover
+    # with the images of two darts swapped must not come out as a witness
+    import semicover.dichotomy
+    g, h = cycle(6), cycle(3)
+    f = find_cover(g, h)
+    images = list(f.dart_map)
+    images[0], images[1] = images[1], images[0]
+    bad = DartMapping(tuple(images), f.vertex_map)
+    assert verify_cover(g, h, f) == [] and verify_cover(g, h, bad)
+    monkeypatch.setattr(semicover.dichotomy, "find_cover", lambda *a, **k: bad)
+    with pytest.raises(RuntimeError, match="bad witness"):
+        decide_colored(g, h)
+    code, out = run(capsys, "check", write_graph(tmp_path, "c6.g", g),
+                    write_graph(tmp_path, "c3.g", h), "--witness")
+    assert code == 5
+    assert "internal check failed: exact search produced a bad witness" in out["error"]
+
+
 def test_usage_errors(capsys, tmp_path):
     missing = str(tmp_path / "nope.g")
     h = gen_to_file(capsys, tmp_path, "f01.g", "f", "0", "1")
@@ -279,14 +301,16 @@ def test_usage_errors(capsys, tmp_path):
     # numeric options below their least value, and a flag of another family
     for argv, msg in ((("check", h, h, "--budget", "-5"), "--budget must be at least 0"),
                       (("pattern", h, h, "--budget", "-5"), "--budget must be at least 0"),
-                      (("stronger", f30, h, "--max-n", "4", "--jobs", "-2"),
-                       "--jobs must be at least 1"),
                       (("stronger", f30, h, "--max-n", "-1"), "--max-n must be at least 1"),
                       (("stronger", f30, h, "--max-n", "0"), "--max-n must be at least 1"),
                       (("gen", "cycle", "3", "--semi-ends"),
                        "--semi-ends applies to gen path only")):
         assert run(capsys, *argv) == (2, {"error": msg}), argv
     assert run(capsys, "check", h, h, "--budget", "0")[0] == 0
+    # stronger decides every candidate in one process: it has no --jobs
+    with pytest.raises(SystemExit) as usage:
+        main(["stronger", f30, h, "--max-n", "4", "--jobs", "2"])
+    assert usage.value.code == 2 and "--jobs" in capsys.readouterr().err
 
 
 def test_equitable_witness_sums_fibres_of_repeated_target_names(capsys, monkeypatch):

@@ -198,8 +198,8 @@ def test_classify_agrees_with_deciders_on_small_targets():
 def test_target_plan_is_kept_on_the_target():
     """A target's plan lives on the target alone: deciding, searching and
     classifying leave its reference count as it was, so nothing else holds
-    it.  A target that carries a plan survives a pickle round-trip, as
-    check_stronger's workers need, and decides the same."""
+    it.  A target that carries a plan survives a pickle round-trip and
+    decides the same."""
     for h in (build_F(1, 1), build_F(2, 1), build_W(1, 1, 1, 1, 1), build_WD(1, 2, 1),
               barred_pair(1, 0, 1, 0)):
         g = random_lift(h, 3, random.Random(4))

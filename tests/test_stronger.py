@@ -91,38 +91,14 @@ def test_unsupported_bases():
             check_stronger(build_F(3, 0), disjoint_union([build_F(0, 1)] * k), n_max)
 
 
-def test_parallel_jobs_agree():
-    a, b = build_F(1, 1), build_F(3, 0)
-    seq = check_stronger(a, b, 8, jobs=1)
-    par = check_stronger(a, b, 8, jobs=2)
-    assert seq.stronger == par.stronger
-    assert seq.generated == par.generated
-    assert seq.covers_found == par.covers_found
-    seq2 = check_stronger(build_F(2, 0), build_F(0, 1), 8, jobs=2)
-    assert seq2.stronger and seq2.covers_found == 3
-
-
-def test_jobs_capped_at_cpu_count(monkeypatch):
-    # Pool starts its workers at once; a fake one records the count and starts none
-    started = []
-
-    class FakePool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, tasks, chunksize=1):
-            return map(func, tasks)
-
-    monkeypatch.setattr(stronger.multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(stronger.os, "cpu_count", lambda: 2)
-    report = check_stronger(build_F(2, 0), build_F(0, 1), 8, jobs=100_000)
-    assert started == [2] and report.stronger and report.covers_found == 3
-    monkeypatch.setattr(stronger.os, "cpu_count", lambda: None)
-    check_stronger(build_F(2, 0), build_F(0, 1), 8, jobs=100_000)
-    assert started == [2]  # one CPU: no pool at all
+def test_jobs_other_than_one_is_refused_before_generation(monkeypatch):
+    orders = []
+    generate = stronger.connected_regular_graphs
+    monkeypatch.setattr(stronger, "connected_regular_graphs",
+                        lambda n, d: orders.append(n) or generate(n, d))
+    for jobs in (0, 2, 4):
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            check_stronger(build_F(2, 0), build_F(0, 1), 8, jobs=jobs)
+    assert orders == []
+    assert check_stronger(build_F(2, 0), build_F(0, 1), 8, jobs=1).stronger
+    assert orders == [1, 2, 3, 4, 5, 6, 7, 8]
