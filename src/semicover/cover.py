@@ -19,8 +19,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import (EDGE, LOOP, SEMI, Graph, _component_labels, _planned,
-                    is_connected, type_signature)
+from .graph import (EDGE, LOOP, SEMI, Graph, _component_labels, _planned, _signatures,
+                    _type_weights, is_connected)
 
 
 class ResourceLimit(RuntimeError):
@@ -187,13 +187,14 @@ def _check_budget(g: Graph, budget: int | None) -> None:
 
 def _search_plan(h: Graph) -> tuple:
     """What find_cover takes from the target h alone, for _planned: the
-    vertices of each type signature, the option table, the twin and bits
-    arrays, and the semi-edge count of each dart colour."""
+    type weights and the vertices of each signature code, the option table,
+    the twin and bits arrays, and the semi-edge count of each dart colour."""
     if not is_connected(h):
         raise ValueError("target must be connected")
+    weights = _type_weights(h)
     sigs: dict = {}
-    for w in range(h.n):
-        sigs.setdefault(type_signature(h, w), []).append(w)
+    for w, key in enumerate(_signatures(h, weights)):
+        sigs.setdefault(key, []).append(w)
     kinds = [h._kinds[l] for l in h.link_of]
     table = {(c, k): [[e for e in h.darts_at[w] if h.dart_color[e] == c and k in (EDGE, kinds[e])]
                       for w in range(h.n)]
@@ -209,7 +210,7 @@ def _search_plan(h: Graph) -> tuple:
         last[key] = e
     bits = [1 << e | 1 << m for e, m in enumerate(h.mate)]
     semis = Counter(h.dart_color[e] for e, m in enumerate(h.mate) if e == m)
-    return sigs, table, twin, bits, semis
+    return weights, sigs, table, twin, bits, semis
 
 
 def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping | None:
@@ -247,7 +248,7 @@ def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping 
     twin's, tried first without a cover.  Only subtrees without a cover
     go, so the cover found does not move.
     """
-    sigs, table, twin, bits, h_semis = _planned(h, _search_plan)
+    weights, sigs, table, twin, bits, h_semis = _planned(h, _search_plan)
     _check_budget(g, budget)
     if h.n == 0:
         return DartMapping((), ()) if g.n == 0 else None
@@ -261,7 +262,7 @@ def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping 
         s, b, m = semis[label, c], h_semis[c], sizes[label] // h.n
         if (s - b * m) % 2 or m % 2 and s < b:
             return None
-    cands = [sigs.get(type_signature(g, u)) for u in range(g.n)]
+    cands = list(map(sigs.get, _signatures(g, weights)))
     if None in cands:
         return None
     # every dart colour of g is one of h's, since its vertex has a target's signature

@@ -16,7 +16,8 @@ whose rows are each P or tagged "side-search" to the decider with its
 plan, and the rest to exact search.
 
 The decider only finds the side, the target vertex of each source
-vertex: type signatures fix it, or _choose_sides applies one
+vertex: type signatures fix it, matched as count codes
+(graph._signatures), or _choose_sides applies one
 crossing-count rule per dart type (_dart_types).  On a target whose rows
 are all P the rules make a 2-SAT instance with only parity clauses (two
 sides equal, or differ) and unit clauses, which one BFS per component
@@ -26,7 +27,7 @@ buckets are polynomial one-vertex pieces; its row is then tagged
 "side-search", some of its dart types count crossings beyond parity,
 and _choose_sides searches the sides under the same clauses and counts.
 _map_sides buckets the source under any such vertex map and maps each
-bucket onto the target's of the same key.
+bucket onto the target's of the same key, or g whole onto one F(b,c).
 Each regular bipartite piece (directed loops at a vertex, links between
 two vertices) goes through one König routine, _konig_onto, which sends
 perfect matching t onto the t-th target link; the oriented 2-factors of
@@ -39,7 +40,8 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .cover import DartMapping, _check_budget, verify_cover
-from .graph import EDGE, Graph, _parity_solve, _subgraph, components, type_signature
+from .graph import (EDGE, Graph, _parity_solve, _signatures, _subgraph, _type_weights,
+                    components, type_signature)
 from .matching import exact_link_cover, konig_split, two_factor_orientations
 
 _TAG_RANK = {"regularity": 0, "matching": 1, "2-factor": 2,
@@ -216,7 +218,8 @@ class _Plan(NamedTuple):
     rows: list[Row]
     route: str | None      # the case decide_colored hands g to; None: exact search
     method: str            # the highest tag among the rows, once routed
-    sides: dict            # type signature -> target vertex
+    weights: tuple         # _type_weights(h), for graph._signatures
+    sides: dict            # (vertex color, dart-type count code) -> target vertex
     types: dict            # _dart_types(h)
     counting: list         # the types (dart color, mate color) with D > 2, 0 < X < D
 
@@ -228,8 +231,9 @@ def _decider_plan(h: Graph) -> _Plan:
         route = "one vertex" if h.n == 1 else "forced" if rows[-1].key is None else "agree"
         method = max((r.method for r in rows), key=_TAG_RANK.__getitem__, default="regularity")
     types = _dart_types(h)
-    return _Plan(buckets, rows, route, method, {type_signature(h, s): s for s in range(h.n)},
-                 types,
+    weights = _type_weights(h)
+    return _Plan(buckets, rows, route, method, weights,
+                 {key: s for s, key in enumerate(_signatures(h, weights))}, types,
                  [(t, x) for t, (dd, x) in types.items() if dd > 2 and 0 < x < dd])
 
 
@@ -309,12 +313,15 @@ def _map_sides(g: Graph, buckets: _Buckets, side: Sequence[int]) -> dict[int, in
     Each target bucket takes the bucket of g of the same key; a g link
     under no target key leaves some bucket short, since every g vertex
     has the dart types of its side.  A monochromatic stay bucket is a
-    one-vertex problem (_decide_f); every other bucket is regular
-    bipartite and goes through _konig_onto: a directed stay bucket onto
-    its directed loops, a cross bucket onto the links between its sides.
+    one-vertex problem (_decide_f), g whole when it is all of h; every
+    other bucket is regular bipartite and goes through _konig_onto: a
+    directed stay bucket onto its directed loops, a cross bucket onto the
+    links between its sides.
     """
-    stay, cross = _buckets(g, side)
     h_stay, h_cross = buckets
+    if not h_cross and len(h_stay) == 1 and (key := next(iter(h_stay)))[0][0] == key[0][1]:
+        return _decide_f(g, h_stay[key])    # one vertex, one F(b,c): all of g is its bucket
+    stay, cross = _buckets(g, side)
     verts = {t: [v for v, s in enumerate(side) if s == t] for t in set(side)}
     out: dict[int, int] = {}
     for key, targets in h_stay.items():
@@ -538,7 +545,8 @@ def _decide(g: Graph, h: Graph, plan: _Plan, *, budget: int | None = None) -> Ve
     """Cover g onto a target on one or two vertices whose rows are each P
     or tagged "side-search".
 
-    A g vertex may only map onto a target vertex of its type signature.
+    A g vertex may only map onto a target vertex of its type signature,
+    matched by one count code per vertex in one pass over g's darts.
     When the signatures tell h's vertices apart that fixes the sides, and
     _map_sides maps the darts; otherwise _choose_sides chooses the sides
     and maps the darts, and a no from one of its refutations carries the
@@ -554,14 +562,11 @@ def _decide(g: Graph, h: Graph, plan: _Plan, *, budget: int | None = None) -> Ve
     plain = method if searched else "regularity"  # the tag when type signatures decide
     if g.n == 0:
         return _stitched(g, h, {}, [], plain)
-    sides = plan.sides
-    side = []
-    for u in range(g.n):  # stop at the first vertex no target vertex matches
-        side.append(sides.get(type_signature(g, u)))
-        if side[-1] is None:
-            return Verdict(False, plain,
-                           reason=f"no target vertex has the type signature of vertex {u}")
-    if len(sides) == h.n:
+    side = list(map(plan.sides.get, _signatures(g, plan.weights)))
+    if None in side:
+        return Verdict(False, plain, reason="no target vertex has the type signature of "
+                                            f"vertex {side.index(None)}")
+    if len(plan.sides) == h.n:
         dart_map = _map_sides(g, plan.buckets, side)
     else:
         try:

@@ -6,9 +6,9 @@ additionally for surjectivity, or for all target vertex fibers to share
 one size, gives the surjective and equitable variants.  All three reduce
 to questions about the covering pattern: the bipartite graph recording
 which source component covers which target component, weighted by the
-vertex-count ratio.  Each distinct component-vs-component question is
-one call of dichotomy.decide_colored, which picks the algorithm;
-components with equal labelled structure share that call and its witness.
+vertex-count ratio.  Components with equal arrays (graph._split) form a
+class with one Graph; one dichotomy.decide_colored call per class pair
+picks the algorithm and gives the pairs' witness.  h keeps its split.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .cover import (DartMapping, ResourceLimit, _fiber_sizes, find_cover,  # noqa: F401
                     verify_cover)
 from .dichotomy import decide_colored
-from .graph import Component, Graph, components
+from .graph import Component, Graph, _planned, _split
 from .matching import kuhn_matching
 
 # decide_equitable's bound on the states it keeps over all levels
@@ -89,10 +89,25 @@ class Decision:
         return out
 
 
-def _labelled(c: Component) -> tuple:
-    """Everything a decider reads of a component; names are left out."""
-    g = c.graph
-    return g.n, g.vertex_of, g.link_of, g.dart_color, g.vertex_color
+def _classed(g: Graph, parts: list) -> tuple[list[Component], list[int]]:
+    """A Component per part of g's split (graph._split), and its class:
+    parts with equal arrays, all a decider reads, share a class and one
+    Graph, built for the first member.  A connected g keeps g itself."""
+    firsts: dict[tuple, tuple[int, Graph]] = {}
+    comps, classes = [], []
+    for vs, ds, arrays in parts:
+        k, graph = firsts.get(arrays) or firsts.setdefault(arrays, (
+            len(firsts), g if len(parts) == 1 else Graph(*arrays, [g.names[v] for v in vs])))
+        classes.append(k)
+        comps.append(Component(graph, vs, ds))
+    return comps, classes
+
+
+def _target_classes(h: Graph) -> tuple:
+    """_classed of a disconnected target, for graph._planned; () for a
+    connected h, whose one part would refer to h."""
+    parts = _split(h)
+    return tuple(map(tuple, _classed(h, parts))) if len(parts) > 1 else ()
 
 
 def build_pattern(g: Graph, h: Graph, *, budget: int | None = None,
@@ -103,16 +118,15 @@ def build_pattern(g: Graph, h: Graph, *, budget: int | None = None,
     answers each pair: by a polynomial decider where one applies, by exact
     search under the dart budget elsewhere.  Pairs failing the
     divisibility filter are skipped outright.  Components with equal
-    labelled structure form one class, and decide_colored runs once per
-    (source class, target class); equal pairs share its witness.
+    arrays (graph._split) form one class with one Graph, whose names are
+    its first member's, and decide_colored runs once per (source class,
+    target class); equal pairs share its witness.  h's classes are kept
+    in h's plan, for every later call onto h.
     """
-    comps_g = components(g)
-    comps_h = components(h)
+    comps_g, class_g = _classed(g, _split(g))
+    comps_h, class_h = _planned(h, _target_classes) or _classed(h, _split(h))
     pattern = CoveringPattern(tuple(c.graph.n for c in comps_g),
                               tuple(c.graph.n for c in comps_h))
-    classes: dict[tuple, int] = {}
-    class_g = [classes.setdefault(_labelled(c), len(classes)) for c in comps_g]
-    class_h = [classes.setdefault(_labelled(c), len(classes)) for c in comps_h]
     decided: dict[tuple[int, int], DartMapping | None] = {}
     for i, cg in enumerate(comps_g):
         for j, ch in enumerate(comps_h):
@@ -128,7 +142,7 @@ def build_pattern(g: Graph, h: Graph, *, budget: int | None = None,
             if w is not None:
                 pattern.edges[(i, j)] = cg.graph.n // ch.graph.n
                 pattern.witnesses[(i, j)] = w
-    return pattern, comps_g, comps_h
+    return pattern, comps_g, list(comps_h)
 
 
 def max_bipartite_matching(pattern: CoveringPattern) -> dict[int, int]:

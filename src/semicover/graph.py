@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count, repeat
 from typing import Callable, Iterable, Sequence, TypeVar
 
 SEMI = "semi"
@@ -184,7 +184,8 @@ _T = TypeVar("_T")
 
 def _planned(g: Graph, build: Callable[[Graph], _T]) -> _T:
     """build(g), built the first time g is used as a target and kept in
-    g's plan, one part per builder, so that it is freed with g.  No part
+    g's plan, one part per builder (the decider and search plans, the
+    split of a disconnected g), so that it is freed with g.  No part
     refers to g, so nothing but g's users keeps g alive."""
     plan = g._plan
     if plan is None:
@@ -207,6 +208,32 @@ def type_signature(g: Graph, v: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """
     c = g.dart_color
     return g.vertex_color[v], tuple(sorted((c[d], c[g.mate[d]]) for d in g.darts_at[v]))
+
+
+def _type_weights(h: Graph) -> tuple[dict[tuple[int, int], int], int]:
+    """The weight _signatures sums per dart type of h, and for any other.
+    With D one more than h's largest degree and T types, type f weighs
+    D**f + D**T: base-D field f counts its darts and field T all darts;
+    any other type weighs D**(T+1).  Codes below D**(T+1), h's among them,
+    are exact, so a vertex of any degree and one of h get equal codes
+    exactly when their type signatures are equal."""
+    c = h.dart_color
+    types = dict.fromkeys(zip(c, map(c.__getitem__, h.mate)))
+    base = max(map(len, h.darts_at), default=0) + 1
+    top = base ** len(types)
+    return {t: base ** f + top for f, t in enumerate(types)}, top * base
+
+
+def _signatures(g: Graph, weights: tuple) -> list[tuple[int, int]]:
+    """Each vertex's color and the sum of its darts' weights of a target
+    (_type_weights), in one pass over the darts."""
+    weight, lack = weights
+    c = g.dart_color
+    code = [0] * g.n
+    for v, x in zip(g.vertex_of, map(weight.get, zip(c, map(c.__getitem__, g.mate)),
+                                     repeat(lack))):
+        code[v] += x
+    return list(zip(g.vertex_color, code))
 
 
 def is_simple(g: Graph) -> bool:
@@ -293,29 +320,42 @@ def _component_labels(g: Graph) -> list[int]:
     return label
 
 
+def _split(g: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple]]:
+    """Each component's vertex ids, dart ids and arrays (n, vertex_of,
+    link_of, dart_color, vertex_color) as _subgraph numbers them (links in
+    the order of their ids), in one pass each over vertices, links, darts."""
+    label = _component_labels(g)
+    vertex_of, link_of, dart_color = g.vertex_of, g.link_of, g.dart_color
+    verts: dict[int, list[int]] = {}    # by smallest vertex
+    for v, r in enumerate(label):
+        verts.setdefault(r, []).append(v)
+    darts: dict[int, list[int]] = {r: [] for r in verts}
+    for d, v in enumerate(vertex_of):
+        darts[label[v]].append(d)
+    at = {r: count().__next__ for r in verts}
+    local = [at[r]() for r in label]    # each vertex's id in its component
+    at = {r: count().__next__ for r in verts}
+    lid = [at[label[vertex_of[cell[0]]]]() for cell in g.links]     # and each link's
+    return [(tuple(vs), tuple(ds), (len(vs), tuple([local[vertex_of[d]] for d in ds]),
+                                    tuple([lid[link_of[d]] for d in ds]),
+                                    tuple([dart_color[d] for d in ds]),
+                                    tuple([g.vertex_color[v] for v in vs])))
+            for vs, ds in zip(verts.values(), darts.values())]
+
+
 def components(g: Graph) -> list[Component]:
     """Connected components, ordered by smallest original vertex id.
 
     Isolated vertices form their own single-vertex components.
     """
-    labels = _component_labels(g)
-    verts: list[list[int]] = [[] for _ in range(g.n)]
-    darts: list[list[int]] = [[] for _ in range(g.n)]
-    for v, c in enumerate(labels):
-        verts[c].append(v)
-    for d, v in enumerate(g.vertex_of):
-        darts[labels[v]].append(d)
-    return [Component(_subgraph(g, vs, ds), tuple(vs), tuple(ds))
-            for vs, ds in zip(verts, darts) if vs]
+    parts = _split(g)
+    return [Component(g if len(parts) == 1 else Graph(*arrays, [g.names[v] for v in vs]), vs, ds)
+            for vs, ds, arrays in parts]
 
 
 def _subgraph(g: Graph, verts: Sequence[int], darts: Sequence[int]) -> Graph:
     """The graph on the given vertices and darts of g, renumbered in the
-    order given; links keep the order of their original ids.  All of g in
-    order is g itself."""
-    whole = len(verts) == g.n and len(darts) == g.n_darts
-    if whole and list(verts) == list(range(g.n)) and list(darts) == list(range(g.n_darts)):
-        return g
+    order given; links keep the order of their original ids."""
     vmap = {v: i for i, v in enumerate(verts)}
     links = sorted({g.link_of[d] for d in darts})
     lmap = {l: i for i, l in enumerate(links)}

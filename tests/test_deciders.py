@@ -556,6 +556,32 @@ def test_map_sides_takes_any_vertex_map():
     assert targets > 100 and yes > 400
 
 
+def test_signature_no_names_the_first_unmatched_vertex():
+    """A no at the type signatures names the lowest vertex whose type
+    signature no target vertex has, as matching sorted signatures did:
+    on lifts of corpus targets, perturbed, and beside seeded multigraphs
+    of degree up to 40 whose dart types the target may lack."""
+    rng = random.Random(229)
+    named = 0
+    for i, h in enumerate(small_targets(4)):
+        if i % 5 or graph._planned(h, deciders._decider_plan).route is None:
+            continue
+        sigs = {type_signature(h, w) for w in range(h.n)}
+        lift = random_lift(h, rng.randrange(1, 4), rng)
+        noise = random_graph(rng, rng.randrange(1, 3), rng.randrange(21), colors=(0, 1, 2))
+        for g in (lift, perturb(lift, rng), disjoint_union([lift, noise]),
+                  disjoint_union([noise, lift])):
+            first = next((u for u in range(g.n) if type_signature(g, u) not in sigs), None)
+            v = decide_colored(g, h)
+            if first is None:
+                assert not v.reason.startswith("no target vertex has the type signature")
+            else:
+                assert (v.answer, v.reason) == (
+                    False, f"no target vertex has the type signature of vertex {first}")
+                named += 1
+    assert named > 800
+
+
 def test_hard_two_vertex_raises():
     h1 = build_W(1, 1, 1, 1, 1)
     h2 = build_WD(1, 2, 1)

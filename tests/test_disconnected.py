@@ -2,20 +2,22 @@
 
 import itertools
 import random
+import sys
 import time
 
 import pytest
 
 import semicover.disconnected
-from semicover.build import (build_F, build_W, complete, cycle, gen_binpacking, path,
-                             petersen)
+from semicover.build import (build_F, build_W, complete, complete_bipartite, cycle,
+                             gen_binpacking, path, petersen)
 from semicover.cover import ResourceLimit, verify_cover
 from semicover.dichotomy import decide_colored
 from semicover.disconnected import (CoveringPattern, build_pattern, decide,
                                     decide_equitable, decide_lbhom, decide_surjective,
                                     max_bipartite_matching)
-from semicover.graph import GraphBuilder, components, disjoint_union
-from util import assert_cover_ok, partition_oracle, random_lift, reference_equitable
+from semicover.graph import GraphBuilder, components, disjoint_union, is_connected
+from util import (arrays, assert_cover_ok, decide_work, partition_oracle, random_graph,
+                  random_lift, reference_build_pattern, reference_equitable, renamed)
 
 
 def union_of_cycles(lengths):
@@ -300,6 +302,94 @@ def test_one_decide_colored_call_per_distinct_pair(monkeypatch):
     pattern, _, _ = build_pattern(*gen_binpacking([3, 3, 3, 5, 5], 3))
     assert len(calls) == 2
     assert len(pattern.edges) == 15
+
+
+def split_cases():
+    """Seeded unions onto unions of two to four small connected targets,
+    with vertex and dart colors, loops, semi-edges and parallel links: the
+    sources hold lifts of the targets, repeated copies, random multigraphs
+    and isolated vertices, and names repeat on both sides."""
+    rng = random.Random(227)
+    for _ in range(80):
+        targets = []
+        while len(targets) < rng.randrange(2, 5):
+            t = renamed(random_graph(rng, rng.randrange(1, 4), rng.randrange(4), colors=(0, 1)),
+                        rng)
+            if is_connected(t):
+                targets.append(t)
+        targets.append(rng.choice(targets))
+        pieces = []
+        for _ in range(rng.randrange(1, 7)):
+            roll = rng.random()
+            if pieces and roll < 0.3:
+                pieces.append(rng.choice(pieces))
+            elif roll < 0.8:
+                pieces.append(random_lift(rng.choice(targets), rng.randrange(1, 4), rng))
+            else:
+                pieces.append(random_graph(rng, rng.randrange(1, 4), rng.randrange(4),
+                                           colors=(0, 1)))
+        yield (renamed(disjoint_union(pieces), rng, recolor=False),
+               renamed(disjoint_union(targets), rng, recolor=False))
+
+
+def test_build_pattern_matches_reference_split():
+    """build_pattern, with one split pass and one Graph per class, gives
+    the sizes, edges and witnesses, and the component ids and arrays, of
+    the reference that builds every component (tests/util.py)."""
+    edges = 0
+    for g, h in split_cases():
+        for _ in range(2):  # the second call reads h's split from its plan
+            pattern, comps_g, comps_h = build_pattern(g, h)
+            ref, ref_g, ref_h = reference_build_pattern(g, h)
+            assert (pattern.sizes_g, pattern.sizes_h) == (ref.sizes_g, ref.sizes_h)
+            assert pattern.edges == ref.edges
+            assert pattern.witnesses == ref.witnesses
+            for comps, want in ((comps_g, ref_g), (comps_h, ref_h)):
+                assert [(c.vertex_ids, c.dart_ids, arrays(c.graph)) for c in comps] == [
+                    (c.vertex_ids, c.dart_ids, arrays(c.graph)) for c in want]
+        edges += len(pattern.edges)
+    assert edges > 150
+
+
+def test_decide_work_is_bounded():
+    """decide builds one source Graph per class of components, and onto a
+    target it has decided before no target Graph and no plan."""
+    g, h = gen_binpacking([3, 3, 3, 5, 5], 3)
+    first, again = decide_work(g, h), decide_work(g, h)
+    assert first["graphs"] <= 2 + 1 and first["decide_colored"] == 2
+    assert again == {"graphs": 2, "plans": 0, "decide_colored": 2}
+    g = disjoint_union([complete(4), petersen(), complete(4), complete_bipartite(3, 3)])
+    h = disjoint_union([build_F(3, 0), build_F(1, 1)])
+    decide(g, h, "surjective")
+    assert decide_work(g, h, "surjective", want_witness=True) == {
+        "graphs": 3, "plans": 0, "decide_colored": 6}
+
+
+def test_decide_keeps_no_reference_to_the_target():
+    """A target's plan holds its split but nothing that refers to it,
+    whether it is connected or not."""
+    for g, h in ((cycle(6), build_F(0, 1)), gen_binpacking([3, 3, 3, 5, 5], 3),
+                 (disjoint_union([complete(4), petersen()]),
+                  disjoint_union([build_F(3, 0), build_F(1, 1)]))):
+        before = sys.getrefcount(h)
+        for semantics in ("lbhom", "surjective", "equitable"):
+            decide(g, h, semantics, want_witness=True)
+        assert sys.getrefcount(h) == before
+
+
+def test_build_pattern_returns_fresh_lists():
+    """Mutating the component lists build_pattern returns does not
+    change the next call, although h keeps its split."""
+    def values(comps):
+        return [(c.vertex_ids, c.dart_ids, arrays(c.graph)) for c in comps]
+    for g, h in (gen_binpacking([3, 3, 5], 3), (cycle(4), build_F(0, 1))):
+        pattern, comps_g, comps_h = build_pattern(g, h)
+        want = values(comps_g), values(comps_h)
+        comps_g.clear()
+        comps_h.reverse()
+        comps_h.append(comps_h[0])
+        again, comps_g, comps_h = build_pattern(g, h)
+        assert again == pattern and (values(comps_g), values(comps_h)) == want
 
 
 def test_resource_limit_names_the_first_pair():

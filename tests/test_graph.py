@@ -2,17 +2,19 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from semicover.build import (build_F, build_W, build_WD, complete, complete_bipartite, cycle,
                              path, petersen)
 from semicover.graph import (EDGE, LOOP, SEMI, Graph, GraphBuilder, GraphFormatError,
-                             _subgraph, components, disjoint_union,
-                             induced_link_subgraph, induced_vertex_subgraph,
+                             _signatures, _split, _subgraph, _type_weights, components,
+                             disjoint_union, induced_link_subgraph, induced_vertex_subgraph,
                              is_bipartite, is_connected, is_regular, is_simple,
                              parse_graph, serialize_graph, type_signature)
-from util import random_graph, random_lift, reference_is_bipartite, reference_parse_graph
+from util import (arrays, random_graph, random_lift, reference_components,
+                  reference_is_bipartite, reference_parse_graph, renamed)
 
 
 def test_builder_and_degrees():
@@ -230,6 +232,85 @@ def test_components_and_union():
     for comp in comps:
         for local, glob in enumerate(comp.dart_ids):
             assert g.vertex_of[glob] == comp.vertex_ids[comp.graph.vertex_of[local]]
+
+
+def test_split_matches_subgraph_per_component():
+    """_split and components give, per component, the ids and the arrays
+    of one _subgraph call, on seeded multigraphs with loops, semi-edges,
+    parallel edges, dart and vertex colors, isolated vertices and
+    repeated names; a connected graph is its own component."""
+    rng = random.Random(211)
+    shapes = set()
+    for _ in range(300):
+        parts = [random_graph(rng, n, rng.randrange(2 * n + 1), colors=(0, 1, 2))
+                 for n in (rng.randrange(1, 6) for _ in range(rng.randrange(4)))]
+        g = renamed(disjoint_union(parts), rng)
+        want = reference_components(g)
+        split, comps = _split(g), components(g)
+        assert [(vs, ds) for vs, ds, _ in split] == [(c.vertex_ids, c.dart_ids) for c in want]
+        assert [a for _, _, a in split] == [arrays(c.graph) for c in want]
+        assert [(c.vertex_ids, c.dart_ids, arrays(c.graph), c.graph.names) for c in comps] == [
+            (c.vertex_ids, c.dart_ids, arrays(c.graph), c.graph.names) for c in want]
+        if len(want) == 1:
+            assert comps[0].graph is g
+        shapes.add(min(len(want), 3))
+        shapes.update(g.link_kind(l) for l in range(g.n_links))
+        shapes.update(("isolated",) * any(not darts for darts in g.darts_at))
+        edges = [tuple(sorted(g.link_ends(l))) for l in range(g.n_links)
+                 if g.link_kind(l) == EDGE]
+        shapes.update(("parallel",) * (len(set(edges)) < len(edges)))
+    assert shapes == {0, 1, 2, 3, SEMI, LOOP, EDGE, "isolated", "parallel"}
+
+
+def _counted(counts):
+    """A vertex with counts[t] darts of each type t = (dart color, mate
+    color): semi-edges for equal colors, else edges to new leaves."""
+    gb = GraphBuilder()
+    u = gb.add_vertex()
+    for (c, m), k in counts.items():
+        for _ in range(k):
+            if c == m:
+                gb.add_semi(u, color=c)
+            else:
+                gb.add_edge(u, gb.add_vertex(), colors=(c, m))
+    return gb.build()
+
+
+def test_signature_codes_match_type_signatures():
+    """A vertex of g and a vertex of h get equal codes under h's weights
+    exactly when their type signatures are equal: on seeded colored
+    multigraphs with loops, semi-edges and directed color pairs, degrees
+    up to 80 and dart types that h lacks, and on vertices whose counts
+    read as h's in base D, which a code without the degree field would
+    confuse."""
+    rng = random.Random(223)
+    equal = shifted = 0
+    for trial in range(150):
+        h = random_graph(rng, rng.randrange(1, 4), rng.randrange(1, 21), colors=(0, 1, 2))
+        weights = _type_weights(h)
+        base = max(map(h.degree, range(h.n))) + 1
+        parts = [random_lift(h, 2, rng),
+                 random_graph(rng, rng.randrange(1, 3), rng.randrange(1, 41), colors=(0, 1, 2, 3))]
+        # w's darts of h's second type (in _type_weights' order) as base
+        # times as many of its first: the same sum over fields 0..T-1
+        first, *rest = dict.fromkeys(zip(h.dart_color, map(h.dart_color.__getitem__, h.mate)))
+        for w in range(h.n):
+            counts = Counter((h.dart_color[d], h.dart_color[h.mate[d]]) for d in h.darts_at[w])
+            if rest and 0 < base * counts[rest[0]] <= 200:
+                counts[first] += base * counts.pop(rest[0])
+                parts.append(_counted(counts))
+                shifted += 1
+        g = disjoint_union(parts)
+        codes_g, codes_h = _signatures(g, weights), _signatures(h, weights)
+        for u in range(g.n):
+            for w in range(h.n):
+                same = type_signature(g, u) == type_signature(h, w)
+                assert (codes_g[u] == codes_h[w]) == same, (trial, u, w)
+                equal += same
+        for w in range(h.n):
+            for x in range(h.n):
+                assert (codes_h[w] == codes_h[x]) == (type_signature(h, w) == type_signature(h, x))
+    assert equal > 400 and shifted > 100
 
 
 def test_induced_link_subgraph():

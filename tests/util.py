@@ -7,12 +7,13 @@ code so that agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import random
+import sys
 from functools import cache
 from itertools import permutations, product
 
 from semicover.cover import CoverViolation, DartMapping
-from semicover.graph import (EDGE, LOOP, SEMI, Graph, GraphBuilder, GraphFormatError,
-                             _colors, components, type_signature)
+from semicover.graph import (EDGE, LOOP, SEMI, Component, Graph, GraphBuilder,
+                             GraphFormatError, _colors, _subgraph, components, type_signature)
 
 
 def random_graph(rng: random.Random, n: int, m: int, colors=(0,),
@@ -806,3 +807,101 @@ def reference_connected_simple_graphs(n: int) -> list[list[int]]:
                 grown.setdefault(cert, (adj, auts))
         level = list(grown.values())
     return [adj for adj, _ in level]
+
+
+def renamed(g: Graph, rng: random.Random, recolor: bool = True) -> Graph:
+    """g with vertex names "a" and "b" at random, so that names repeat,
+    and with recolor also random vertex colors 0-1."""
+    colors = [rng.randrange(2) for _ in range(g.n)] if recolor else g.vertex_color
+    return Graph(g.n, g.vertex_of, g.link_of, g.dart_color, colors,
+                 [rng.choice("ab") for _ in range(g.n)])
+
+
+def reference_components(g: Graph) -> list[Component]:
+    """The components as they were built before graph._split: a BFS
+    labelling, then one _subgraph call per component."""
+    label = [-1] * g.n
+    for start in range(g.n):
+        if label[start] < 0:
+            label[start] = start
+            queue = [start]
+            for u in queue:
+                for d in g.darts_at[u]:
+                    w = g.vertex_of[g.mate[d]]
+                    if label[w] < 0:
+                        label[w] = start
+                        queue.append(w)
+    out = []
+    for r in sorted(set(label)):
+        verts = [v for v in range(g.n) if label[v] == r]
+        darts = [d for d in range(g.n_darts) if label[g.vertex_of[d]] == r]
+        out.append(Component(_subgraph(g, verts, darts), tuple(verts), tuple(darts)))
+    return out
+
+
+def arrays(g: Graph) -> tuple:
+    """All a decider reads of a graph: everything but the names."""
+    return g.n, g.vertex_of, g.link_of, g.dart_color, g.vertex_color
+
+
+def reference_build_pattern(g: Graph, h: Graph, *, budget: int | None = None):
+    """build_pattern as it was before graph._split: a Graph per component
+    (reference_components), classes keyed by arrays, and one
+    decide_colored call per (source class, target class)."""
+    from semicover.dichotomy import decide_colored
+    from semicover.disconnected import CoveringPattern
+    comps_g, comps_h = reference_components(g), reference_components(h)
+    pattern = CoveringPattern(tuple(c.graph.n for c in comps_g),
+                              tuple(c.graph.n for c in comps_h))
+    classes: dict[tuple, int] = {}
+    class_g = [classes.setdefault(arrays(c.graph), len(classes)) for c in comps_g]
+    class_h = [classes.setdefault(arrays(c.graph), len(classes)) for c in comps_h]
+    decided: dict[tuple[int, int], DartMapping | None] = {}
+    for i, cg in enumerate(comps_g):
+        for j, ch in enumerate(comps_h):
+            if cg.graph.n % ch.graph.n == 0:
+                pair = class_g[i], class_h[j]
+                if pair not in decided:
+                    decided[pair] = decide_colored(cg.graph, ch.graph, budget=budget).witness
+                if decided[pair] is not None:
+                    pattern.edges[(i, j)] = cg.graph.n // ch.graph.n
+                    pattern.witnesses[(i, j)] = decided[pair]
+    return pattern, comps_g, comps_h
+
+
+def decide_work(g: Graph, h: Graph, semantics: str = "lbhom", **kwargs) -> dict[str, int]:
+    """Run decide(g, h, semantics) and count its work: Graph
+    constructions, plan parts built (graph._planned calls that find the
+    part missing) and decide_colored calls."""
+    import semicover.disconnected
+    from semicover import graph
+    counts = dict.fromkeys(("graphs", "plans", "decide_colored"), 0)
+    init, planned = Graph.__init__, graph._planned
+    decide_colored = semicover.disconnected.decide_colored
+
+    def counted_init(self, *args, **kw):
+        counts["graphs"] += 1
+        init(self, *args, **kw)
+
+    def counted_planned(target, build):
+        counts["plans"] += target._plan is None or build not in target._plan
+        return planned(target, build)
+
+    def counted_decide_colored(*args, **kw):
+        counts["decide_colored"] += 1
+        return decide_colored(*args, **kw)
+
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("semicover") and getattr(m, "_planned", None) is planned]
+    Graph.__init__ = counted_init
+    semicover.disconnected.decide_colored = counted_decide_colored
+    for m in modules:
+        m._planned = counted_planned
+    try:
+        semicover.disconnected.decide(g, h, semantics, **kwargs)
+    finally:
+        Graph.__init__ = init
+        semicover.disconnected.decide_colored = decide_colored
+        for m in modules:
+            m._planned = planned
+    return counts
