@@ -235,10 +235,16 @@ def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping 
     onto e's mate, so an edge onto a semi-edge collapses, and fixes the
     image of every vertex reached for the first time.  The trail holds d
     for a mapped dart and ~u for a vertex image, so backtracking can undo
-    each.  A component is anchored at its lowest vertex, whose first dart takes the rows of the candidate
-    vertices in order.  Components share nothing, so a finished one is
-    final and a component that has no cover ends the search.  The order is
-    deterministic, so the cover found is reproducible.
+    each.  A choice point reads its frame once and tries its options in
+    one inner loop: each try undoes the trail to the frame's mark, then
+    skips a taken dart with one bit test.  A point out of options is
+    popped without undoing, since the next try of a shallower point
+    undoes down to its own mark; an empty stack means no cover.  A
+    component is anchored at its lowest vertex, whose first dart takes
+    the rows of the candidate vertices in order.  Components share
+    nothing, so a finished one is final and a component that has no cover
+    ends the search.  The order is deterministic, so the cover found is
+    reproducible.
 
     At the anchor a target dart is dropped when it has a lower twin (a
     parallel link, or the loop reversed, with the same colours) and neither
@@ -300,45 +306,46 @@ def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping 
             options = [e for w in cands[anchor] for e in opts[d][w] if twin[e] < 0]
         stack.append((d, iter(options), len(trail), len(pending), pi))
         while stack:
-            d, untried, t, p, pi = stack[-1]
-            while len(trail) > t:
-                x = trail.pop()
-                if x < 0:
-                    fv[~x] = -1
-                else:
-                    used[vertex_of[x]] ^= 1 << fd[x]
-                    fd[x] = -1
-            del pending[p:]
-            e = next(untried, -1)
-            if e == -1:
+            d0, untried, t, p, pi = stack[-1]
+            u0 = vertex_of[d0]
+            for e in untried:
+                while len(trail) > t:
+                    x = trail.pop()
+                    if x < 0:
+                        fv[~x] = -1
+                    else:
+                        used[vertex_of[x]] ^= 1 << fd[x]
+                        fd[x] = -1
+                del pending[p:]
+                # e is in d0's row, so only the anchor's vertex is new and
+                # only a taken e can clash; d0's mate is checked in full
+                if used[u0] >> e & 1:
+                    continue
+                if fv[u0] == -1:
+                    fv[u0] = h_vertex_of[e]
+                    trail.append(~u0)
+                    pending.extend(darts_at[u0])
+                fd[d0] = e
+                used[u0] |= 1 << e
+                trail.append(d0)
+                d = mate[d0]
+                if fd[d] != -1:     # a semi-edge
+                    break
+                e = h_mate[e]
+                u, w = vertex_of[d], h_vertex_of[e]
+                if fv[u] == -1 and w in cands[u]:
+                    fv[u] = w
+                    trail.append(~u)
+                    pending.extend(darts_at[u])
+                if fv[u] != w or used[u] >> e & 1 or color[d] != h_color[e]:
+                    continue
+                fd[d] = e
+                used[u] |= 1 << e
+                trail.append(d)
+                break
+            else:       # out of options: the next try of a shallower frame undoes
                 stack.pop()
                 continue
-            # e is in d's row, so only the anchor's vertex is new and only
-            # a taken e can clash; d's mate is checked in full
-            u = vertex_of[d]
-            if fv[u] == -1:
-                fv[u] = h_vertex_of[e]
-                trail.append(~u)
-                pending.extend(darts_at[u])
-            elif used[u] >> e & 1:
-                continue
-            fd[d] = e
-            used[u] |= 1 << e
-            trail.append(d)
-            d = mate[d]
-            if fd[d] != -1:     # a semi-edge
-                break
-            e = h_mate[e]
-            u, w = vertex_of[d], h_vertex_of[e]
-            if fv[u] == -1 and w in cands[u]:
-                fv[u] = w
-                trail.append(~u)
-                pending.extend(darts_at[u])
-            if fv[u] != w or used[u] >> e & 1 or color[d] != h_color[e]:
-                continue
-            fd[d] = e
-            used[u] |= 1 << e
-            trail.append(d)
             break
         else:
             return None

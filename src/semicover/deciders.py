@@ -388,10 +388,12 @@ def _choose_sides(g: Graph, plan: _Plan) -> tuple[list[int], dict[int, int]]:
     stack of choice points, side 0 before side 1.  The units are set
     first.  Every assignment propagates the parity edges, and the
     counting rules at the vertex and at each neighbour: once a count is
-    met, the free far ends of the type are forced.  At a
-    component's leaf _map_sides maps its darts; a component that maps is
-    final.  A unit that clashes with the side constraints, or a
-    component that no sides map, refutes; the reason names its vertex.
+    met, the free far ends of the type are forced.  At a component's leaf
+    _map_sides maps its darts; a component that maps is final.  A
+    connected g is its own component (graph.components) and is mapped in
+    place: g's own side list, and its dart map as it is.  A unit that
+    clashes with the side constraints, or a component that no sides map,
+    refutes; the reason names its vertex.
     """
     buckets, types, counting = plan.buckets, plan.types, plan.counting
     c, mate, vertex_of = g.dart_color, g.mate, g.vertex_of
@@ -520,9 +522,14 @@ def _choose_sides(g: Graph, plan: _Plan) -> tuple[list[int], dict[int, int]]:
             if pos < len(order):
                 stack.append((pos, iter((0, 1)), len(trail)))
             else:
-                part = _map_sides(comp.graph, buckets, [side[v] for v in comp.vertex_ids])
+                whole = comp.graph is g     # g's own ids: map g's sides in place
+                part = _map_sides(comp.graph, buckets,
+                                  side if whole else [side[v] for v in comp.vertex_ids])
                 if part is not None:
-                    dart_map.update((comp.dart_ids[d], e) for d, e in part.items())
+                    if whole:
+                        dart_map = part
+                    else:
+                        dart_map.update((comp.dart_ids[d], e) for d, e in part.items())
                     break
             while stack:
                 pos, untried, t = stack[-1]

@@ -320,11 +320,13 @@ def _component_labels(g: Graph) -> list[int]:
     return label
 
 
-def _split(g: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple]]:
+def _split(g: Graph, label: list[int] | None = None,
+           ) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple]]:
     """Each component's vertex ids, dart ids and arrays (n, vertex_of,
     link_of, dart_color, vertex_color) as _subgraph numbers them (links in
-    the order of their ids), in one pass each over vertices, links, darts."""
-    label = _component_labels(g)
+    the order of their ids), in one pass each over vertices, links, darts.
+    label is g's _component_labels, computed here when not given."""
+    label = _component_labels(g) if label is None else label
     vertex_of, link_of, dart_color = g.vertex_of, g.link_of, g.dart_color
     verts: dict[int, list[int]] = {}    # by smallest vertex
     for v, r in enumerate(label):
@@ -346,11 +348,14 @@ def _split(g: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple]]:
 def components(g: Graph) -> list[Component]:
     """Connected components, ordered by smallest original vertex id.
 
-    Isolated vertices form their own single-vertex components.
+    Isolated vertices form their own single-vertex components.  A
+    connected g is its own component, with identity ids, and is not split.
     """
-    parts = _split(g)
-    return [Component(g if len(parts) == 1 else Graph(*arrays, [g.names[v] for v in vs]), vs, ds)
-            for vs, ds, arrays in parts]
+    label = _component_labels(g)
+    if max(label, default=-1) == 0:
+        return [Component(g, tuple(range(g.n)), tuple(range(g.n_darts)))]
+    return [Component(Graph(*arrays, [g.names[v] for v in vs]), vs, ds)
+            for vs, ds, arrays in _split(g, label)]
 
 
 def _subgraph(g: Graph, verts: Sequence[int], darts: Sequence[int]) -> Graph:

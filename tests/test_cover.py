@@ -12,8 +12,8 @@ from semicover.cover import (DartMapping, ResourceLimit, find_cover, verify_cove
 from semicover.dichotomy import decide_colored
 from semicover.generate import connected_regular_graphs
 from semicover.graph import EDGE, GraphBuilder, disjoint_union, is_connected, parse_graph
-from util import (assert_cover_ok, brute_cover_exists, perturb, random_graph, random_lift,
-                  recursive_search, reference_verify_cover)
+from util import (assert_cover_ok, brute_cover_exists, perturb, random_cubic, random_graph,
+                  random_lift, recursive_search, reference_verify_cover)
 
 
 def test_identity_cover():
@@ -390,6 +390,21 @@ def test_search_matches_recursive_reference():
             yes += 1
         total += 1
     assert total > 500 and yes > 100
+
+
+def test_search_matches_recursive_reference_where_it_backtracks():
+    """The same first cover, or None for both, where find_cover backtracks
+    most: seeded cubic graphs on 16, 20 and 24 vertices and the flower
+    snark J5 onto F(3,0), and lifts of F(2,1) with two edge ends swapped."""
+    rng = random.Random(57)
+    f30, f21 = build_F(3, 0), build_F(2, 1)
+    pairs = [(random_cubic(n, rng), f30) for n in (16, 20, 24) for _ in range(40)]
+    pairs.append((_flower_snark(5), f30))
+    pairs += [(_swap_ends(random_lift(f21, k, rng), rng), f21)
+              for k in (3, 4, 5, 6, 8, 10) for _ in range(10)]
+    answers = [find_cover(g, h) for g, h in pairs]
+    assert answers == [recursive_search(g, h) for g, h in pairs]
+    assert answers[120] is None and 5 < sum(f is None for f in answers) < len(pairs) // 2
 
 
 def test_interchangeable_target_links_are_tried_once_at_the_anchor():

@@ -660,6 +660,34 @@ def test_side_search_answers_large_lifts_at_once():
     assert_cover_ok(g, h, v.witness, check_fibers=True)
 
 
+def test_connected_sources_are_not_split(monkeypatch):
+    """components() of a connected source is the source itself with
+    identity ids, so the side search decides seeded connected lifts of
+    W(1,1,1,1,1) and WD(1,2,1), and switched ones, without a _split pass."""
+    splits = []
+    split = graph._split
+
+    def counted(*args):
+        splits.append(args)
+        return split(*args)
+    monkeypatch.setattr(graph, "_split", counted)
+    rng = random.Random(61)
+    answers = []
+    for h in (build_W(1, 1, 1, 1, 1), build_WD(1, 2, 1)):
+        for k in (4, 6, 8, 8, 12):
+            lift = random_lift(h, k, rng)
+            for g in (lift, _switch(lift, rng)):
+                if not is_connected(g):
+                    continue
+                (comp,) = components(g)
+                assert comp.graph is g and comp.vertex_ids == tuple(range(g.n))
+                assert comp.dart_ids == tuple(range(g.n_darts))
+                v = decide_colored(g, h)
+                assert v.method == "side-search"
+                answers.append(v.answer)
+    assert splits == [] and len(answers) > 12 and True in answers and False in answers
+
+
 def _unit_target():
     """W(1,1,1,1,1) in color 0 beside F(2,0) at vertex 0 and F(0,1) at
     vertex 1 in color 1: a class without bars next to an NP-complete one."""

@@ -352,17 +352,18 @@ def test_build_pattern_matches_reference_split():
 
 
 def test_decide_work_is_bounded():
-    """decide builds one source Graph per class of components, and onto a
-    target it has decided before no target Graph and no plan."""
+    """decide builds one source Graph per class of components and splits
+    the source once, and onto a target it has decided before builds no
+    target Graph, no plan and no target split."""
     g, h = gen_binpacking([3, 3, 3, 5, 5], 3)
     first, again = decide_work(g, h), decide_work(g, h)
-    assert first["graphs"] <= 2 + 1 and first["decide_colored"] == 2
-    assert again == {"graphs": 2, "plans": 0, "decide_colored": 2}
+    assert first["graphs"] <= 2 + 1 and first["decide_colored"] == 2 and first["splits"] == 2
+    assert again == {"graphs": 2, "plans": 0, "splits": 1, "decide_colored": 2}
     g = disjoint_union([complete(4), petersen(), complete(4), complete_bipartite(3, 3)])
     h = disjoint_union([build_F(3, 0), build_F(1, 1)])
     decide(g, h, "surjective")
     assert decide_work(g, h, "surjective", want_witness=True) == {
-        "graphs": 3, "plans": 0, "decide_colored": 6}
+        "graphs": 3, "plans": 0, "splits": 1, "decide_colored": 6}
 
 
 def test_decide_keeps_no_reference_to_the_target():

@@ -98,6 +98,23 @@ def random_lift(h: Graph, k: int, rng: random.Random) -> Graph:
     return gb.build()
 
 
+def random_cubic(n: int, rng: random.Random) -> Graph:
+    """A random simple cubic graph on n vertices (pairing model): three
+    points per vertex are paired uniformly at random, and a pairing with
+    a loop or a repeated edge is drawn again."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {(min(u, w), max(u, w)) for u, w in zip(points[::2], points[1::2])}
+        if len(edges) == 3 * n // 2 and all(u != w for u, w in edges):
+            gb = GraphBuilder()
+            for _ in range(n):
+                gb.add_vertex()
+            for u, w in sorted(edges):
+                gb.add_edge(u, w)
+            return gb.build()
+
+
 def perturb(g: Graph, rng: random.Random) -> Graph:
     """Rebuild g with one random link rewired; often breaks cover structure."""
     gb = GraphBuilder()
@@ -872,11 +889,11 @@ def reference_build_pattern(g: Graph, h: Graph, *, budget: int | None = None):
 def decide_work(g: Graph, h: Graph, semantics: str = "lbhom", **kwargs) -> dict[str, int]:
     """Run decide(g, h, semantics) and count its work: Graph
     constructions, plan parts built (graph._planned calls that find the
-    part missing) and decide_colored calls."""
+    part missing), graph._split passes and decide_colored calls."""
     import semicover.disconnected
     from semicover import graph
-    counts = dict.fromkeys(("graphs", "plans", "decide_colored"), 0)
-    init, planned = Graph.__init__, graph._planned
+    counts = dict.fromkeys(("graphs", "plans", "splits", "decide_colored"), 0)
+    init, planned, split = Graph.__init__, graph._planned, graph._split
     decide_colored = semicover.disconnected.decide_colored
 
     def counted_init(self, *args, **kw):
@@ -887,21 +904,28 @@ def decide_work(g: Graph, h: Graph, semantics: str = "lbhom", **kwargs) -> dict[
         counts["plans"] += target._plan is None or build not in target._plan
         return planned(target, build)
 
+    def counted_split(*args, **kw):
+        counts["splits"] += 1
+        return split(*args, **kw)
+
     def counted_decide_colored(*args, **kw):
         counts["decide_colored"] += 1
         return decide_colored(*args, **kw)
 
-    modules = [m for name, m in sys.modules.items()
-               if name.startswith("semicover") and getattr(m, "_planned", None) is planned]
+    patches = [(m, name, f, counted) for m in list(sys.modules.values())
+               if getattr(m, "__name__", "").startswith("semicover")
+               for name, f, counted in (("_planned", planned, counted_planned),
+                                        ("_split", split, counted_split))
+               if getattr(m, name, None) is f]
     Graph.__init__ = counted_init
     semicover.disconnected.decide_colored = counted_decide_colored
-    for m in modules:
-        m._planned = counted_planned
+    for m, name, _, counted in patches:
+        setattr(m, name, counted)
     try:
         semicover.disconnected.decide(g, h, semantics, **kwargs)
     finally:
         Graph.__init__ = init
         semicover.disconnected.decide_colored = decide_colored
-        for m in modules:
-            m._planned = planned
+        for m, name, f, _ in patches:
+            setattr(m, name, f)
     return counts
