@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
-from .cover import DartMapping, _check_budget, verify_cover
+from .cover import DartMapping
 from .graph import (EDGE, Graph, _parity_solve, _signatures, _subgraph, _type_weights,
                     components, type_signature)
 from .matching import exact_link_cover, konig_split, two_factor_orientations
@@ -65,15 +65,6 @@ class Verdict:
     method: str
     witness: DartMapping | None = None
     reason: str = ""
-
-
-def _stitched(g: Graph, h: Graph, dart_map: dict[int, int],
-              vertex_map: list[int], method: str) -> Verdict:
-    f = DartMapping(tuple(map(dart_map.__getitem__, range(g.n_darts))), tuple(vertex_map))
-    bad = verify_cover(g, h, f)
-    if bad:
-        raise RuntimeError(f"decider produced a bad witness: {bad[0]}")
-    return Verdict(True, method, f)
 
 
 # ------------------------------------------------------------ the table
@@ -548,7 +539,7 @@ def _choose_sides(g: Graph, plan: _Plan) -> tuple[list[int], dict[int, int]]:
     return side, dart_map
 
 
-def _decide(g: Graph, h: Graph, plan: _Plan, *, budget: int | None = None) -> Verdict:
+def _decide(g: Graph, h: Graph, plan: _Plan) -> Verdict:
     """Cover g onto a target on one or two vertices whose rows are each P
     or tagged "side-search".
 
@@ -559,16 +550,13 @@ def _decide(g: Graph, h: Graph, plan: _Plan, *, budget: int | None = None) -> Ve
     and maps the darts, and a no from one of its refutations carries the
     reason.  The method is the highest tag among the rows: "2-SAT" on two
     vertices that agree, "side-search" when a row is NP-complete.  Then
-    every answer is tagged "side-search", and the budget bounds g's dart
-    count as in find_cover (_check_budget) before any other work.
+    every answer is tagged "side-search".  decide_colored, the caller,
+    checks the dart budget before and verifies a yes's witness after.
     """
     method = plan.method
-    searched = method == "side-search"
-    if searched:
-        _check_budget(g, budget)
-    plain = method if searched else "regularity"  # the tag when type signatures decide
+    plain = method if method == "side-search" else "regularity"  # when signatures decide
     if g.n == 0:
-        return _stitched(g, h, {}, [], plain)
+        return Verdict(True, plain, DartMapping((), ()))
     side = list(map(plan.sides.get, _signatures(g, plan.weights)))
     if None in side:
         return Verdict(False, plain, reason="no target vertex has the type signature of "
@@ -582,7 +570,8 @@ def _decide(g: Graph, h: Graph, plan: _Plan, *, budget: int | None = None) -> Ve
             return Verdict(False, method, reason=str(no))
     if dart_map is None:
         return Verdict(False, method, reason="a color class does not map")
-    return _stitched(g, h, dart_map, side, method)
+    return Verdict(True, method, DartMapping(tuple(map(dart_map.__getitem__, range(g.n_darts))),
+                                             tuple(side)))
 
 
 # decide_colored calls the decider by case under these names, which perfbench times apart
@@ -596,7 +585,6 @@ def decide_two_vertex_nonregular(g: Graph, h: Graph, plan: _Plan) -> Verdict:
     return _decide(g, h, plan)
 
 
-def decide_two_vertex_regular_2sat(g: Graph, h: Graph, plan: _Plan, *,
-                                   budget: int | None = None) -> Verdict:
+def decide_two_vertex_regular_2sat(g: Graph, h: Graph, plan: _Plan) -> Verdict:
     """Cover g onto a two-vertex target whose type signatures agree."""
-    return _decide(g, h, plan, budget=budget)
+    return _decide(g, h, plan)

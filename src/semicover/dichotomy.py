@@ -7,17 +7,17 @@ deciders.dichotomy_table, which gives each piece a verdict, a rule and a
 decider.  The table is part of the target's plan, built on the
 target's first use and kept on the target, so classify and every
 decision onto one target object read one table.  classify adds one
-header rule per case.  decide_colored is the one place that picks an
-algorithm for a connected target: the decider of the plan's route,
-handed the plan, which searches the sides when only their choice is
-hard, or bounded exact search for every other target.
+header rule per case.  decide_colored is the one gate for a connected
+target: it picks the decider of the plan's route, handed the plan, which
+searches the sides when only their choice is hard, or bounded exact
+search, checks the side search's dart budget, and re-checks every yes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import find_cover, verify_cover
+from .cover import _check_budget, find_cover, verify_cover
 from .deciders import (Verdict, _decider_plan, decide_colored_one_vertex,
                        decide_two_vertex_nonregular, decide_two_vertex_regular_2sat)
 from .graph import Graph, _planned, is_connected
@@ -75,24 +75,29 @@ def decide_colored(g: Graph, h: Graph, *, budget: int | None = None) -> Verdict:
     plan: one vertex, a forced vertex map (a last row with key None) or
     two vertices that agree.  Only _pair_row tags a row "side-search";
     then the decider branches on the sides and maps the darts in
-    polynomial time at each leaf.  Every other target, the empty one
-    included, falls back to exact search, whose cover is re-checked with
-    verify_cover like every decider's (RuntimeError when it fails).  Both
-    searches honour the dart budget.  A disconnected target raises
-    ValueError.
+    polynomial time at each leaf, once the dart budget has passed g.
+    Every other target, the empty one included, falls back to exact
+    search under the same budget.  Here every yes, from any route, is
+    re-checked with verify_cover (RuntimeError when it fails).  A
+    disconnected target raises ValueError.
     """
     if h.n == 2 and not is_connected(h):
         raise OutOfScope("disconnected target")
-    if h.n in (1, 2):
-        plan = _planned(h, _decider_plan)
+    plan = _planned(h, _decider_plan) if h.n in (1, 2) else None
+    if plan is None or plan.route is None:
+        f = find_cover(g, h, budget=budget)
+        v, by = Verdict(f is not None, "brute-force-fallback", f), "exact search"
+    else:
+        if plan.method == "side-search":
+            _check_budget(g, budget)
         if plan.route == "one vertex":
-            return decide_colored_one_vertex(g, h, plan)
-        if plan.route == "forced":
-            return decide_two_vertex_nonregular(g, h, plan)
-        if plan.route == "agree":
-            return decide_two_vertex_regular_2sat(g, h, plan, budget=budget)
-    f = find_cover(g, h, budget=budget)
-    bad = f is not None and verify_cover(g, h, f)
+            v = decide_colored_one_vertex(g, h, plan)
+        elif plan.route == "forced":
+            v = decide_two_vertex_nonregular(g, h, plan)
+        else:
+            v = decide_two_vertex_regular_2sat(g, h, plan)
+        by = "decider"
+    bad = v.answer and verify_cover(g, h, v.witness)
     if bad:
-        raise RuntimeError(f"exact search produced a bad witness: {bad[0]}")
-    return Verdict(f is not None, "brute-force-fallback", f)
+        raise RuntimeError(f"{by} produced a bad witness: {bad[0]}")
+    return v

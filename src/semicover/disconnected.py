@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .cover import (DartMapping, ResourceLimit, _fiber_sizes, find_cover,  # noqa: F401
                     verify_cover)
 from .dichotomy import decide_colored
-from .graph import Component, Graph, _planned, _split
+from .graph import Component, Graph, _component_labels, _planned, _split
 from .matching import kuhn_matching
 
 # decide_equitable's bound on the states it keeps over all levels
@@ -89,15 +89,19 @@ class Decision:
         return out
 
 
-def _classed(g: Graph, parts: list) -> tuple[list[Component], list[int]]:
-    """A Component per part of g's split (graph._split), and its class:
-    parts with equal arrays, all a decider reads, share a class and one
-    Graph, built for the first member.  A connected g keeps g itself."""
+def _classed(g: Graph) -> tuple[list[Component], list[int]]:
+    """A Component per component of g, and its class: components with
+    equal arrays (graph._split), all a decider reads, share a class and
+    one Graph, built for the first member.  A connected g is labelled
+    once and kept whole, with identity ids, without a split."""
+    label = _component_labels(g)
+    if max(label, default=-1) == 0:
+        return [Component(g, tuple(range(g.n)), tuple(range(g.n_darts)))], [0]
     firsts: dict[tuple, tuple[int, Graph]] = {}
     comps, classes = [], []
-    for vs, ds, arrays in parts:
+    for vs, ds, arrays in _split(g, label):
         k, graph = firsts.get(arrays) or firsts.setdefault(arrays, (
-            len(firsts), g if len(parts) == 1 else Graph(*arrays, [g.names[v] for v in vs])))
+            len(firsts), Graph(*arrays, [g.names[v] for v in vs])))
         classes.append(k)
         comps.append(Component(graph, vs, ds))
     return comps, classes
@@ -105,9 +109,9 @@ def _classed(g: Graph, parts: list) -> tuple[list[Component], list[int]]:
 
 def _target_classes(h: Graph) -> tuple:
     """_classed of a disconnected target, for graph._planned; () for a
-    connected h, whose one part would refer to h."""
-    parts = _split(h)
-    return tuple(map(tuple, _classed(h, parts))) if len(parts) > 1 else ()
+    connected h, whose one component is h itself."""
+    comps, classes = _classed(h)
+    return (tuple(comps), tuple(classes)) if len(comps) > 1 else ()
 
 
 def build_pattern(g: Graph, h: Graph, *, budget: int | None = None,
@@ -123,8 +127,8 @@ def build_pattern(g: Graph, h: Graph, *, budget: int | None = None,
     target class); equal pairs share its witness.  h's classes are kept
     in h's plan, for every later call onto h.
     """
-    comps_g, class_g = _classed(g, _split(g))
-    comps_h, class_h = _planned(h, _target_classes) or _classed(h, _split(h))
+    comps_g, class_g = _classed(g)
+    comps_h, class_h = _planned(h, _target_classes) or _classed(h)
     pattern = CoveringPattern(tuple(c.graph.n for c in comps_g),
                               tuple(c.graph.n for c in comps_h))
     decided: dict[tuple[int, int], DartMapping | None] = {}

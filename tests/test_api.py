@@ -24,6 +24,7 @@ DELETED = [
     ("semicover.deciders", "_h_pieces"),
     ("semicover.deciders", "_lead"),
     ("semicover.deciders", "decide_two_vertex_side_search"),
+    ("semicover.deciders", "_stitched"),
 ]
 # fields dropped from rows of the dichotomy table
 DELETED_ROW_FIELDS = {"kind", "piece"}

@@ -229,8 +229,8 @@ def test_recursion_depth_exhaustion(capsys, tmp_path, monkeypatch):
 
 
 def test_failed_self_check_exits_5(capsys, tmp_path, monkeypatch):
-    import semicover.deciders
-    monkeypatch.setattr(semicover.deciders, "verify_cover", lambda *a, **k: ["forced"])
+    import semicover.dichotomy
+    monkeypatch.setattr(semicover.dichotomy, "verify_cover", lambda *a, **k: ["forced"])
     g = gen_to_file(capsys, tmp_path, "c4.g", "cycle", "4")
     h = gen_to_file(capsys, tmp_path, "f01.g", "f", "0", "1")
     code, out = run(capsys, "check", g, h)

@@ -15,7 +15,7 @@ from semicover.matching import exact_link_cover
 from semicover.twosat import lit, neg, two_sat_solve
 from test_dichotomy import barred_pair, small_targets
 from util import (assert_cover_ok, connected_multigraphs, perturb, random_graph, random_lift,
-                  reference_f20_darts)
+                  reference_f20_darts, switched as _switch)
 
 METHODS = {"regularity", "matching", "2-factor", "bipartite-decomposition",
            "2-SAT", "brute-force-fallback", "side-search"}
@@ -503,33 +503,6 @@ def _any_map_targets():
         if all(deciders._vertex_row(cls, cells, "").verdict == "P"
                for (cls, _), cells in stay.items()):
             yield h
-
-
-def _switch(g, rng):
-    """g with the far ends of two links of the same dart colors swapped:
-    every vertex keeps its type signature, yet g may stop being a cover."""
-    by_colors = {}
-    for cell in g.links:
-        if len(cell) == 2:
-            by_colors.setdefault(tuple(g.dart_color[d] for d in cell), []).append(cell)
-    pool = [cells for cells in by_colors.values() if len(cells) > 1]
-    swap = {}
-    if pool:
-        x, y = rng.sample(rng.choice(pool), 2)
-        swap = {x: y, y: x}
-    b = GraphBuilder()
-    for v in range(g.n):
-        b.add_vertex(color=g.vertex_color[v])
-    for cell in g.links:
-        colors = tuple(g.dart_color[d] for d in cell)
-        ends = [g.vertex_of[d] for d in (cell[0], swap.get(cell, cell)[-1])]
-        if len(cell) == 1:
-            b.add_semi(ends[0], color=colors[0])
-        elif ends[0] == ends[1]:
-            b.add_loop(ends[0], colors=colors)
-        else:
-            b.add_edge(*ends, colors=colors)
-    return b.build()
 
 
 def test_map_sides_takes_any_vertex_map():

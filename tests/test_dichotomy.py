@@ -1,17 +1,21 @@
 """Complexity classification and the colored dispatch decider."""
 
 import itertools
+import math
 import pickle
 import random
 import sys
 
 import pytest
 
-from semicover.build import build_F, build_W, build_WD, cycle, path
-from semicover.cover import find_cover
+import semicover.dichotomy
+from semicover.build import build_F, build_W, build_WD, complete, cycle, path
+from semicover.canon import _certificate
+from semicover.cover import ResourceLimit, find_cover
 from semicover.dichotomy import Classification, OutOfScope, classify, decide_colored
 from semicover.graph import GraphBuilder, disjoint_union
-from util import assert_cover_ok, perturb, random_lift
+from util import (arrays, assert_cover_ok, connected_multigraphs, lift_oracle, perturb,
+                  random_lift, voltage_lifts)
 
 POLY_TARGETS = ([build_F(0, c) for c in range(4)]
                 + [build_F(1, c) for c in range(3)]
@@ -212,3 +216,90 @@ def test_target_plan_is_kept_on_the_target():
         assert (again.answer, again.method, again.witness) == (
             verdict.answer, verdict.method, verdict.witness)
         assert find_cover(g, copy) == cover and classify(copy) == classification
+
+
+def _gate_cases():
+    """(route, yes instance, no instance, the wrapper it reaches) per route."""
+    lift = lambda h: (random_lift(h, 3, random.Random(5)), h)
+    return [("one vertex", (cycle(4), build_F(0, 1)), (cycle(3), build_F(1, 0)),
+             "decide_colored_one_vertex"),
+            ("forced", lift(build_W(1, 0, 1, 0, 0)), (cycle(4), build_W(1, 0, 1, 0, 0)),
+             "decide_two_vertex_nonregular"),
+            ("2-SAT", lift(build_W(0, 0, 2, 0, 0)), (complete(4), build_W(0, 0, 2, 0, 0)),
+             "decide_two_vertex_regular_2sat"),
+            ("side-search", lift(build_W(1, 1, 1, 1, 1)), (cycle(4), build_W(1, 1, 1, 1, 1)),
+             "decide_two_vertex_regular_2sat"),
+            ("exact search", (complete(4), build_F(3, 0)), (cycle(6), build_F(3, 0)),
+             "find_cover")]
+
+
+def test_decide_colored_is_the_one_gate(monkeypatch):
+    """decide_colored re-checks a yes from every route with its one
+    verify_cover call, makes no such call on a no, and checks the dart
+    budget of the side search before any decider runs.  The deciders
+    own neither check."""
+    from semicover import deciders
+    assert not hasattr(deciders, "verify_cover") and not hasattr(deciders, "_check_budget")
+    for route, (g, h), (g_no, h_no), wrapper in _gate_cases():
+        reached, original = [], getattr(semicover.dichotomy, wrapper)
+        monkeypatch.setattr(semicover.dichotomy, wrapper,
+                            lambda *a, f=original, **k: reached.append(a) or f(*a, **k))
+        v = decide_colored(g, h)
+        assert v.answer and len(reached) == 1, route
+        assert (v.method == "side-search") == (route == "side-search"), route
+        calls = []
+        monkeypatch.setattr(semicover.dichotomy, "verify_cover",
+                            lambda *a, **k: calls.append(a) or ["a violation"])
+        by = "exact search" if route == "exact search" else "decider"
+        with pytest.raises(RuntimeError, match=f"^{by} produced a bad witness: a violation"):
+            decide_colored(g, h)
+        assert len(calls) == 1, route
+        assert not decide_colored(g_no, h_no).answer and len(calls) == 1, route
+        monkeypatch.undo()
+    (_, (g, h), _, wrapper), = [c for c in _gate_cases() if c[0] == "side-search"]
+    ran = []
+    monkeypatch.setattr(semicover.dichotomy, wrapper, lambda *a, **k: ran.append(a))
+    with pytest.raises(ResourceLimit, match="exceeds the search budget"):
+        decide_colored(g, h, budget=g.n_darts - 1)
+    assert ran == []
+
+
+def test_voltage_lifts_are_every_labelled_lift():
+    """The oracle on its own: one fibre point gives h itself, and the
+    labelled lifts number (k!)^beta * I(k)^s, beta the cycle rank of the
+    edges and loops and s the semi-edges; each verifies with its
+    projection (lift_oracle checks that)."""
+    involutions = {1: 1, 2: 2, 3: 4}
+    for h in connected_multigraphs(6):
+        ((g, f),) = voltage_lifts(h, 1)
+        assert arrays(g) == arrays(h) and _certificate(g) == _certificate(h)
+        assert f.dart_map == tuple(range(h.n_darts)) and f.vertex_map == tuple(range(h.n))
+        semis = sum(len(cell) == 1 for cell in h.links)
+        beta = h.n_links - semis - (h.n - 1)
+        for k in (2, 3):
+            lifts = sum(1 for _ in voltage_lifts(h, k))
+            assert lifts == math.factorial(k) ** beta * involutions[k] ** semis, h.links
+
+
+def test_decide_colored_agrees_with_the_voltage_lift_oracle():
+    """Over every connected multigraph with at most 6 darts at k = 2 and
+    3: every lift verifies with its projection, every connected class
+    answers yes with a verified witness, and every connected switched
+    lift (seeds 0-3) answers yes exactly when it is isomorphic to a
+    lift.  The classes reach all five routes of decide_colored.  The
+    same law holds on the colored corpus targets with at most 6 darts
+    whose two vertices agree, where the uncolored pool reaches the 2-SAT
+    route with few classes."""
+    counts, wrong = lift_oracle(connected_multigraphs(6))
+    assert wrong == []
+    assert counts["lifts"] == 10_622 and counts["switched noes"] > 0
+    for route in ("one vertex", "forced", "2-SAT", "side-search", "exact"):
+        assert counts[f"classes, {route}"] > 0, route
+    agree = {}
+    for h in small_targets(5):    # a bar and four semi-edges: six darts
+        if h.n_darts <= 6 and len(set(h.dart_color)) > 1 and classify(h).rules[0] == (
+                "target is regular on two vertices: the side choice reduces to 2-SAT"):
+            agree.setdefault(_certificate(h), h)
+    counts, wrong = lift_oracle(agree.values())
+    assert wrong == []
+    assert counts["classes"] == counts["classes, 2-SAT"] > 100 and counts["switched noes"] > 0

@@ -366,6 +366,23 @@ def test_decide_work_is_bounded():
         "graphs": 3, "plans": 0, "splits": 1, "decide_colored": 6}
 
 
+def test_connected_inputs_are_not_split():
+    """A connected source onto a connected target is labelled, not split:
+    decide makes no graph._split pass under any semantics, on the first
+    call onto a target or again."""
+    for make_h, g in ((lambda: build_W(1, 1, 1, 1, 1),
+                       random_lift(build_W(1, 1, 1, 1, 1), 8, random.Random(8))),
+                      (lambda: build_F(0, 1), cycle(6))):
+        assert is_connected(g)
+        for semantics in ("lbhom", "surjective", "equitable"):
+            h = make_h()
+            first = decide_work(g, h, semantics, want_witness=True)
+            again = decide_work(g, h, semantics, want_witness=True)
+            assert first["splits"] == again["splits"] == 0, (h.links, semantics)
+            assert first["decide_colored"] == again["decide_colored"] == 1
+            assert again["plans"] == 0
+
+
 def test_decide_keeps_no_reference_to_the_target():
     """A target's plan holds its split but nothing that refers to it,
     whether it is connected or not."""

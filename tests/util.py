@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from functools import cache
 from itertools import permutations, product
+from typing import Iterator
 
 from semicover.cover import CoverViolation, DartMapping
 from semicover.graph import (EDGE, LOOP, SEMI, Component, Graph, GraphBuilder,
@@ -141,6 +143,166 @@ def perturb(g: Graph, rng: random.Random) -> Graph:
             gb.add_edge(g.vertex_of[ds[0]], g.vertex_of[ds[1]],
                         colors=(cols[0], cols[1]))
     return gb.build()
+
+
+def switched(g: Graph, rng: random.Random) -> Graph:
+    """g with the far ends of two links of the same dart colors swapped:
+    every vertex keeps its type signature, yet g may stop being a cover."""
+    by_colors = {}
+    for cell in g.links:
+        if len(cell) == 2:
+            by_colors.setdefault(tuple(g.dart_color[d] for d in cell), []).append(cell)
+    pool = [cells for cells in by_colors.values() if len(cells) > 1]
+    swap = {}
+    if pool:
+        x, y = rng.sample(rng.choice(pool), 2)
+        swap = {x: y, y: x}
+    b = GraphBuilder()
+    for v in range(g.n):
+        b.add_vertex(color=g.vertex_color[v])
+    for cell in g.links:
+        colors = tuple(g.dart_color[d] for d in cell)
+        ends = [g.vertex_of[d] for d in (cell[0], swap.get(cell, cell)[-1])]
+        if len(cell) == 1:
+            b.add_semi(ends[0], color=colors[0])
+        elif ends[0] == ends[1]:
+            b.add_loop(ends[0], colors=colors)
+        else:
+            b.add_edge(*ends, colors=colors)
+    return b.build()
+
+
+def voltage_lifts(h: Graph, k: int) -> Iterator[tuple[Graph, DartMapping]]:
+    """Every permutation voltage lift of the connected h with fibre
+    range(k), labelled, each with its projection onto h.  Every k-fold
+    cover of h is isomorphic to one of them (Gross & Tucker, Discrete
+    Math. 18, 1977), so a connected g on k * h.n vertices covers h
+    exactly when it is isomorphic to a connected lift.
+
+    The edges of a spanning tree of h get the identity; every other edge
+    and every loop gets each permutation p of the fibre, and every
+    semi-edge each involution.  Dart d of h at fibre point i is lift dart
+    d * k + i, at vertex (vertex_of[d], i); with first dart a and last
+    dart b of its link, dart (a, i) pairs with dart (b, p[i]).  So a
+    loop's fixed points lift to loops and its other cycles to cycles of
+    edges, and a semi-edge's fixed points to semi-edges and its 2-cycles
+    to edges.  Only Graph is shared with the library: no search, no
+    matching and no plan.  There are (k!)^beta * I(k)^s lifts, for beta
+    the cycle rank of h's edges and loops, s its semi-edges and I(k) the
+    involutions of k points.
+    """
+    root = list(range(h.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+    free = []   # the links with a voltage: all but the spanning tree's
+    for cell in h.links:
+        ra, rb = find(h.vertex_of[cell[0]]), find(h.vertex_of[cell[-1]])
+        if ra != rb:
+            root[ra] = rb
+        else:
+            free.append(cell)
+    perms = list(permutations(range(k)))
+    involutions = [p for p in perms if all(p[p[i]] == i for i in range(k))]
+    nd = h.n_darts * k
+    vertex_of = [h.vertex_of[d // k] * k + d % k for d in range(nd)]
+    dart_color = [h.dart_color[d // k] for d in range(nd)]
+    vertex_color = [h.vertex_color[v // k] for v in range(h.n * k)]
+    projection = DartMapping(tuple(d // k for d in range(nd)),
+                             tuple(v // k for v in range(h.n * k)))
+    identity = tuple(range(k))
+    for voltages in product(*(involutions if len(cell) == 1 else perms for cell in free)):
+        voltage = dict(zip(free, voltages))
+        link_of = [-1] * nd
+        links = 0
+        for cell in h.links:
+            p = voltage.get(cell, identity)
+            for i in range(k):
+                x = cell[0] * k + i
+                if link_of[x] < 0:
+                    link_of[x] = link_of[cell[-1] * k + p[i]] = links
+                    links += 1
+        yield Graph(h.n * k, vertex_of, link_of, dart_color, vertex_color), projection
+
+
+def _reaches_all(g: Graph) -> bool:
+    """g is connected: a search from vertex 0 over mates reaches every vertex."""
+    seen, stack = {0}, [0]
+    for u in stack:
+        for d in g.darts_at[u]:
+            if (w := g.vertex_of[g.mate[d]]) not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
+
+
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    """g with its vertex ids permuted at random; darts and links keep theirs."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    colors = [0] * g.n
+    for v, p in enumerate(perm):
+        colors[p] = g.vertex_color[v]
+    return Graph(g.n, [perm[v] for v in g.vertex_of], g.link_of, g.dart_color, colors)
+
+
+def lift_oracle(targets, ks=(2, 3), seeds=range(4)) -> tuple[Counter, list[str]]:
+    """decide_colored against voltage_lifts, on every connected target
+    given and every fold k in ks.
+
+    Every labelled lift must pass verify_cover with its projection, and
+    the connected ones fall into classes by canon._certificate.  Each
+    class must answer yes with a witness that passes verify_cover with
+    fibres checked.  Each class switched once per seed (switched), when
+    still connected, must answer yes exactly when its certificate is a
+    class's.  Lifts number their vertices fibre by fibre, so vertex 0
+    always lies over target vertex 0; what is decided gets its vertex ids
+    shuffled first, or a decider that defaults vertex 0 to target vertex
+    0 would pass by luck.  Returns the counts (lifts, classes, switched lifts, noes
+    among them, and classes per route of the target) and one line per
+    disagreement.
+    """
+    from semicover.canon import _certificate
+    from semicover.cover import verify_cover
+    from semicover.deciders import _decider_plan
+    from semicover.dichotomy import decide_colored
+    from semicover.graph import _planned
+    counts: Counter = Counter()
+    wrong: list[str] = []
+    rng = random.Random(0)
+    for t, h in enumerate(targets):
+        plan = _planned(h, _decider_plan) if h.n <= 2 else None
+        route = ("exact" if plan is None or plan.route is None else
+                 "side-search" if plan.method == "side-search" else
+                 "2-SAT" if plan.route == "agree" else plan.route)
+        for k in ks:
+            classes: dict[tuple, Graph] = {}
+            for g, f in voltage_lifts(h, k):
+                counts["lifts"] += 1
+                if verify_cover(g, h, f, check_fibers=True):
+                    wrong.append(f"target {t}, k = {k}: a lift fails its projection")
+                if _reaches_all(g):
+                    classes.setdefault(_certificate(g), g)
+            counts["classes"] += len(classes)
+            counts[f"classes, {route}"] += len(classes)
+            for lift in classes.values():
+                g = _relabelled(lift, rng)
+                v = decide_colored(g, h)
+                if not v.answer or verify_cover(g, h, v.witness, check_fibers=True):
+                    wrong.append(f"target {t}, k = {k}: a lift got no verified yes")
+                for seed in seeds:
+                    s = switched(lift, random.Random(seed))
+                    if not _reaches_all(s):
+                        continue
+                    expect = _certificate(s) in classes
+                    counts["switched"] += 1
+                    counts["switched noes"] += not expect
+                    if decide_colored(_relabelled(s, rng), h).answer != expect:
+                        wrong.append(f"target {t}, k = {k}, seed {seed}: "
+                                     f"switched lift answered {not expect}")
+    return counts, wrong
 
 
 def brute_cover_exists(g: Graph, h: Graph) -> bool:
