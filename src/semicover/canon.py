@@ -18,6 +18,15 @@ per pair of equal leaves and one swap per pruned twin, which together
 generate the automorphism group, and the canonical labelling, the best
 leaf's coloring: renaming each vertex by it gives the same masks for
 every graph of the class.
+
+A repeated graph needs no certificate, only a test against one stored
+graph.  _first_leaf records the traces along the search's first path, and
+_reaches searches another graph's tree for a leaf with those traces,
+entering only children whose trace matches at their depth.  Equal leaf
+traces are equal labelled adjacency, so a hit is an isomorphism; and since
+refinement and the choice of target cell (_cell) read only colors, an
+isomorphic graph's tree holds the image of the stored path, so a miss
+means the two are not isomorphic.
 """
 
 from itertools import groupby
@@ -113,6 +122,24 @@ def _refine(prof, col: list[int], cells: int):
         col, cells = new, len(start)
 
 
+def _cell(c: list[int]):
+    """The target cell of coloring c, the first non-singleton one: its
+    color (its first position) and its vertices.  The rule reads only
+    colors, so an isomorphism carries one graph's target cell onto the
+    other's; _best_leaf, _first_leaf and _reaches all branch on it."""
+    n = len(c)
+    starts = sorted(set(c)) + [n]
+    s = next(p for p, q in zip(starts, starts[1:]) if q - p > 1)
+    return s, [v for v in range(n) if c[v] == s]
+
+
+def _child(prof, c: list[int], s: int, v: int, cells: int):
+    """The refined coloring and trace after individualising v, of cell s,
+    in c, which has this many cells."""
+    return _refine(prof, [s + 1 if p == s and u != v else p for u, p in enumerate(c)],
+                   cells + 1)
+
+
 def _best_leaf(prof, col: list[int], trace: tuple) -> tuple:
     """The adjacency of the best leaf below col (the trace of a discrete
     coloring), the automorphisms found from equal leaves, the twin swaps
@@ -144,9 +171,7 @@ def _best_leaf(prof, col: list[int], trace: tuple) -> tuple:
             if not best or traces > best[0]:
                 best[:] = traces, c, path
             return None
-        starts = sorted(set(c)) + [n]
-        s = next(p for p, q in zip(starts, starts[1:]) if q - p > 1)
-        cell = [v for v in range(n) if c[v] == s]
+        s, cell = _cell(c)
         orbit = list(range(n))          # orbit labels under the automorphisms fixing path
         known = 0
         done: list[int] = []
@@ -166,8 +191,7 @@ def _best_leaf(prof, col: list[int], trace: tuple) -> tuple:
                     swaps.append((twin, v))
                     continue
             done.append(v)
-            child = [s + 1 if p == s and u != v else p for u, p in enumerate(c)]
-            child, t = _refine(prof, child, len(traces[-1]) + 1)
+            child, t = _child(prof, c, s, v, len(traces[-1]))
             tr = traces + (t,)
             if best and tr < best[0][:len(tr)]:
                 continue
@@ -178,6 +202,54 @@ def _best_leaf(prof, col: list[int], trace: tuple) -> tuple:
 
     visit(col, [], (trace,))
     return best[0][-1], gens, swaps, best[1]
+
+
+def _first_leaf(state) -> tuple:
+    """The traces along the search's first path from the root of state,
+    (prof, coloring, trace): each step individualises the first vertex of
+    the target cell, down to a discrete coloring."""
+    prof, c, t = state
+    traces = [t]
+    while len(t) < len(c):
+        s, cell = _cell(c)
+        c, t = _child(prof, c, s, cell[0], len(t))
+        traces.append(t)
+    return tuple(traces)
+
+
+def _reaches(state, traces: tuple) -> bool:
+    """Whether some leaf of state's search has these traces along its path:
+    a depth-first search that enters only the children whose trace equals
+    the one at their depth.  Equal leaf traces are equal labelled
+    adjacency, so True means the graph is isomorphic to the one traces
+    came from (by _first_leaf); and an isomorphic graph's search holds the
+    image of that path, as refinement and _cell are equivariant, so the
+    answer is exact."""
+    prof, col, trace = state
+    if trace != traces[0]:
+        return False
+    if len(traces) == 1:
+        return True
+
+    def frame(c: list[int]) -> tuple:
+        """c, its target cell and an iterator over the cell's vertices."""
+        s, cell = _cell(c)
+        return c, s, iter(cell)
+
+    stack = [frame(col)]
+    while stack:
+        c, s, untried = stack[-1]
+        i = len(stack)
+        for v in untried:
+            child, t = _child(prof, c, s, v, len(traces[i - 1]))
+            if t == traces[i]:
+                if i + 1 == len(traces):
+                    return True
+                stack.append(frame(child))
+                break
+        else:
+            stack.pop()
+    return False
 
 
 def _certificate(g: Graph, root: tuple | None = None) -> tuple:
@@ -194,22 +266,30 @@ def _run_lengths(keys: tuple) -> tuple:
     return tuple((k, len(list(r))) for k, r in groupby(key[0] for key in keys))
 
 
+def _mask_state(masks: list[int]) -> tuple[tuple, tuple]:
+    """The root invariant (label table, sorted initial keys, trace) and the
+    search state of the connected simple graph with these neighbour
+    bitmasks.  The root is read from the masks alone: every self key is
+    _PLAIN and every neighbour label _EDGE."""
+    n = len(masks)
+    nbrs = [[(w, 0) for w in range(n) if m >> w & 1] for m in masks]
+    root, state = _core((_EDGE,) if any(masks) else (), nbrs, [_PLAIN] * n,
+                        [m.bit_count() for m in masks])
+    if state is None:
+        raise ValueError("a mask certificate needs a connected graph")
+    return root, state
+
+
 def _mask_certificate(masks: list[int]) -> tuple[tuple, list[list[int]], list[int]]:
     """The certificate of the connected simple graph with these neighbour
     bitmasks, equal to _certificate of that graph built as a Graph,
     generators of its automorphism group, as vertex permutations, and its
     canonical labelling: renaming each vertex v to label[v] gives the same
-    masks for every graph with this certificate.  The root is read from the
-    masks alone: every self key is _PLAIN and every neighbour label _EDGE."""
-    n = len(masks)
-    nbrs = [[(w, 0) for w in range(n) if m >> w & 1] for m in masks]
-    (table, keys, _), state = _core((_EDGE,) if any(masks) else (), nbrs, [_PLAIN] * n,
-                                    [m.bit_count() for m in masks])
-    if state is None:
-        raise ValueError("a mask certificate needs a connected graph")
+    masks for every graph with this certificate."""
+    (table, keys, _), state = _mask_state(masks)
     leaf, gens, swaps, label = _best_leaf(*state)
     for u, v in swaps:
-        gam = list(range(n))
+        gam = list(range(len(masks)))
         gam[u], gam[v] = v, u
         gens.append(gam)
     return (table, _run_lengths(keys), leaf), gens, label

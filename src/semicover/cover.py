@@ -188,7 +188,8 @@ def _check_budget(g: Graph, budget: int | None) -> None:
 def _search_plan(h: Graph) -> tuple:
     """What find_cover takes from the target h alone, for _planned: the
     type weights and the vertices of each signature code, the option table,
-    the twin and bits arrays, and the semi-edge count of each dart colour."""
+    the twin and bits arrays, and the semi-edge count of each dart colour.
+    A row that is empty at every target vertex is None."""
     if not is_connected(h):
         raise ValueError("target must be connected")
     weights = _type_weights(h)
@@ -199,6 +200,7 @@ def _search_plan(h: Graph) -> tuple:
     table = {(c, k): [[e for e in h.darts_at[w] if h.dart_color[e] == c and k in (EDGE, kinds[e])]
                       for w in range(h.n)]
              for c in set(h.dart_color) for k in (SEMI, LOOP, EDGE)}
+    table = {key: rows if any(rows) else None for key, rows in table.items()}
     # twin[e]: the next lower dart at e's vertex with the same colours, mate vertex
     # and link kind (a semi-edge is its own mate); bits[e]: e's link, whose mate at
     # another vertex never shows in used
@@ -224,7 +226,9 @@ def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping 
     of one size m = |component| / h.n, and per dart colour c its S_c
     semi-edges and h's B_c need S_c = B_c * m (mod 2), and S_c >= B_c for
     odd m: a target semi-edge takes one dart of each of the m vertices over
-    its vertex, from semi-edges or from edges collapsed in pairs.
+    its vertex, from semi-edges or from edges collapsed in pairs.  And every
+    dart needs an option: a source loop onto a target with no loop of its
+    colour, or a semi-edge onto one with no such semi-edge, is a no.
 
     The search is one loop over an explicit stack of choice points, so the
     depth of the source costs heap, not Python stack.  A choice point picks
@@ -273,6 +277,8 @@ def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping 
         return None
     # every dart colour of g is one of h's, since its vertex has a target's signature
     opts = [table[c, g._kinds[l]] for c, l in zip(color, g.link_of)]
+    if None in opts:        # a dart that no target dart can take
+        return None
     h_vertex_of, h_mate, h_color = h.vertex_of, h.mate, h.dart_color
 
     fv = [-1] * g.n

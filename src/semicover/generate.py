@@ -7,10 +7,15 @@ neighbors are exactly 1..d, later vertices are discovered in consecutive
 label order, and every vertex is completed before the next one starts.
 Twin candidates (vertices interchangeable in the partial graph) are only
 ever picked as a prefix of their group, which cuts the search without
-losing classes.  Each node up to depth n // 2, and each leaf, is keyed by
-its depth and the certificate of its partial graph; a node whose key was
-seen before is skipped, since an earlier isomorphic node already reached
-every class below it, and the leaf keys keep one graph per class.
+losing classes.  Each node up to depth n // 2, and each leaf, is skipped
+when an earlier node of its depth has an isomorphic partial graph, since
+that node already reached every class below it; at the leaves this keeps
+one graph per class.  Nodes are bucketed by depth and canon's root
+invariant.  A bucket that has held one class compares a new node with its
+first one by canon._reaches, a directed search for the first node's first
+leaf, and needs no certificate; only a bucket that turns out to hold two
+classes certifies its nodes, as a failed directed search is exhaustive.
+Both tests are exact, so the same nodes are skipped as with certificates.
 General connected graphs are grown by canonical augmentation (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26, 1998): every
 connected graph on n vertices arises from a connected one on n-1 by
@@ -31,7 +36,8 @@ from itertools import combinations
 
 from .build import cycle
 # CanonicalSet is unused here but stays bound: perfbench's tracer wraps it at this name.
-from .canon import CanonicalSet, _mask_certificate  # noqa: F401
+from .canon import CanonicalSet  # noqa: F401
+from .canon import _first_leaf, _mask_certificate, _mask_state, _reaches
 from .graph import Graph, is_connected
 
 
@@ -86,16 +92,28 @@ def _regular_connected_search(n: int, d: int) -> list[Graph]:
     the earlier node's subtree, searched first, already holds a leaf of
     each class the later one would reach.  The code relies on three things:
 
-    - S is connected, as _mask_certificate requires: each vertex is
-      labelled when it is first attached, breadth first.
+    - S is connected, as _mask_state requires: each vertex is labelled
+      when it is first attached, breadth first.
     - The depth is part of the key: a node whose vertex u already has
-      full degree passes the same S to its child, and one set for all
-      depths would skip the child as a copy of its parent.
+      full degree passes the same S to its child, and keys without the
+      depth would skip the child as a copy of its parent.
     - Only depths u <= n // 2 and the leaves are keyed.  Past the middle
       most states are distinct, and there a certificate per node cost
       more than it saved when measured on cubic and quartic searches.
+
+    seen buckets the keyed states by (depth, root invariant); isomorphic
+    states share a bucket.  A bucket first holds its first state's masks
+    and _first_leaf traces: a state whose bucket is new is expanded with
+    no certificate, and a later one is skipped exactly when _reaches finds
+    that leaf in its search tree, which decides isomorphism.  When a state
+    misses, the bucket holds two classes and becomes the set of its states'
+    certificates, the first state's included, and later states are tested
+    by certificate: a second miss would cost another exhaustive directed
+    search, and quartic partial states share root invariants often.
     """
-    seen: set[tuple] = set()     # (depth, certificate) of each state expanded
+    # (depth, root invariant) -> the first state's (masks, first-leaf traces),
+    # or the certificates of its states once it holds two classes
+    seen: dict[tuple, tuple | set] = {}
     leaves: list[list[int]] = []
     adjm = [0] * n
     deg = [0] * n
@@ -119,14 +137,30 @@ def _regular_connected_search(n: int, d: int) -> list[Graph]:
         slack += (n - labeled) * d
         return slack % 2 == 0
 
+    def new_state(u: int, masks: list[int]) -> bool:
+        """Whether no state isomorphic to masks was seen at depth u; if so,
+        it is recorded."""
+        root, state = _mask_state(masks)
+        key = (u, root)
+        kept = seen.get(key)
+        if kept is None:
+            seen[key] = masks, _first_leaf(state)
+            return True
+        if isinstance(kept, tuple):
+            if _reaches(state, kept[1]):
+                return False
+            kept = seen[key] = {_mask_certificate(kept[0])[0]}
+        cert = _mask_certificate(masks)[0]
+        if cert in kept:
+            return False
+        kept.add(cert)
+        return True
+
     def rec(u: int, labeled: int):
         if labeled <= u < n:
             return
-        if u == n or u <= n // 2:
-            key = (u, _mask_certificate(adjm[:labeled])[0])
-            if key in seen:
-                return
-            seen.add(key)
+        if (u == n or u <= n // 2) and not new_state(u, adjm[:labeled]):
+            return
         if u == n:
             leaves.append(list(adjm))
             return

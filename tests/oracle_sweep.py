@@ -11,9 +11,9 @@ and each fold k = 2, 3, util.lift_oracle builds every permutation voltage
 lift of h (util.voltage_lifts), checks each against its projection with
 verify_cover, and keeps one connected lift per canon._certificate.  Each
 class must answer yes with a verified witness, and each class with two
-far ends swapped (util.switched, seeds SEEDS), when still connected, must
+far ends swapped (util.switched, seeds 0-3), when still connected, must
 answer yes exactly when it is isomorphic to a lift.  Tier-1 runs the same
-law on the targets with at most six darts, with seeds 0-3.
+law, with the same seeds, on the targets with at most six darts.
 
 The counts are printed and pinned nowhere: they show how many lifts,
 classes and switched lifts a change was held against, and how the
@@ -30,7 +30,7 @@ from util import connected_multigraphs, lift_oracle
 
 MAX_DARTS = 8
 FOLDS = (2, 3)
-SEEDS = range(2)
+SEEDS = range(4)
 
 
 def main() -> int:

@@ -5,8 +5,10 @@ import random
 import networkx as nx
 import pytest
 
+from semicover import generate
 from semicover.build import build_F, complete, complete_bipartite, cycle, petersen
-from semicover.canon import CanonicalSet, _certificate, _mask_certificate, isomorphic
+from semicover.canon import (CanonicalSet, _certificate, _first_leaf, _mask_certificate,
+                             _mask_state, _reaches, isomorphic)
 from semicover.generate import _from_masks, _masks, connected_simple_graphs
 from semicover.graph import Graph, GraphBuilder, disjoint_union
 from util import random_graph
@@ -305,3 +307,43 @@ def test_mask_certificate_generates_the_automorphism_group():
         x.add_nodes_from(range(n))
         want = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(x, x).isomorphisms_iter())
         assert len(group) == want, masks
+
+
+def test_reaches_decides_isomorphism(monkeypatch):
+    # generation skips a state when _reaches finds the first leaf of an
+    # earlier state with the same root invariant: a false hit loses a class,
+    # and a false miss costs certificates, which no output of generation shows
+    rng = random.Random(14)
+    cases = [_masks(g) for g in (complete(5), complete_bipartite(3, 3), cube(), petersen(),
+                                 cycle(9))]
+    cases += [random_connected_masks(rng, rng.randrange(1, 11)) for _ in range(300)]
+    for masks in cases:
+        perm = list(range(len(masks)))
+        rng.shuffle(perm)
+        traces = _first_leaf(_mask_state(masks)[1])
+        assert _reaches(_mask_state(relabelled(masks, perm))[1], traces), masks
+
+    states = {}
+    real = generate._mask_state
+
+    def recorded(masks):
+        states.setdefault(tuple(masks), None)
+        return real(masks)
+
+    monkeypatch.setattr(generate, "_mask_state", recorded)
+    generate.connected_regular_graphs(9, 4)
+    generate.connected_regular_graphs(10, 4)
+    buckets = {}
+    for masks in states:
+        root, state = _mask_state(list(masks))
+        buckets.setdefault(root, []).append((state, _mask_certificate(list(masks))[0]))
+    hits = misses = 0
+    for members in buckets.values():
+        for state, cert in members[:4]:
+            traces = _first_leaf(state)
+            for other, other_cert in members:
+                got = _reaches(other, traces)
+                assert got == (other_cert == cert)
+                hits += got
+                misses += not got
+    assert hits > 1500 and misses > 1000, (hits, misses)

@@ -2,7 +2,7 @@
 
 import hashlib
 
-from semicover import generate
+from semicover import canon, generate
 from semicover.canon import CanonicalSet, isomorphic
 from semicover.generate import connected_regular_graphs, connected_simple_graphs
 from semicover.graph import is_connected, is_simple, serialize_graph
@@ -148,16 +148,22 @@ def test_simple_generation_certifies_one_subset_per_orbit(monkeypatch):
 
 
 def test_regular_search_skips_states_it_has_expanded(monkeypatch):
-    # 2,999 and 2,224 certificates when only the leaves were deduplicated
-    calls = [0]
-    certificate = generate._mask_certificate
+    # 2,999 and 2,224 certificates when only the leaves were deduplicated;
+    # 971 and 884 certificates (3,833 and 4,397 refinements) when every
+    # keyed state was certified.  A state whose bucket, (depth, root
+    # invariant), is new takes a first leaf, a repeat takes a directed
+    # search, and only a bucket that holds two classes takes certificates.
+    calls = dict.fromkeys(["_mask_certificate", "_first_leaf", "_reaches", "_refine"], 0)
+    for name in calls:
+        module = canon if name == "_refine" else generate
 
-    def counted(masks):
-        calls[0] += 1
-        return certificate(masks)
-
-    monkeypatch.setattr(generate, "_mask_certificate", counted)
-    for (n, d), pin, classes in [((12, 3), 971, 85), ((10, 4), 884, 59)]:
-        calls[0] = 0
+        def counted(*args, name=name, fn=getattr(module, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    # (certificates, first leaves, directed searches, refinements)
+    for (n, d), pins, classes in [((12, 3), (86, 219, 692, 2924), 85),
+                                  ((10, 4), (289, 266, 339, 4202), 59)]:
+        calls.update(dict.fromkeys(calls, 0))
         assert len(connected_regular_graphs(n, d)) == classes
-        assert calls[0] <= pin, (n, d, calls[0])
+        assert all(got <= pin for got, pin in zip(calls.values(), pins)), (n, d, calls)
