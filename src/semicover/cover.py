@@ -27,6 +27,10 @@ class ResourceLimit(RuntimeError):
     """Raised when an exact search would exceed its configured budget."""
 
 
+class OutOfScope(ValueError):
+    """The target is outside the classified domain."""
+
+
 @dataclass(frozen=True)
 class DartMapping:
     """A total dart map together with the induced vertex map.
@@ -189,9 +193,10 @@ def _search_plan(h: Graph) -> tuple:
     """What find_cover takes from the target h alone, for _planned: the
     type weights and the vertices of each signature code, the option table,
     the twin and bits arrays, and the semi-edge count of each dart colour.
-    A row that is empty at every target vertex is None."""
+    A row that is empty at every target vertex is None.  A disconnected h
+    raises OutOfScope, and as nothing is kept, so does every later use."""
     if not is_connected(h):
-        raise ValueError("target must be connected")
+        raise OutOfScope("disconnected target")
     weights = _type_weights(h)
     sigs: dict = {}
     for w, key in enumerate(_signatures(h, weights)):
@@ -219,7 +224,8 @@ def find_cover(g: Graph, h: Graph, *, budget: int | None = None) -> DartMapping 
     """First covering projection from g onto the connected target h, if any.
 
     The optional budget bounds the dart count of g; exceeding it raises
-    ResourceLimit rather than starting a search that may not finish.
+    ResourceLimit rather than starting a search that may not finish.  A
+    disconnected h raises OutOfScope from _search_plan.
 
     What depends on h alone is built once and kept in h's plan
     (_search_plan).  Before any search, each component of g needs fibres

@@ -39,9 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
-from .cover import DartMapping
+from .cover import DartMapping, OutOfScope
 from .graph import (EDGE, Graph, _parity_solve, _signatures, _subgraph, _type_weights,
-                    components, type_signature)
+                    components, is_connected, type_signature)
 from .matching import exact_link_cover, konig_split, two_factor_orientations
 
 _TAG_RANK = {"regularity": 0, "matching": 1, "2-factor": 2,
@@ -216,6 +216,10 @@ class _Plan(NamedTuple):
 
 
 def _decider_plan(h: Graph) -> _Plan:
+    """The _Plan of h; a disconnected h raises OutOfScope, on every use,
+    as nothing is kept."""
+    if not is_connected(h):
+        raise OutOfScope("disconnected target")
     buckets, rows = dichotomy_table(h)
     route, method = None, "brute-force-fallback"
     if all(r.verdict == "P" or r.method == "side-search" for r in rows):

@@ -17,14 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import _check_budget, find_cover, verify_cover
+from .cover import OutOfScope, _check_budget, find_cover, verify_cover
 from .deciders import (Verdict, _decider_plan, decide_colored_one_vertex,
                        decide_two_vertex_nonregular, decide_two_vertex_regular_2sat)
-from .graph import Graph, _planned, is_connected
-
-
-class OutOfScope(ValueError):
-    """The target is outside the classified domain."""
+from .graph import Graph, _planned
 
 
 @dataclass(frozen=True)
@@ -46,12 +42,12 @@ def classify(h: Graph) -> Classification:
     and each side reduces to the one-vertex test.  Two indistinguishable
     vertices: the side choice is a 2-SAT instance iff every class stays
     inside the polynomial two-vertex families, and NP-complete otherwise.
-    The rules after the first are the rows of dichotomy_table.
+    The rules after the first are the rows of dichotomy_table.  A target
+    on no or more than two vertices raises OutOfScope here, and a
+    disconnected one raises it from the plan builder, _decider_plan.
     """
     if h.n == 0 or h.n > 2:
         raise OutOfScope(f"{h.n} vertices")
-    if not is_connected(h):
-        raise OutOfScope("disconnected target")
     rows = _planned(h, _decider_plan).rows
     verdict = "P" if all(r.verdict == "P" for r in rows) else "NP-complete"
     if h.n == 1:
@@ -79,10 +75,10 @@ def decide_colored(g: Graph, h: Graph, *, budget: int | None = None) -> Verdict:
     Every other target, the empty one included, falls back to exact
     search under the same budget.  Here every yes, from any route, is
     re-checked with verify_cover (RuntimeError when it fails).  A
-    disconnected target raises ValueError.
+    disconnected target raises OutOfScope, a ValueError, from the plan
+    builder that reads it first (_decider_plan or cover._search_plan); a
+    connected one is checked once, when its plan is built.
     """
-    if h.n == 2 and not is_connected(h):
-        raise OutOfScope("disconnected target")
     plan = _planned(h, _decider_plan) if h.n in (1, 2) else None
     if plan is None or plan.route is None:
         f = find_cover(g, h, budget=budget)

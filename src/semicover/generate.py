@@ -32,7 +32,8 @@ generator returns the kept candidates, parent by parent.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
+from typing import Sequence
 
 from .build import cycle
 # CanonicalSet is unused here but stays bound: perfbench's tracer wraps it at this name.
@@ -62,23 +63,11 @@ def _masks(g: Graph) -> list[int]:
 
 
 def _prefix_choices(groups: list[list[int]], take: int) -> list[list[int]]:
-    """Subsets of size `take` using only prefixes of each twin group."""
-    out: list[list[int]] = []
-
-    def rec(i: int, left: int, acc: list[int]):
-        if left == 0:
-            out.append(list(acc))
-            return
-        if i == len(groups):
-            return
-        rest = sum(len(g) for g in groups[i + 1:])
-        grp = groups[i]
-        for c in range(min(left, len(grp)), -1, -1):
-            if left - c <= rest:
-                rec(i + 1, left - c, acc + grp[:c])
-
-    rec(0, take, [])
-    return out
+    """The subsets of size take that use only a prefix of each twin group,
+    by prefix lengths in lexicographic order, each length longest first."""
+    return [[w for grp, c in zip(groups, cs) for w in grp[:c]]
+            for cs in product(*(range(len(grp), -1, -1) for grp in groups))
+            if sum(cs) == take]
 
 
 def _regular_connected_search(n: int, d: int) -> list[Graph]:
@@ -197,6 +186,7 @@ def _regular_connected_search(n: int, d: int) -> list[Graph]:
                     deg[w] -= 1
 
     rec(1, d + 1)
+    seen.clear()    # rec refers to itself, so without this seen lives on until a gc pass
     return [_from_masks(n, adj) for adj in leaves]
 
 
@@ -248,27 +238,37 @@ def connected_regular_graphs(n: int, d: int) -> list[Graph]:
     return _regular_connected_search(n, d)
 
 
+def _orbit(subset: Sequence[int], bits: int, gens: list[list[int]],
+           seen: set[int]) -> set[int]:
+    """seen, with the orbit of the vertex set subset (whose bitmask is
+    bits) under the group that gens generate added to it as bitmasks.  The
+    walk stops at sets already in seen, so seen must hold all of this
+    orbit or none of it.  Both orbit questions of canonical augmentation
+    walk here: the attachment-set orbits of _orbit_firsts, and the
+    one-vertex orbit of connected_simple_graphs' deletion test."""
+    seen.add(bits)
+    queue = [subset]
+    for t in queue:
+        for gam in gens:
+            image = [gam[w] for w in t]
+            b = sum([1 << w for w in image])
+            if b not in seen:
+                seen.add(b)
+                queue.append(image)
+    return seen
+
+
 def _orbit_firsts(k: int, gens: list[list[int]], top: int):
     """The nonempty subsets of range(k) of at most top elements as
     bitmasks, by size and then in combinations order, that come first in
-    their orbit under gens."""
+    their orbit under gens; each one yielded marks its whole orbit seen."""
     seen: set[int] = set()
     for r in range(1, top + 1):
         for subset in combinations(range(k), r):
             s = sum([1 << w for w in subset])
-            if s in seen:
-                continue
-            seen.add(s)
-            todo = [subset]
-            while todo:
-                t = todo.pop()
-                for gam in gens:
-                    image = [gam[w] for w in t]
-                    bits = sum([1 << w for w in image])
-                    if bits not in seen:
-                        seen.add(bits)
-                        todo.append(image)
-            yield s
+            if s not in seen:
+                _orbit(subset, s, gens, seen)
+                yield s
 
 
 def _non_cut(masks: list[int], v: int) -> bool:
@@ -323,18 +323,6 @@ def _deletion_ties(masks: list[int], k: int) -> list[int] | None:
     return ties
 
 
-def _orbit(v: int, gens: list[list[int]]) -> set[int]:
-    """The orbit of v under the group that gens generate."""
-    orbit, todo = {v}, [v]
-    while todo:
-        u = todo.pop()
-        for gam in gens:
-            if gam[u] not in orbit:
-                orbit.add(gam[u])
-                todo.append(gam[u])
-    return orbit
-
-
 def connected_simple_graphs(n: int) -> list[Graph]:
     """All connected simple graphs on n vertices, one per class, parent
     by parent.
@@ -370,7 +358,8 @@ def connected_simple_graphs(n: int) -> list[Graph]:
                 auts: list[list[int]] = []
                 if ties or k < n - 1:
                     _, auts, label = _mask_certificate(adj)
-                    if ties and k not in _orbit(min(ties + [k], key=label.__getitem__), auts):
+                    m = min(ties + [k], key=label.__getitem__)
+                    if m != k and 1 << k not in _orbit((m,), 1 << m, auts, set()):
                         continue
                 grown.append((adj, auts))
         level = grown

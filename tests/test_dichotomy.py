@@ -84,6 +84,24 @@ def test_nonregular_hard_side():
     assert cls.pieces.get("vertex 0 color 0") == "NP-complete"
 
 
+def test_disconnected_targets_fail_alike():
+    # one error from whichever plan reads the target first (the decider
+    # plan on two vertices, the search plan beyond), on a repeated call too,
+    # as a disconnected target keeps no plan
+    targets = [disjoint_union([build_F(0, 1), build_F(2, 0)]),
+               disjoint_union([build_F(1, 0), build_W(0, 0, 1, 0, 0)]),
+               disjoint_union([build_W(0, 0, 1, 0, 0), build_W(0, 0, 2, 0, 0)])]
+    for h in targets:
+        calls = [lambda: decide_colored(cycle(4), h), lambda: find_cover(cycle(4), h)]
+        if h.n == 2:
+            calls.append(lambda: classify(h))
+        for call in calls:
+            for _ in range(2):
+                with pytest.raises(OutOfScope, match="^disconnected target$"):
+                    call()
+    assert [h.n for h in targets] == [2, 3, 4]
+
+
 def test_classify_scope():
     with pytest.raises(OutOfScope):
         classify(cycle(3))

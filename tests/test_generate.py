@@ -1,12 +1,15 @@
 """Exhaustive generators: counts, output invariants, no duplicates."""
 
 import hashlib
+import random
+from itertools import combinations
 
 from semicover import canon, generate
 from semicover.canon import CanonicalSet, isomorphic
 from semicover.generate import connected_regular_graphs, connected_simple_graphs
 from semicover.graph import is_connected, is_simple, serialize_graph
-from util import reference_connected_simple_graphs, reference_regular_connected_search
+from util import (reference_connected_simple_graphs, reference_prefix_choices,
+                  reference_regular_connected_search)
 
 REGULAR_COUNTS = {
     (1, 0): 1, (2, 0): 0, (3, 0): 0,
@@ -167,3 +170,79 @@ def test_regular_search_skips_states_it_has_expanded(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         assert len(connected_regular_graphs(n, d)) == classes
         assert all(got <= pin for got, pin in zip(calls.values(), pins)), (n, d, calls)
+
+
+def test_prefix_choices_match_the_recursive_reference():
+    # lists and order: the regular search tries the choices in this order
+    rng = random.Random(35)
+    for _ in range(300):
+        groups, w = [], 0
+        for _ in range(rng.randrange(5)):
+            size = rng.randrange(1, 5)
+            groups.append(list(range(w, w + size)))
+            w += size
+        rng.shuffle(groups)
+        for take in range(w + 2):
+            got = generate._prefix_choices(groups, take)
+            assert got == reference_prefix_choices(groups, take), (groups, take)
+
+
+def _group(k: int, gens: list[list[int]]) -> list[tuple[int, ...]]:
+    """Every permutation of range(k) that gens generate, by closure."""
+    group, todo = {tuple(range(k))}, [tuple(range(k))]
+    while todo:
+        p = todo.pop()
+        for gam in gens:
+            q = tuple(gam[w] for w in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return list(group)
+
+
+def test_orbit_firsts_yield_the_first_subset_of_each_orbit():
+    rng = random.Random(35)
+    cases = []
+    for k in range(1, 7):
+        cases += [(k, []), (k, [list(range(k))])]
+        for _ in range(6):
+            perms = [rng.sample(range(k), k) for _ in range(rng.randrange(1, 4))]
+            cases.append((k, perms))
+    for k, gens in cases:
+        group = _group(k, gens)
+        for top in range(k + 1):
+            want, seen = [], set()
+            for r in range(1, top + 1):
+                for subset in combinations(range(k), r):
+                    if frozenset(subset) not in seen:
+                        seen |= {frozenset(p[w] for w in subset) for p in group}
+                        want.append(sum(1 << w for w in subset))
+            assert list(generate._orbit_firsts(k, gens, top)) == want, (k, gens, top)
+
+
+def test_generation_work_is_bounded(monkeypatch):
+    # attachment sets tried by canonical augmentation, and twin-prefix
+    # choices made by the regular search; both as the recursive and
+    # two-walk generators made them
+    counts = {"sets": 0, "choices": 0}
+    firsts, prefix = generate._orbit_firsts, generate._prefix_choices
+
+    def counted_firsts(*args):
+        for s in firsts(*args):
+            counts["sets"] += 1
+            yield s
+
+    def counted_prefix(*args):
+        out = prefix(*args)
+        counts["choices"] += len(out)
+        return out
+
+    monkeypatch.setattr(generate, "_orbit_firsts", counted_firsts)
+    monkeypatch.setattr(generate, "_prefix_choices", counted_prefix)
+    for run, key, pin in [(lambda: connected_simple_graphs(7), "sets", 2140),
+                          (lambda: connected_simple_graphs(8), "sets", 30280),
+                          (lambda: connected_regular_graphs(12, 3), "choices", 6648),
+                          (lambda: connected_regular_graphs(10, 4), "choices", 3757)]:
+        counts.update(dict.fromkeys(counts, 0))
+        run()
+        assert 0 < counts[key] <= pin, (key, counts)

@@ -891,6 +891,29 @@ def reference_f20_darts(g: Graph, semis: list[int]) -> dict[int, int] | None:
     return {d: semis[v] for d, v in val.items()}
 
 
+# semicover.generate._prefix_choices as it was written first, a recursion
+# that cuts length tuples which cannot sum to take.  Kept as the reference
+# whose lists, in order, the generator's choices must reproduce.
+def reference_prefix_choices(groups: list[list[int]], take: int) -> list[list[int]]:
+    """Subsets of size `take` using only prefixes of each twin group."""
+    out: list[list[int]] = []
+
+    def rec(i: int, left: int, acc: list[int]):
+        if left == 0:
+            out.append(list(acc))
+            return
+        if i == len(groups):
+            return
+        rest = sum(len(g) for g in groups[i + 1:])
+        grp = groups[i]
+        for c in range(min(left, len(grp)), -1, -1):
+            if left - c <= rest:
+                rec(i + 1, left - c, acc + grp[:c])
+
+    rec(0, take, [])
+    return out
+
+
 # semicover.generate._regular_connected_search as it was before it skipped
 # states whose partial graph it had already expanded: the same breadth-first
 # labelled search with twin-prefix pruning, deduplicated only at the leaves.
@@ -899,7 +922,6 @@ def reference_regular_connected_search(n: int, d: int) -> list[list[int]]:
     """The neighbour bitmasks of the first leaf of each class of connected
     d-regular graphs on n vertices, in the order the search finds them."""
     from semicover.canon import _mask_certificate
-    from semicover.generate import _prefix_choices
 
     found: dict[tuple, list[int]] = {}
     adjm = [0] * n
@@ -945,7 +967,7 @@ def reference_regular_connected_search(n: int, d: int) -> list[list[int]]:
                 groups.append([w])
         for t in range(min(need, n - labeled), -1, -1):
             fresh = list(range(labeled, labeled + t))
-            for chosen in _prefix_choices(groups, need - t):
+            for chosen in reference_prefix_choices(groups, need - t):
                 nbrs = chosen + fresh
                 for w in nbrs:
                     adjm[u] |= 1 << w
