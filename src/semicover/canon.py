@@ -201,6 +201,7 @@ def _best_leaf(prof, col: list[int], trace: tuple) -> tuple:
         return None
 
     visit(col, [], (trace,))
+    del visit   # it refers to itself; without this its state lives on until a gc pass
     return best[0][-1], gens, swaps, best[1]
 
 

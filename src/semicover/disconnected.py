@@ -200,10 +200,20 @@ def decide_equitable(pattern: CoveringPattern, n_g: int, n_h: int,
     move; sigma is rebuilt forward, sending component i to the
     lowest-indexed target component of the recorded group whose current
     fill is the recorded fill.  The real fills are a permutation of the
-    state's within each group, so that component exists.  The problem
-    contains bin packing, so the state count can grow exponentially in
-    the number of target components: once the states kept over all
-    levels exceed EQUITABLE_STATE_CAP, ResourceLimit is raised.
+    state's within each group, so that component exists.
+
+    The levels take the source components largest first: by decreasing
+    vertex count, ties by index.  As r_ij = |V(G_i)| / |V(H_j)|, that is
+    decreasing weight in every column, so the large components cut the
+    fills down before the small ones spread them over many multisets.
+    The order is exact: the fill multisets reachable once all p
+    components are placed do not depend on the order they are added in,
+    so neither does the answer.  Only the recorded path can change, and
+    with it sigma and, on a no, the component the reason names (always
+    by its own index g{i}).  The problem contains bin packing, so the
+    state count can grow exponentially in the number of target
+    components: once the states kept over all levels exceed
+    EQUITABLE_STATE_CAP, ResourceLimit is raised.
     """
     if n_h == 0:
         if n_g == 0:
@@ -226,13 +236,14 @@ def decide_equitable(pattern: CoveringPattern, n_g: int, n_h: int,
             if r is not None:
                 moves[i].append((g, s, s + len(members), r))
         s += len(members)
+    order = sorted(range(p), key=lambda i: -pattern.sizes_g[i])
     levels: list[dict[tuple[int, ...], tuple[tuple[int, ...], int, int] | None]]
     levels = [{(0,) * q: None}]
     kept = 1
-    for i, choices in enumerate(moves):
+    for i in order:
         nxt: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]] = {}
-        for state in levels[i]:
-            for g, s, e, r in choices:
+        for state in levels[-1]:
+            for g, s, e, r in moves[i]:
                 last = -1
                 for t in range(s, e):
                     f = state[t]
@@ -257,15 +268,15 @@ def decide_equitable(pattern: CoveringPattern, n_g: int, n_h: int,
     if state not in levels[p]:
         return False, None, f"no assignment fills every target fiber to {k}"
     steps = []
-    for i in range(p, 0, -1):
-        state, g, f = levels[i][state]
+    for level in reversed(levels[1:]):
+        state, g, f = level[state]
         steps.append((g, f))
     fill = [0] * q
-    sigma = []
-    for i, (g, f) in enumerate(reversed(steps)):
+    sigma = [0] * p
+    for i, (g, f) in zip(order, reversed(steps)):
         j = next(j for j in groups[g] if fill[j] == f)
         fill[j] += edges[(i, j)]
-        sigma.append(j)
+        sigma[i] = j
     return True, tuple(sigma), ""
 
 

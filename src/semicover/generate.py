@@ -186,7 +186,7 @@ def _regular_connected_search(n: int, d: int) -> list[Graph]:
                     deg[w] -= 1
 
     rec(1, d + 1)
-    seen.clear()    # rec refers to itself, so without this seen lives on until a gc pass
+    del rec, seen   # rec refers to itself; free both before the leaves are built
     return [_from_masks(n, adj) for adj in leaves]
 
 
@@ -214,6 +214,7 @@ def _all_regular_graphs(n: int, d: int) -> list[Graph]:
                 rec(rest - k, k, i + 1, acc + [pieces[k][i]])
 
     rec(n, n, len(pieces[n]), [])
+    del rec     # it refers to itself; without this pieces lives on until a gc pass
     return out
 
 

@@ -6,7 +6,7 @@ Run from the repository root (pytest does not collect this file):
 
 The corpus is test_dichotomy.small_targets(5): every connected target on
 one or two vertices with at most five links of the corpus link types.
-Six sha256 digests are printed.  The first is over classify's verdict,
+Seven sha256 digests are printed.  The first is over classify's verdict,
 rules and pieces per target, the second over decide_colored's answer and
 method on h onto itself, on a seeded 2-fold lift of h and on a perturbed
 copy of that lift, and the third over those answers alone.  A refactor
@@ -22,15 +22,19 @@ maps and the fiber profile.  Each target is a union of two or three
 corpus targets, with repeats; each source is a union of lifts and
 perturbed lifts of them and of repeated copies, so that component
 classes repeat on both sides.  It is pinned like the first three, and
-its yes witnesses are checked the same way.
+its yes witnesses are checked the same way.  The fifth digest is over
+the same calls' (semantics, answer) alone, and is pinned too: a change
+that only takes another path to the same answers (say, the equitable
+DP placing components in another order) moves the fourth digest but
+must leave the fifth where it was.
 
-The fifth digest is over every yes witness of decide_colored (dart_map,
+The sixth digest is over every yes witness of decide_colored (dart_map,
 vertex_map).  It has no pin and does not affect the exit status, since
 witnesses may change with the order of the work.  A refactor that
 claims the same witnesses runs this script on the parent commit and on
 the change and compares the two witness digests.
 
-The sixth digest is over the reason of every no of decide_colored, also
+The seventh digest is over the reason of every no of decide_colored, also
 unpinned: a change that refutes in another order moves it while the
 answers and methods stay.  Compare it between parent and change the
 same way.
@@ -61,13 +65,15 @@ PINS = {
     "classify": "34afdff2f835336d2d182930a32391665297e8ed0eaf863b0721c3e573b76695",
     "decide_colored": "3afab9c5a80083d4c0f4ccbf61eb0a7fd7695f07cb0db12b2ef0598709fa57bd",
     "answers": "836374e78d8bc100e0f122be8c6dd7071458ba2228c2454884308ca04fbb0f9a",
-    "decide": "1aab6ea4eabfbc57a3cd07eb406d428a83bebb2aa7afddba4869ce738ad028a0",
+    "decide": "958c3d4397fc78b6097c49b45d3780a3d024d80bac11618dcc88d1a7848a5e59",
+    "decide_answers": "d5954b510890075c48a379c16eb4e8dd71a386a4bd4a73b4f70d1242924d72f9",
 }
 
 
-def decide_unions(corpus: list, digest) -> int:
-    """Feed decide's results on UNIONS seeded disjoint unions to digest;
-    return the number of yes witnesses, each checked with verify_cover."""
+def decide_unions(corpus: list, digest, answers) -> int:
+    """Feed decide's results on UNIONS seeded disjoint unions to digest,
+    and (semantics, answer) alone to answers; return the number of yes
+    witnesses, each checked with verify_cover."""
     rng = random.Random(SEED)
     yes = 0
     for _ in range(UNIONS):
@@ -92,6 +98,7 @@ def decide_unions(corpus: list, digest) -> int:
             w = d.witness
             digest.update(repr((d.answer, d.sigma, d.reason, w and (w.dart_map, w.vertex_map),
                                 d.fiber_profile)).encode())
+            answers.update(repr((semantics, d.answer)).encode())
             if w is not None:
                 yes += 1
                 bad = verify_cover(g, h, w, check_fibers=True)
@@ -131,8 +138,9 @@ def main() -> int:
             else:
                 reasoned.update(repr(v.reason).encode())
     unions = hashlib.sha256()
+    union_answers = hashlib.sha256()
     try:
-        decide_yes = decide_unions(corpus, unions)
+        decide_yes = decide_unions(corpus, unions, union_answers)
     except AssertionError as e:
         print(e, file=sys.stderr)
         return 1
@@ -140,7 +148,8 @@ def main() -> int:
     print(f"unions {UNIONS}, decide calls {3 * UNIONS}, yes {decide_yes}")
     status = 0
     for name, digest in (("classify", classified), ("decide_colored", decided),
-                         ("answers", answered), ("decide", unions)):
+                         ("answers", answered), ("decide", unions),
+                         ("decide_answers", union_answers)):
         print(f"{name:14} {digest.hexdigest()}")
         if digest.hexdigest() != PINS[name]:
             print(f"{name} digest differs from its pin {PINS[name]}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """Isomorphism testing and canonical deduplication."""
 
+import gc
 import random
 
 import networkx as nx
@@ -347,3 +348,24 @@ def test_reaches_decides_isomorphism(monkeypatch):
                 hits += got
                 misses += not got
     assert hits > 1500 and misses > 1000, (hits, misses)
+
+
+def unreachable_after(call):
+    """The objects that only the cyclic gc frees after call: a certificate
+    or a generator run that leaves a reference cycle behind counts them."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+    finally:
+        found = gc.collect()
+        gc.enable()
+    return found
+
+
+def test_certificates_leave_no_reference_cycles():
+    masks = _masks(petersen())
+    assert unreachable_after(lambda: _mask_certificate(masks)) == 0
+    assert unreachable_after(lambda: _certificate(petersen())) == 0
+    assert unreachable_after(lambda: generate.connected_regular_graphs(10, 3)) == 0
+    assert unreachable_after(lambda: generate.connected_regular_graphs(8, 4)) == 0

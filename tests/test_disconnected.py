@@ -469,10 +469,23 @@ def random_pattern(rng, q, shape):
     return pattern
 
 
+def permuted_sources(pattern, perm):
+    """pattern with its source component perm[i] renumbered i."""
+    new = {old: i for i, old in enumerate(perm)}
+    return CoveringPattern(tuple(pattern.sizes_g[old] for old in perm), pattern.sizes_h,
+                           {(new[i], j): r for (i, j), r in pattern.edges.items()})
+
+
 def test_equitable_matches_reference_dp():
-    """The grouped DP against the DP over unsorted fill vectors."""
+    """The grouped DP against the DP over unsorted fill vectors.  The DP
+    places the largest source component first, ties by index, so each
+    pattern is also decided with its sources reversed, in ascending size
+    and shuffled: renumbering the sources may change sigma, never the
+    answer."""
     rng = random.Random(61)
+    shuffler = random.Random(67)
     answers = []
+    unequal_targets = 0
     for q in range(1, 7):
         for shape in ("equal", "distinct", "mixed"):
             done = 0
@@ -481,17 +494,24 @@ def test_equitable_matches_reference_dp():
                 if pattern is None:
                     continue
                 n_g, n_h = sum(pattern.sizes_g), sum(pattern.sizes_h)
-                got, sigma, _ = decide_equitable(pattern, n_g, n_h)
-                assert got == reference_equitable(pattern, n_g, n_h)[0], (q, shape, pattern)
-                if got:
-                    assert all((i, j) in pattern.edges for i, j in enumerate(sigma))
-                    fill = [0] * q
-                    for i, j in enumerate(sigma):
-                        fill[j] += pattern.edges[(i, j)]
-                    assert fill == [n_g // n_h] * q
-                answers.append(got)
+                expected = reference_equitable(pattern, n_g, n_h)[0]
+                firsts = list(range(pattern.p))
+                for perm in (firsts, firsts[::-1], sorted(firsts, key=pattern.sizes_g.__getitem__),
+                             shuffler.sample(firsts, len(firsts))):
+                    renumbered = permuted_sources(pattern, perm)
+                    got, sigma, _ = decide_equitable(renumbered, n_g, n_h)
+                    assert got == expected, (q, shape, perm, pattern)
+                    if got:
+                        assert all((i, j) in renumbered.edges for i, j in enumerate(sigma))
+                        fill = [0] * q
+                        for i, j in enumerate(sigma):
+                            fill[j] += renumbered.edges[(i, j)]
+                        assert fill == [n_g // n_h] * q
+                answers.append(expected)
+                unequal_targets += len(set(pattern.sizes_h)) > 1
                 done += 1
     assert 50 < sum(answers) < len(answers) - 50
+    assert unequal_targets > 50
 
 
 def seeded_binpacking(bins, items, seed):
@@ -513,6 +533,19 @@ def test_equitable_binpacking_with_many_bins(bins):
     if d.answer:
         assert verify_cover(g, h, d.witness, check_fibers=True) == []
         assert set(d.fiber_profile.values()) == {sum(xs) // bins}
+
+
+@pytest.mark.parametrize("bins", [12, 14])
+def test_equitable_binpacking_within_a_small_state_cap(monkeypatch, bins):
+    # Taking the largest component first keeps 4,658 and 10,270 states
+    # here; in index order the DP passed the default cap of 1,000,000.
+    monkeypatch.setattr(semicover.disconnected, "EQUITABLE_STATE_CAP", 20_000)
+    xs = seeded_binpacking(bins, 3 * bins, 1)
+    g, h = gen_binpacking(xs, bins)
+    d = decide(g, h, "equitable", want_witness=True)
+    assert d.answer
+    assert verify_cover(g, h, d.witness, check_fibers=True) == []
+    assert set(d.fiber_profile.values()) == {sum(xs) // bins}
 
 
 def test_equitable_state_cap(monkeypatch):
