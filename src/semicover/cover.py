@@ -60,70 +60,70 @@ def verify_cover(g: Graph, h: Graph, f: DartMapping, *,
     require_surjective, every dart and vertex of h must be hit.  With
     check_fibers, the per-link preimage shapes are verified as well; they
     are implied by the local conditions, so this is a redundant self-check.
+
+    One pass over the darts checks each dart's image vertex, colour and
+    mate, and one over the vertices each vertex's degree and colour; one
+    set of (vertex, image) keys finds the vertices whose dart images
+    repeat.  A dart's mate must map onto its image's mate, which a link
+    collapsed onto a semi-edge meets too, unless the link is a loop.  The
+    violations are reported per vertex (darts away from the image vertex,
+    repeats or degree, colour), then per dart colour, then per link.
     """
-    out: list[CoverViolation] = []
     dart_map, vertex_map = f.dart_map, f.vertex_map
     nd, n = h.n_darts, h.n
     if len(dart_map) != g.n_darts or len(vertex_map) != g.n:
         return [CoverViolation("shape", "mapping arity does not match the graphs")]
-    for d, e in enumerate(dart_map):
-        if not 0 <= e < nd:
-            return [CoverViolation("shape", f"dart {d} maps outside the target ({e})")]
-    for u, w in enumerate(vertex_map):
-        if not 0 <= w < n:
-            return [CoverViolation("shape", f"vertex {u} maps outside the target ({w})")]
+    for kind, seq, top in (("dart", dart_map, nd), ("vertex", vertex_map, n)):
+        if seq and not (0 <= min(seq) and max(seq) < top):
+            i = next(i for i, x in enumerate(seq) if not 0 <= x < top)
+            return [CoverViolation("shape", f"{kind} {i} maps outside the target ({seq[i]})")]
 
-    h_vertex_of, h_darts_at = h.vertex_of, h.darts_at
-    g_vertex_color, h_vertex_color = g.vertex_color, h.vertex_color
-    for u, darts in enumerate(g.darts_at):
-        w = vertex_map[u]
-        images = [dart_map[d] for d in darts]
-        for d, e in zip(darts, images):
-            if h_vertex_of[e] != w:
-                out.append(CoverViolation(
-                    "not-local-bijection",
-                    f"dart {d} at vertex {u} maps to dart {e} away from image vertex {w}"))
-        if len(set(images)) != len(images):
-            out.append(CoverViolation(
-                "not-local-bijection", f"dart images at vertex {u} repeat"))
-        elif len(images) != (degree := len(h_darts_at[w])):
-            out.append(CoverViolation(
-                "not-local-bijection",
-                f"vertex {u} has {len(images)} darts, image {w} has {degree}"))
-        if g_vertex_color[u] != h_vertex_color[w]:
-            out.append(CoverViolation(
-                "vertex-color-mismatch", f"vertex {u} color differs from image {w}"))
-
-    g_dart_color, h_dart_color = g.dart_color, h.dart_color
+    # (place, violation), place ordering the report: (u, 0, d), (u, 1) and
+    # (u, 2) at vertex u, (g.n, d) for dart colours and (g.n + 1, l) for links
+    found: list[tuple[tuple[int, ...], CoverViolation]] = []
+    g_vertex_of, g_mate, g_dart_color = g.vertex_of, g.mate, g.dart_color
+    h_vertex_of, h_mate, h_dart_color = h.vertex_of, h.mate, h.dart_color
     for d, e in enumerate(dart_map):
+        u = g_vertex_of[d]
+        if h_vertex_of[e] != vertex_map[u]:
+            found.append(((u, 0, d), CoverViolation(
+                "not-local-bijection", f"dart {d} at vertex {u} maps to dart {e} "
+                f"away from image vertex {vertex_map[u]}")))
         if g_dart_color[d] != h_dart_color[e]:
-            out.append(CoverViolation("color-mismatch", f"dart {d} changes color"))
+            found.append(((g.n, d), CoverViolation("color-mismatch", f"dart {d} changes color")))
+        m = g_mate[d]
+        b = dart_map[m]
+        if h_mate[e] != b and d <= m:
+            l = g.link_of[d]
+            found.append(((g.n + 1, l), CoverViolation("link-broken",
+                f"semi-edge {l} maps to a non-semi link" if d == m else
+                f"link {l} collapses onto a non-semi dart" if e == b else
+                f"link {l} maps across two target links")))
+        elif e == b and d < m and g_vertex_of[m] == u:
+            l = g.link_of[d]
+            found.append(((g.n + 1, l), CoverViolation(
+                "link-broken", f"loop {l} collapses onto a semi-edge")))
 
-    # a target dart is on a semi-edge exactly when it is its own mate
-    h_link_of, h_mate, link_kind = h.link_of, h.mate, g.link_kind
-    for l, cell in enumerate(g.links):
-        if len(cell) == 1:
-            e = dart_map[cell[0]]
-            if h_mate[e] != e:
-                out.append(CoverViolation(
-                    "link-broken", f"semi-edge {l} maps to a non-semi link"))
-        else:
-            a, b = dart_map[cell[0]], dart_map[cell[1]]
-            if a == b:
-                if h_mate[a] != a:
-                    out.append(CoverViolation(
-                        "link-broken", f"link {l} collapses onto a non-semi dart"))
-                elif link_kind(l) == LOOP:
-                    out.append(CoverViolation(
-                        "link-broken", f"loop {l} collapses onto a semi-edge"))
-            elif h_link_of[a] != h_link_of[b]:
-                out.append(CoverViolation(
-                    "link-broken", f"link {l} maps across two target links"))
+    repeated = set() if len(set(zip(g_vertex_of, dart_map))) == len(dart_map) else {
+        u for (u, _), c in Counter(zip(g_vertex_of, dart_map)).items() if c > 1}
+    g_vertex_color, h_vertex_color, h_darts_at = g.vertex_color, h.vertex_color, h.darts_at
+    for u, (w, darts) in enumerate(zip(vertex_map, g.darts_at)):
+        if u in repeated:
+            found.append(((u, 1), CoverViolation(
+                "not-local-bijection", f"dart images at vertex {u} repeat")))
+        elif len(darts) != (degree := len(h_darts_at[w])):
+            found.append(((u, 1), CoverViolation(
+                "not-local-bijection",
+                f"vertex {u} has {len(darts)} darts, image {w} has {degree}")))
+        if g_vertex_color[u] != h_vertex_color[w]:
+            found.append(((u, 2), CoverViolation(
+                "vertex-color-mismatch", f"vertex {u} color differs from image {w}")))
 
+    out = [v for _, v in sorted(found, key=lambda x: x[0])]
     if require_surjective:
-        if set(dart_map) != set(range(nd)):
+        if len(set(dart_map)) != nd:
             out.append(CoverViolation("not-surjective", "some target dart is not hit"))
-        if set(vertex_map) != set(range(n)):
+        if len(set(vertex_map)) != n:
             out.append(CoverViolation("not-surjective", "some target vertex is not hit"))
 
     if check_fibers and not out:

@@ -7,8 +7,10 @@ one size, gives the surjective and equitable variants.  All three reduce
 to questions about the covering pattern: the bipartite graph recording
 which source component covers which target component, weighted by the
 vertex-count ratio.  Components with equal arrays (graph._split) form a
-class with one Graph; one dichotomy.decide_colored call per class pair
-picks the algorithm and gives the pairs' witness.  h keeps its split.
+class with one Graph.  One dichotomy.decide_colored call per target
+class, on the whole source, answers every source class at once when it
+says yes; on a no, one call per class pair picks the algorithm and gives
+the pairs' witness.  h keeps its split.
 """
 
 from __future__ import annotations
@@ -123,15 +125,39 @@ def build_pattern(g: Graph, h: Graph, *, budget: int | None = None,
     search under the dart budget elsewhere.  Pairs failing the
     divisibility filter are skipped outright.  Components with equal
     arrays (graph._split) form one class with one Graph, whose names are
-    its first member's, and decide_colored runs once per (source class,
-    target class); equal pairs share its witness.  h's classes are kept
-    in h's plan, for every later call onto h.
+    its first member's, and equal pairs share one witness.  h's classes
+    are kept in h's plan, for every later call onto h.
+
+    A source covers a target component exactly when each of its
+    components does, and every route of decide_colored treats the
+    components apart and in id order.  So when the source has two or more
+    classes, each target class is first decided once on the whole source
+    g, if every source class passes its divisibility filter and has at
+    most budget darts (the call then needs no budget).  On a yes, each
+    source class's witness is the whole one restricted to the class's
+    first member, the same map a call on that member alone gives.  On a
+    no, or when a condition fails, decide_colored runs once per (source
+    class, target class), under the budget.
     """
     comps_g, class_g = _classed(g)
     comps_h, class_h = _planned(h, _target_classes) or _classed(h)
     pattern = CoveringPattern(tuple(c.graph.n for c in comps_g),
                               tuple(c.graph.n for c in comps_h))
     decided: dict[tuple[int, int], DartMapping | None] = {}
+    firsts: dict[int, Component] = {}      # each source class's first member
+    for k, c in zip(class_g, comps_g):
+        firsts.setdefault(k, c)
+    if len(firsts) > 1 and (budget is None or all(c.graph.n_darts <= budget
+                                                  for c in firsts.values())):
+        for hc, k_h in {c.graph: k for k, c in zip(class_h, comps_h)}.items():
+            if any(c.graph.n % hc.n for c in firsts.values()):
+                continue
+            w = decide_colored(g, hc).witness
+            if w is not None:
+                for k, c in firsts.items():
+                    decided[k, k_h] = DartMapping(
+                        tuple(map(w.dart_map.__getitem__, c.dart_ids)),
+                        tuple(map(w.vertex_map.__getitem__, c.vertex_ids)))
     for i, cg in enumerate(comps_g):
         for j, ch in enumerate(comps_h):
             if cg.graph.n % ch.graph.n != 0:

@@ -304,6 +304,7 @@ class Component:
 
 def _component_labels(g: Graph) -> list[int]:
     """Each vertex's component, named by the component's smallest vertex."""
+    darts_at, vertex_of, mate = g.darts_at, g.vertex_of, g.mate
     label = [-1] * g.n
     for start in range(g.n):
         if label[start] != -1:
@@ -312,8 +313,8 @@ def _component_labels(g: Graph) -> list[int]:
         stack = [start]
         while stack:
             u = stack.pop()
-            for d in g.darts_at[u]:
-                w = g.vertex_of[g.mate[d]]
+            for d in darts_at[u]:
+                w = vertex_of[mate[d]]
                 if label[w] == -1:
                     label[w] = start
                     stack.append(w)
@@ -328,6 +329,7 @@ def _split(g: Graph, label: list[int] | None = None,
     label is g's _component_labels, computed here when not given."""
     label = _component_labels(g) if label is None else label
     vertex_of, link_of, dart_color = g.vertex_of, g.link_of, g.dart_color
+    vertex_color = g.vertex_color
     verts: dict[int, list[int]] = {}    # by smallest vertex
     for v, r in enumerate(label):
         verts.setdefault(r, []).append(v)
@@ -341,7 +343,7 @@ def _split(g: Graph, label: list[int] | None = None,
     return [(tuple(vs), tuple(ds), (len(vs), tuple([local[vertex_of[d]] for d in ds]),
                                     tuple([lid[link_of[d]] for d in ds]),
                                     tuple([dart_color[d] for d in ds]),
-                                    tuple([g.vertex_color[v] for v in vs])))
+                                    tuple([vertex_color[v] for v in vs])))
             for vs, ds in zip(verts.values(), darts.values())]
 
 

@@ -10,7 +10,7 @@ matchings; each factor comes back as its list of (out_dart, in_dart) arcs.
 
 from __future__ import annotations
 
-from .graph import EDGE, SEMI, Graph
+from .graph import Graph
 
 
 def kuhn_matching(n_left: int, n_right: int,
@@ -99,28 +99,31 @@ def exact_link_cover(g: Graph) -> list[int] | None:
     infeasible, and the vertices without semi-edges need a perfect
     matching among themselves.  Loops are unusable.
     """
-    semis_at: list[list[int]] = [[] for _ in range(g.n)]
-    for l in range(g.n_links):
-        if g.link_kind(l) == SEMI:
-            semis_at[g.vertex_of[g.links[l][0]]].append(l)
-    if any(len(s) > 1 for s in semis_at):
-        return None
+    vertex_of, links = g.vertex_of, g.links
+    semi = [-1] * g.n           # the semi-edge at each vertex, -1 for none
+    for l, cell in enumerate(links):
+        if len(cell) == 1:
+            v = vertex_of[cell[0]]
+            if semi[v] >= 0:
+                return None
+            semi[v] = l
 
-    needy = [not s for s in semis_at]
     choice: dict[tuple[int, int], int] = {}   # lowest link id per vertex pair
     adj: list[list[int]] = [[] for _ in range(g.n)]
-    for l in range(g.n_links):
-        if g.link_kind(l) == EDGE:
-            u, w = sorted(g.link_ends(l))
-            if (u, w) not in choice and needy[u] and needy[w]:
+    for l, cell in enumerate(links):
+        if len(cell) == 2:
+            u, w = vertex_of[cell[0]], vertex_of[cell[1]]
+            if u > w:
+                u, w = w, u
+            if u != w and semi[u] < 0 and semi[w] < 0 and (u, w) not in choice:
                 choice[(u, w)] = l
                 adj[u].append(w)
                 adj[w].append(u)
-    mate = _cardinality_matching(adj, [v for v in range(g.n) if needy[v]])
+    mate = _cardinality_matching(adj, [v for v in range(g.n) if semi[v] < 0])
     if mate is None:
         return None
     return sorted([choice[(u, w)] for u, w in enumerate(mate) if u < w]
-                  + [s[0] for s in semis_at if s])
+                  + [l for l in semi if l >= 0])
 
 
 def _cardinality_matching(adj: list[list[int]], need: list[int]) -> list[int] | None:
@@ -239,20 +242,20 @@ def eulerian_orientation(g: Graph, link_ids: list[int]) -> dict[int, tuple[int, 
     for lst in incident:
         lst.sort()
     ptr = [0] * g.n
-    used: set[int] = set()
+    used = [False] * g.n_links
     orient: dict[int, tuple[int, int]] = {}
     for start in range(g.n):
         v = start
         while True:
             darts, p = incident[v], ptr[v]
-            while p < len(darts) and link_of[darts[p]] in used:
+            while p < len(darts) and used[link_of[darts[p]]]:
                 p += 1
             ptr[v] = p
             if p >= len(darts):
                 break
             d = darts[p]
             l = link_of[d]
-            used.add(l)
+            used[l] = True
             d2 = mate[d]
             orient[l] = (d, d2)
             v = vertex_of[d2]
@@ -269,8 +272,8 @@ def two_factor_orientations(g: Graph, link_ids: list[int] | None = None,
     """
     if link_ids is None:
         link_ids = list(range(g.n_links))
-    link_kind, links, vertex_of = g.link_kind, g.links, g.vertex_of
-    if any(link_kind(l) == SEMI for l in link_ids):
+    links, vertex_of = g.links, g.vertex_of
+    if any(len(links[l]) == 1 for l in link_ids):
         return None
     deg = [0] * g.n
     for l in link_ids:

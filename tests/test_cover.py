@@ -10,8 +10,10 @@ from semicover.build import (build_F, build_W, build_WD, complete, cycle, double
 from semicover.cover import (DartMapping, ResourceLimit, find_cover, verify_cover,
                              witness_json)
 from semicover.dichotomy import decide_colored
+from semicover.disconnected import decide
 from semicover.generate import connected_regular_graphs
 from semicover.graph import EDGE, Graph, GraphBuilder, disjoint_union, is_connected, parse_graph
+from test_dichotomy import small_targets
 from util import (assert_cover_ok, brute_cover_exists, perturb, random_cubic, random_graph,
                   random_lift, recursive_search, reference_verify_cover)
 
@@ -98,6 +100,22 @@ def _corrupted(g, h, f, rng):
 
 
 def test_verify_matches_reference_on_corrupted_witnesses():
+    """verify_cover reports the violations of reference_verify_cover, in
+    the same order, under every flag: on each BROKEN_COVERS row, and on
+    witnesses, each also broken by _corrupted, of decide_colored on seeded
+    lifts of hand-picked targets and of the small-target corpus, and of
+    decide on seeded unions of corpus targets.  On a witness both report
+    nothing."""
+    def same(g, h, f):
+        kinds = set()
+        for surjective in (False, True):
+            for fibers in (False, True):
+                got = verify_cover(g, h, f, require_surjective=surjective, check_fibers=fibers)
+                assert got == reference_verify_cover(
+                    g, h, f, require_surjective=surjective, check_fibers=fibers)
+                kinds.update(x.kind for x in got)
+        return kinds
+
     rng = random.Random(53)
     colored = parse_graph("vertex a color=1\nvertex b\nedge a b colors=1,2\n"
                           "loop a colors=0,0\nsemi b color=3\nsemi b color=3")
@@ -112,15 +130,26 @@ def test_verify_matches_reference_on_corrupted_witnesses():
             v = decide_colored(g, h)
             assert v.answer, (h.links, k)
             for f in _corrupted(g, h, v.witness, rng):
-                for surjective in (False, True):
-                    for fibers in (False, True):
-                        got = verify_cover(g, h, f, require_surjective=surjective,
-                                           check_fibers=fibers)
-                        assert got == reference_verify_cover(
-                            g, h, f, require_surjective=surjective, check_fibers=fibers)
-                        kinds.update(x.kind for x in got)
+                kinds |= same(g, h, f)
     assert kinds == {"shape", "not-local-bijection", "vertex-color-mismatch", "color-mismatch",
                      "link-broken", "not-surjective"}
+    for g_text, h_text, dm, vm, surj, _, _ in BROKEN_COVERS:
+        g = parse_graph(g_text)
+        same(g, parse_graph(h_text), DartMapping(dm, vm))
+    corpus = list(small_targets(3))
+    witnesses = []
+    for h in corpus:
+        g = random_lift(h, rng.randrange(1, 4), rng)
+        witnesses.append((g, h, decide_colored(g, h).witness))
+    for _ in range(40):
+        parts = [rng.choice(corpus) for _ in range(rng.randrange(2, 4))]
+        g = disjoint_union([random_lift(t, rng.randrange(1, 3), rng) for t in parts])
+        h = disjoint_union(parts)
+        witnesses.append((g, h, decide(g, h, "surjective", want_witness=True).witness))
+    for g, h, f in witnesses:
+        assert verify_cover(g, h, f) == []
+        for broken in _corrupted(g, h, f, rng):
+            same(g, h, broken)
 
 
 def test_semi_to_semi_only():

@@ -16,8 +16,9 @@ from semicover.disconnected import (CoveringPattern, build_pattern, decide,
                                     decide_equitable, decide_lbhom, decide_surjective,
                                     max_bipartite_matching)
 from semicover.graph import GraphBuilder, components, disjoint_union, is_connected
-from util import (arrays, assert_cover_ok, decide_work, partition_oracle, random_graph,
-                  random_lift, reference_build_pattern, reference_equitable, renamed)
+from util import (arrays, assert_cover_ok, decide_work, partition_oracle, perturb,
+                  random_graph, random_lift, reference_build_pattern, reference_equitable,
+                  renamed)
 
 
 def union_of_cycles(lengths):
@@ -293,6 +294,8 @@ def test_colours_split_classes_and_names_do_not():
 
 
 def test_one_decide_colored_call_per_distinct_pair(monkeypatch):
+    """One call on the whole source per target class, and where it says
+    no, one more per distinct (source class, target class) pair."""
     calls = []
 
     def counted(g, h, **kwargs):
@@ -300,15 +303,35 @@ def test_one_decide_colored_call_per_distinct_pair(monkeypatch):
         return decide_colored(g, h, **kwargs)
     monkeypatch.setattr(semicover.disconnected, "decide_colored", counted)
     pattern, _, _ = build_pattern(*gen_binpacking([3, 3, 3, 5, 5], 3))
-    assert len(calls) == 2
+    assert calls == [(19, 1)]
     assert len(pattern.edges) == 15
+    # Petersen's graph covers F(1,1) but not F(3,0): the whole source
+    # says no onto F(3,0), which then takes one call per source class
+    calls.clear()
+    g = disjoint_union([complete(4), petersen(), complete(4), complete_bipartite(3, 3)])
+    pattern, _, _ = build_pattern(g, disjoint_union([build_F(3, 0), build_F(1, 1)]))
+    assert calls == [(24, 1), (24, 1), (4, 1), (10, 1), (6, 1)]
+    assert sorted(pattern.edges) == [(0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]
+    # C3 fails the divisibility filter of the two-vertex target: no
+    # whole-source call onto it, and C3 is not tried against it
+    calls.clear()
+    pattern, _, _ = build_pattern(disjoint_union([cycle(3), cycle(4)]),
+                                  disjoint_union([build_F(0, 1), build_W(0, 0, 2, 0, 0)]))
+    assert calls == [(7, 1), (4, 2)]
+    assert sorted(pattern.edges) == [(0, 0), (1, 0), (1, 1)]
 
 
 def split_cases():
     """Seeded unions onto unions of two to four small connected targets,
     with vertex and dart colors, loops, semi-edges and parallel links: the
     sources hold lifts of the targets, repeated copies, random multigraphs
-    and isolated vertices, and names repeat on both sides."""
+    and isolated vertices, and names repeat on both sides.  Each comes
+    with a dart budget, None for these.  Then sources of lifts of one
+    target t onto t and a second target, so that the whole source covers
+    t: as they are, with a perturbed lift added (often one class fails t),
+    and with a budget one dart below the largest component's and one
+    above it; every second t has three vertices, so that the budget
+    bounds its exact search."""
     rng = random.Random(227)
     for _ in range(80):
         targets = []
@@ -329,26 +352,68 @@ def split_cases():
                 pieces.append(random_graph(rng, rng.randrange(1, 4), rng.randrange(4),
                                            colors=(0, 1)))
         yield (renamed(disjoint_union(pieces), rng, recolor=False),
-               renamed(disjoint_union(targets), rng, recolor=False))
+               renamed(disjoint_union(targets), rng, recolor=False), None)
+    rng = random.Random(228)
+    targets = [t for t in (renamed(random_graph(rng, rng.randrange(1, 4), rng.randrange(4),
+                                                colors=(0, 1)), rng) for _ in range(200))
+               if is_connected(t)]
+    searched = [t for t in targets if t.n == 3]     # exact search, under the budget
+    for i in range(40):
+        t = rng.choice(searched if i % 2 else targets)
+        h = disjoint_union([t, rng.choice(targets), t])
+        pieces = [random_lift(t, rng.randrange(1, 4), rng) for _ in range(rng.randrange(2, 5))]
+        g = disjoint_union(pieces)
+        yield g, h, None
+        yield disjoint_union(pieces + [perturb(rng.choice(pieces), rng)]), h, None
+        most = max(c.graph.n_darts for c in components(g))
+        yield g, h, most - 1
+        yield g, h, most + 1
+
+
+def _built(build, g, h, budget):
+    """build(g, h, budget=budget), or the ResourceLimit message."""
+    try:
+        return build(g, h, budget=budget)
+    except ResourceLimit as e:
+        return str(e)
 
 
 def test_build_pattern_matches_reference_split():
-    """build_pattern, with one split pass and one Graph per class, gives
-    the sizes, edges and witnesses, and the component ids and arrays, of
-    the reference that builds every component (tests/util.py)."""
-    edges = 0
-    for g, h in split_cases():
+    """build_pattern, with one split pass, one Graph per class and one
+    call on the whole source per target class, gives the sizes, edges and
+    witnesses, and the component ids and arrays, of the reference that
+    builds every component and decides every class pair (tests/util.py),
+    or the ResourceLimit of the same component pair."""
+    edges = limits = 0
+    # target components that every source class covers, or all but one
+    whole = one_fails = 0
+    for g, h, budget in split_cases():
         for _ in range(2):  # the second call reads h's split from its plan
-            pattern, comps_g, comps_h = build_pattern(g, h)
-            ref, ref_g, ref_h = reference_build_pattern(g, h)
+            got = _built(build_pattern, g, h, budget)
+            want = _built(reference_build_pattern, g, h, budget)
+            if isinstance(want, str):
+                assert got == want
+                limits += 1
+                continue
+            (pattern, comps_g, comps_h), (ref, ref_g, ref_h) = got, want
             assert (pattern.sizes_g, pattern.sizes_h) == (ref.sizes_g, ref.sizes_h)
             assert pattern.edges == ref.edges
             assert pattern.witnesses == ref.witnesses
-            for comps, want in ((comps_g, ref_g), (comps_h, ref_h)):
+            for comps, ref_comps in ((comps_g, ref_g), (comps_h, ref_h)):
                 assert [(c.vertex_ids, c.dart_ids, arrays(c.graph)) for c in comps] == [
-                    (c.vertex_ids, c.dart_ids, arrays(c.graph)) for c in want]
+                    (c.vertex_ids, c.dart_ids, arrays(c.graph)) for c in ref_comps]
+        if isinstance(want, str):
+            continue
         edges += len(pattern.edges)
-    assert edges > 150
+        classes = {arrays(c.graph) for c in comps_g}
+        for j, n in enumerate(pattern.sizes_h):
+            if len(classes) > 1 and all(m % n == 0 for m in pattern.sizes_g):
+                failed = {arrays(c.graph) for i, c in enumerate(comps_g)
+                          if (i, j) not in pattern.edges}
+                whole += not failed
+                one_fails += len(failed) == 1
+    assert edges > 150 and limits > 20 and whole > 100 and one_fails > 30, (
+        edges, limits, whole, one_fails)
 
 
 def test_decide_work_is_bounded():
@@ -357,13 +422,17 @@ def test_decide_work_is_bounded():
     target Graph, no plan and no target split."""
     g, h = gen_binpacking([3, 3, 3, 5, 5], 3)
     first, again = decide_work(g, h), decide_work(g, h)
-    assert first["graphs"] <= 2 + 1 and first["decide_colored"] == 2 and first["splits"] == 2
-    assert again == {"graphs": 2, "plans": 0, "splits": 1, "decide_colored": 2}
+    assert first["graphs"] <= 2 + 1 and first["decide_colored"] == 1 and first["splits"] == 2
+    assert again == {"graphs": 2, "plans": 0, "splits": 1, "decide_colored": 1,
+                     "whole_source": 1, "verify_cover": 1}
     g = disjoint_union([complete(4), petersen(), complete(4), complete_bipartite(3, 3)])
     h = disjoint_union([build_F(3, 0), build_F(1, 1)])
     decide(g, h, "surjective")
+    # the whole source onto each target class, then three classes onto F(3,0);
+    # a check per yes (F(1,1), K4 and K3,3 onto F(3,0)) and the stitched one
     assert decide_work(g, h, "surjective", want_witness=True) == {
-        "graphs": 3, "plans": 0, "splits": 1, "decide_colored": 6}
+        "graphs": 3, "plans": 0, "splits": 1, "decide_colored": 5, "whole_source": 2,
+        "verify_cover": 4}
 
 
 def test_connected_inputs_are_not_split():

@@ -13,7 +13,7 @@ from functools import cache
 from itertools import permutations, product
 from typing import Iterator
 
-from semicover.cover import CoverViolation, DartMapping
+from semicover.cover import CoverViolation, DartMapping, ResourceLimit, _fiber_violations
 from semicover.graph import (EDGE, LOOP, SEMI, Component, Graph, GraphBuilder,
                              GraphFormatError, _colors, _subgraph, components, type_signature)
 
@@ -771,71 +771,82 @@ def reference_parse_graph(text: str) -> Graph:
     return b.build()
 
 
-# verify_cover as it read every property and array through g, h and f in
-# its loops, kept as the reference for semicover.cover.verify_cover.
+# verify_cover as it was before its one pass over the darts: a loop per
+# vertex over its darts' images, one per dart colour and one per link.
+# Kept verbatim as the reference for semicover.cover.verify_cover.
 def reference_verify_cover(g: Graph, h: Graph, f: DartMapping, *,
                            require_surjective: bool = False,
                            check_fibers: bool = False) -> list[CoverViolation]:
-    """All violations of f as a covering projection from g to h."""
-    from semicover.cover import _fiber_violations
+    """Check that f is a covering projection from g to h.
 
+    Returns all violations found (empty list means f is a cover).  With
+    require_surjective, every dart and vertex of h must be hit.  With
+    check_fibers, the per-link preimage shapes are verified as well; they
+    are implied by the local conditions, so this is a redundant self-check.
+    """
     out: list[CoverViolation] = []
-    if len(f.dart_map) != g.n_darts or len(f.vertex_map) != g.n:
+    dart_map, vertex_map = f.dart_map, f.vertex_map
+    nd, n = h.n_darts, h.n
+    if len(dart_map) != g.n_darts or len(vertex_map) != g.n:
         return [CoverViolation("shape", "mapping arity does not match the graphs")]
-    for d, e in enumerate(f.dart_map):
-        if not 0 <= e < h.n_darts:
+    for d, e in enumerate(dart_map):
+        if not 0 <= e < nd:
             return [CoverViolation("shape", f"dart {d} maps outside the target ({e})")]
-    for u, w in enumerate(f.vertex_map):
-        if not 0 <= w < h.n:
+    for u, w in enumerate(vertex_map):
+        if not 0 <= w < n:
             return [CoverViolation("shape", f"vertex {u} maps outside the target ({w})")]
 
-    for u in range(g.n):
-        w = f.vertex_map[u]
-        images = [f.dart_map[d] for d in g.darts_at[u]]
-        for d, e in zip(g.darts_at[u], images):
-            if h.vertex_of[e] != w:
+    h_vertex_of, h_darts_at = h.vertex_of, h.darts_at
+    g_vertex_color, h_vertex_color = g.vertex_color, h.vertex_color
+    for u, darts in enumerate(g.darts_at):
+        w = vertex_map[u]
+        images = [dart_map[d] for d in darts]
+        for d, e in zip(darts, images):
+            if h_vertex_of[e] != w:
                 out.append(CoverViolation(
                     "not-local-bijection",
                     f"dart {d} at vertex {u} maps to dart {e} away from image vertex {w}"))
         if len(set(images)) != len(images):
             out.append(CoverViolation(
                 "not-local-bijection", f"dart images at vertex {u} repeat"))
-        elif len(images) != h.degree(w):
+        elif len(images) != (degree := len(h_darts_at[w])):
             out.append(CoverViolation(
                 "not-local-bijection",
-                f"vertex {u} has {len(images)} darts, image {w} has {h.degree(w)}"))
-        if g.vertex_color[u] != h.vertex_color[w]:
+                f"vertex {u} has {len(images)} darts, image {w} has {degree}"))
+        if g_vertex_color[u] != h_vertex_color[w]:
             out.append(CoverViolation(
                 "vertex-color-mismatch", f"vertex {u} color differs from image {w}"))
 
-    for d in range(g.n_darts):
-        if g.dart_color[d] != h.dart_color[f.dart_map[d]]:
+    g_dart_color, h_dart_color = g.dart_color, h.dart_color
+    for d, e in enumerate(dart_map):
+        if g_dart_color[d] != h_dart_color[e]:
             out.append(CoverViolation("color-mismatch", f"dart {d} changes color"))
 
-    for l in range(g.n_links):
-        cell = g.links[l]
-        imgs = [f.dart_map[d] for d in cell]
+    # a target dart is on a semi-edge exactly when it is its own mate
+    h_link_of, h_mate, link_kind = h.link_of, h.mate, g.link_kind
+    for l, cell in enumerate(g.links):
         if len(cell) == 1:
-            if len(h.links[h.link_of[imgs[0]]]) != 1:
+            e = dart_map[cell[0]]
+            if h_mate[e] != e:
                 out.append(CoverViolation(
                     "link-broken", f"semi-edge {l} maps to a non-semi link"))
         else:
-            a, b = imgs
+            a, b = dart_map[cell[0]], dart_map[cell[1]]
             if a == b:
-                if len(h.links[h.link_of[a]]) != 1:
+                if h_mate[a] != a:
                     out.append(CoverViolation(
                         "link-broken", f"link {l} collapses onto a non-semi dart"))
-                elif g.link_kind(l) == LOOP:
+                elif link_kind(l) == LOOP:
                     out.append(CoverViolation(
                         "link-broken", f"loop {l} collapses onto a semi-edge"))
-            elif h.link_of[a] != h.link_of[b]:
+            elif h_link_of[a] != h_link_of[b]:
                 out.append(CoverViolation(
                     "link-broken", f"link {l} maps across two target links"))
 
     if require_surjective:
-        if set(f.dart_map) != set(range(h.n_darts)):
+        if set(dart_map) != set(range(nd)):
             out.append(CoverViolation("not-surjective", "some target dart is not hit"))
-        if set(f.vertex_map) != set(range(h.n)):
+        if set(vertex_map) != set(range(n)):
             out.append(CoverViolation("not-surjective", "some target vertex is not hit"))
 
     if check_fibers and not out:
@@ -1048,7 +1059,8 @@ def arrays(g: Graph) -> tuple:
 def reference_build_pattern(g: Graph, h: Graph, *, budget: int | None = None):
     """build_pattern as it was before graph._split: a Graph per component
     (reference_components), classes keyed by arrays, and one
-    decide_colored call per (source class, target class)."""
+    decide_colored call per (source class, target class), a
+    ResourceLimit naming the component pair it was raised at."""
     from semicover.dichotomy import decide_colored
     from semicover.disconnected import CoveringPattern
     comps_g, comps_h = reference_components(g), reference_components(h)
@@ -1063,7 +1075,11 @@ def reference_build_pattern(g: Graph, h: Graph, *, budget: int | None = None):
             if cg.graph.n % ch.graph.n == 0:
                 pair = class_g[i], class_h[j]
                 if pair not in decided:
-                    decided[pair] = decide_colored(cg.graph, ch.graph, budget=budget).witness
+                    try:
+                        decided[pair] = decide_colored(cg.graph, ch.graph,
+                                                       budget=budget).witness
+                    except ResourceLimit as e:
+                        raise ResourceLimit(f"component pair ({i},{j}): {e}") from e
                 if decided[pair] is not None:
                     pattern.edges[(i, j)] = cg.graph.n // ch.graph.n
                     pattern.witnesses[(i, j)] = decided[pair]
@@ -1073,12 +1089,15 @@ def reference_build_pattern(g: Graph, h: Graph, *, budget: int | None = None):
 def decide_work(g: Graph, h: Graph, semantics: str = "lbhom", **kwargs) -> dict[str, int]:
     """Run decide(g, h, semantics) and count its work: Graph
     constructions, plan parts built (graph._planned calls that find the
-    part missing), graph._split passes and decide_colored calls."""
+    part missing), graph._split passes, build_pattern's decide_colored
+    calls, those of them whose source is all of g ("whole_source"), and
+    verify_cover calls, the stitched check included."""
     import semicover.disconnected
-    from semicover import graph
-    counts = dict.fromkeys(("graphs", "plans", "splits", "decide_colored"), 0)
+    from semicover import cover, graph
+    counts = dict.fromkeys(("graphs", "plans", "splits", "decide_colored", "whole_source",
+                            "verify_cover"), 0)
     init, planned, split = Graph.__init__, graph._planned, graph._split
-    decide_colored = semicover.disconnected.decide_colored
+    decide_colored, verify = semicover.disconnected.decide_colored, cover.verify_cover
 
     def counted_init(self, *args, **kw):
         counts["graphs"] += 1
@@ -1092,14 +1111,20 @@ def decide_work(g: Graph, h: Graph, semantics: str = "lbhom", **kwargs) -> dict[
         counts["splits"] += 1
         return split(*args, **kw)
 
-    def counted_decide_colored(*args, **kw):
+    def counted_decide_colored(source, *args, **kw):
         counts["decide_colored"] += 1
-        return decide_colored(*args, **kw)
+        counts["whole_source"] += source is g
+        return decide_colored(source, *args, **kw)
+
+    def counted_verify(*args, **kw):
+        counts["verify_cover"] += 1
+        return verify(*args, **kw)
 
     patches = [(m, name, f, counted) for m in list(sys.modules.values())
                if getattr(m, "__name__", "").startswith("semicover")
                for name, f, counted in (("_planned", planned, counted_planned),
-                                        ("_split", split, counted_split))
+                                        ("_split", split, counted_split),
+                                        ("verify_cover", verify, counted_verify))
                if getattr(m, name, None) is f]
     Graph.__init__ = counted_init
     semicover.disconnected.decide_colored = counted_decide_colored
