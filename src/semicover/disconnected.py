@@ -91,29 +91,29 @@ class Decision:
         return out
 
 
-def _classed(g: Graph) -> tuple[list[Component], list[int]]:
-    """A Component per component of g, and its class: components with
-    equal arrays (graph._split), all a decider reads, share a class and
-    one Graph, built for the first member.  A connected g is labelled
-    once and kept whole, with identity ids, without a split."""
+def _classed(g: Graph) -> list[Component]:
+    """A Component per component of g: components with equal arrays
+    (graph._split), all a decider reads, form a class and share one
+    Graph, built for the first member, which keys the class.  A
+    connected g is labelled once and kept whole, with identity ids,
+    without a split."""
     label = _component_labels(g)
     if max(label, default=-1) == 0:
-        return [Component(g, tuple(range(g.n)), tuple(range(g.n_darts)))], [0]
-    firsts: dict[tuple, tuple[int, Graph]] = {}
-    comps, classes = [], []
+        return [Component(g, tuple(range(g.n)), tuple(range(g.n_darts)))]
+    graphs: dict[tuple, Graph] = {}
+    comps = []
     for vs, ds, arrays in _split(g, label):
-        k, graph = firsts.get(arrays) or firsts.setdefault(arrays, (
-            len(firsts), Graph(*arrays, [g.names[v] for v in vs])))
-        classes.append(k)
-        comps.append(Component(graph, vs, ds))
-    return comps, classes
+        if arrays not in graphs:
+            graphs[arrays] = Graph(*arrays, [g.names[v] for v in vs])
+        comps.append(Component(graphs[arrays], vs, ds))
+    return comps
 
 
-def _target_classes(h: Graph) -> tuple:
+def _target_classes(h: Graph) -> tuple[Component, ...]:
     """_classed of a disconnected target, for graph._planned; () for a
     connected h, whose one component is h itself."""
-    comps, classes = _classed(h)
-    return (tuple(comps), tuple(classes)) if len(comps) > 1 else ()
+    comps = _classed(h)
+    return tuple(comps) if len(comps) > 1 else ()
 
 
 def build_pattern(g: Graph, h: Graph, *, budget: int | None = None,
@@ -139,30 +139,29 @@ def build_pattern(g: Graph, h: Graph, *, budget: int | None = None,
     no, or when a condition fails, decide_colored runs once per (source
     class, target class), under the budget.
     """
-    comps_g, class_g = _classed(g)
-    comps_h, class_h = _planned(h, _target_classes) or _classed(h)
+    comps_g = _classed(g)
+    comps_h = _planned(h, _target_classes) or _classed(h)
     pattern = CoveringPattern(tuple(c.graph.n for c in comps_g),
                               tuple(c.graph.n for c in comps_h))
-    decided: dict[tuple[int, int], DartMapping | None] = {}
-    firsts: dict[int, Component] = {}      # each source class's first member
-    for k, c in zip(class_g, comps_g):
-        firsts.setdefault(k, c)
-    if len(firsts) > 1 and (budget is None or all(c.graph.n_darts <= budget
-                                                  for c in firsts.values())):
-        for hc, k_h in {c.graph: k for k, c in zip(class_h, comps_h)}.items():
-            if any(c.graph.n % hc.n for c in firsts.values()):
+    decided: dict[tuple[Graph, Graph], DartMapping | None] = {}
+    firsts: dict[Graph, Component] = {}      # each source class's first member
+    for c in comps_g:
+        firsts.setdefault(c.graph, c)
+    if len(firsts) > 1 and (budget is None or all(gc.n_darts <= budget for gc in firsts)):
+        for hc in dict.fromkeys(c.graph for c in comps_h):
+            if any(gc.n % hc.n for gc in firsts):
                 continue
             w = decide_colored(g, hc).witness
             if w is not None:
-                for k, c in firsts.items():
-                    decided[k, k_h] = DartMapping(
+                for gc, c in firsts.items():
+                    decided[gc, hc] = DartMapping(
                         tuple(map(w.dart_map.__getitem__, c.dart_ids)),
                         tuple(map(w.vertex_map.__getitem__, c.vertex_ids)))
     for i, cg in enumerate(comps_g):
         for j, ch in enumerate(comps_h):
             if cg.graph.n % ch.graph.n != 0:
                 continue
-            pair = (class_g[i], class_h[j])
+            pair = (cg.graph, ch.graph)
             if pair not in decided:
                 try:
                     decided[pair] = decide_colored(cg.graph, ch.graph, budget=budget).witness
@@ -307,8 +306,7 @@ def decide_equitable(pattern: CoveringPattern, n_g: int, n_h: int,
 
 
 def _stitch(pattern: CoveringPattern, comps_g: list[Component],
-            comps_h: list[Component], sigma: tuple[int, ...],
-            g: Graph, h: Graph) -> DartMapping:
+            comps_h: list[Component], sigma: tuple[int, ...], g: Graph) -> DartMapping:
     dart_map = [0] * g.n_darts
     vertex_map = [0] * g.n
     for i, j in enumerate(sigma):
@@ -339,8 +337,8 @@ def decide(g: Graph, h: Graph, semantics: str = "lbhom", *,
     else:
         ok, sigma, why = decide_equitable(pattern, g.n, h.n)
     decision = Decision(semantics, ok, pattern, sigma, reason=why)
-    if ok and sigma is not None and want_witness:
-        f = _stitch(pattern, comps_g, comps_h, sigma, g, h)
+    if ok and want_witness:
+        f = _stitch(pattern, comps_g, comps_h, sigma, g)
         bad = verify_cover(g, h, f, require_surjective=(semantics == "surjective"))
         if bad:
             raise RuntimeError(f"stitched witness failed verification: {bad[0]}")

@@ -416,24 +416,6 @@ def test_build_pattern_matches_reference_split():
         edges, limits, whole, one_fails)
 
 
-def test_decide_work_is_bounded():
-    """decide builds one source Graph per class of components and splits
-    the source once, and onto a target it has decided before builds no
-    target Graph, no plan and no target split."""
-    g, h = gen_binpacking([3, 3, 3, 5, 5], 3)
-    first, again = decide_work(g, h), decide_work(g, h)
-    assert first["graphs"] <= 2 + 1 and first["decide_colored"] == 1 and first["splits"] == 2
-    assert again == {"graphs": 2, "plans": 0, "splits": 1, "decide_colored": 1,
-                     "whole_source": 1, "verify_cover": 1}
-    g = disjoint_union([complete(4), petersen(), complete(4), complete_bipartite(3, 3)])
-    h = disjoint_union([build_F(3, 0), build_F(1, 1)])
-    decide(g, h, "surjective")
-    # the whole source onto each target class, then three classes onto F(3,0);
-    # a check per yes (F(1,1), K4 and K3,3 onto F(3,0)) and the stitched one
-    assert decide_work(g, h, "surjective", want_witness=True) == {
-        "graphs": 3, "plans": 0, "splits": 1, "decide_colored": 5, "whole_source": 2,
-        "verify_cover": 4}
-
 
 def test_connected_inputs_are_not_split():
     """A connected source onto a connected target is labelled, not split:

@@ -4,7 +4,7 @@ import hashlib
 import random
 from itertools import combinations
 
-from semicover import canon, generate
+from semicover import generate
 from semicover.canon import CanonicalSet, isomorphic
 from semicover.generate import connected_regular_graphs, connected_simple_graphs
 from semicover.graph import is_connected, is_simple, serialize_graph
@@ -127,49 +127,6 @@ def test_simple_output_order_is_pinned():
                                "5128dc6bd5fd3b761161479f3a6aae99")
 
 
-def test_simple_generation_certifies_one_subset_per_orbit(monkeypatch):
-    # 7,815 candidates without orbit pruning and 4,159 with the full groups,
-    # all certified; canonical augmentation certifies only the candidates
-    # whose new vertex ties for deletion, and kept ones below the last level
-    calls = {"certificate": 0, "graph": 0}
-    certificate, build = generate._mask_certificate, generate._from_masks
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(generate, "_mask_certificate", counted("certificate", certificate))
-    monkeypatch.setattr(generate, "_from_masks", counted("graph", build))
-    out = connected_simple_graphs(7)
-    assert calls["certificate"] <= 463
-    assert calls["graph"] == len(out) == 853
-    calls["certificate"] = 0
-    assert len(connected_simple_graphs(8)) == 11117
-    assert calls["certificate"] <= 4414    # 71,300 with every candidate certified
-
-
-def test_regular_search_skips_states_it_has_expanded(monkeypatch):
-    # 2,999 and 2,224 certificates when only the leaves were deduplicated;
-    # 971 and 884 certificates (3,833 and 4,397 refinements) when every
-    # keyed state was certified.  A state whose bucket, (depth, root
-    # invariant), is new takes a first leaf, a repeat takes a directed
-    # search, and only a bucket that holds two classes takes certificates.
-    calls = dict.fromkeys(["_mask_certificate", "_first_leaf", "_reaches", "_refine"], 0)
-    for name in calls:
-        module = canon if name == "_refine" else generate
-
-        def counted(*args, name=name, fn=getattr(module, name)):
-            calls[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(module, name, counted)
-    # (certificates, first leaves, directed searches, refinements)
-    for (n, d), pins, classes in [((12, 3), (86, 219, 692, 2924), 85),
-                                  ((10, 4), (289, 266, 339, 4202), 59)]:
-        calls.update(dict.fromkeys(calls, 0))
-        assert len(connected_regular_graphs(n, d)) == classes
-        assert all(got <= pin for got, pin in zip(calls.values(), pins)), (n, d, calls)
 
 
 def test_prefix_choices_match_the_recursive_reference():
@@ -218,31 +175,3 @@ def test_orbit_firsts_yield_the_first_subset_of_each_orbit():
                         seen |= {frozenset(p[w] for w in subset) for p in group}
                         want.append(sum(1 << w for w in subset))
             assert list(generate._orbit_firsts(k, gens, top)) == want, (k, gens, top)
-
-
-def test_generation_work_is_bounded(monkeypatch):
-    # attachment sets tried by canonical augmentation, and twin-prefix
-    # choices made by the regular search; both as the recursive and
-    # two-walk generators made them
-    counts = {"sets": 0, "choices": 0}
-    firsts, prefix = generate._orbit_firsts, generate._prefix_choices
-
-    def counted_firsts(*args):
-        for s in firsts(*args):
-            counts["sets"] += 1
-            yield s
-
-    def counted_prefix(*args):
-        out = prefix(*args)
-        counts["choices"] += len(out)
-        return out
-
-    monkeypatch.setattr(generate, "_orbit_firsts", counted_firsts)
-    monkeypatch.setattr(generate, "_prefix_choices", counted_prefix)
-    for run, key, pin in [(lambda: connected_simple_graphs(7), "sets", 2140),
-                          (lambda: connected_simple_graphs(8), "sets", 30280),
-                          (lambda: connected_regular_graphs(12, 3), "choices", 6648),
-                          (lambda: connected_regular_graphs(10, 4), "choices", 3757)]:
-        counts.update(dict.fromkeys(counts, 0))
-        run()
-        assert 0 < counts[key] <= pin, (key, counts)

@@ -1086,55 +1086,82 @@ def reference_build_pattern(g: Graph, h: Graph, *, budget: int | None = None):
     return pattern, comps_g, comps_h
 
 
+def _counted(run, wraps):
+    """run(), with owner.name replaced by wrap(owner.name) for each
+    (owner, name, wrap) in wraps, in owner and in every semicover module
+    that binds the same function, and restored afterwards."""
+    swaps = []
+    for owner, name, wrap in wraps:
+        fn = getattr(owner, name)
+        swaps += [(m, name, fn, wrap(fn)) for m in [owner] + [
+            m for m in list(sys.modules.values()) if m is not owner
+            and getattr(m, "__name__", "").startswith("semicover") and getattr(m, name, None) is fn]]
+    for m, name, _, counted in swaps:
+        setattr(m, name, counted)
+    try:
+        return run()
+    finally:
+        for m, name, fn, _ in swaps:
+            setattr(m, name, fn)
+
+
+def _calls(counts: dict[str, int], key: str, weigh=None):
+    """A wrap that adds weigh(*args) (1 without weigh) to counts[key] per call."""
+    def wrap(fn):
+        def counted(*args, **kw):
+            counts[key] += 1 if weigh is None else weigh(*args, **kw)
+            return fn(*args, **kw)
+        return counted
+    return wrap
+
+
+def _items(counts: dict[str, int], key: str):
+    """A wrap that adds the number of items a call returns or yields to
+    counts[key], and returns them as a list."""
+    def wrap(fn):
+        def counted(*args):
+            out = list(fn(*args))
+            counts[key] += len(out)
+            return out
+        return counted
+    return wrap
+
+
 def decide_work(g: Graph, h: Graph, semantics: str = "lbhom", **kwargs) -> dict[str, int]:
     """Run decide(g, h, semantics) and count its work: Graph
     constructions, plan parts built (graph._planned calls that find the
     part missing), graph._split passes, build_pattern's decide_colored
     calls, those of them whose source is all of g ("whole_source"), and
     verify_cover calls, the stitched check included."""
-    import semicover.disconnected
-    from semicover import cover, graph
+    from semicover import cover, disconnected, graph
     counts = dict.fromkeys(("graphs", "plans", "splits", "decide_colored", "whole_source",
                             "verify_cover"), 0)
-    init, planned, split = Graph.__init__, graph._planned, graph._split
-    decide_colored, verify = semicover.disconnected.decide_colored, cover.verify_cover
+    _counted(lambda: disconnected.decide(g, h, semantics, **kwargs), [
+        (Graph, "__init__", _calls(counts, "graphs")),
+        (graph, "_planned", _calls(counts, "plans", lambda target, build: (
+            target._plan is None or build not in target._plan))),
+        (graph, "_split", _calls(counts, "splits")),
+        (disconnected, "decide_colored", lambda fn: _calls(counts, "decide_colored")(
+            _calls(counts, "whole_source", lambda source, *_, **__: source is g)(fn))),
+        (cover, "verify_cover", _calls(counts, "verify_cover"))])
+    return counts
 
-    def counted_init(self, *args, **kw):
-        counts["graphs"] += 1
-        init(self, *args, **kw)
 
-    def counted_planned(target, build):
-        counts["plans"] += target._plan is None or build not in target._plan
-        return planned(target, build)
-
-    def counted_split(*args, **kw):
-        counts["splits"] += 1
-        return split(*args, **kw)
-
-    def counted_decide_colored(source, *args, **kw):
-        counts["decide_colored"] += 1
-        counts["whole_source"] += source is g
-        return decide_colored(source, *args, **kw)
-
-    def counted_verify(*args, **kw):
-        counts["verify_cover"] += 1
-        return verify(*args, **kw)
-
-    patches = [(m, name, f, counted) for m in list(sys.modules.values())
-               if getattr(m, "__name__", "").startswith("semicover")
-               for name, f, counted in (("_planned", planned, counted_planned),
-                                        ("_split", split, counted_split),
-                                        ("verify_cover", verify, counted_verify))
-               if getattr(m, name, None) is f]
-    Graph.__init__ = counted_init
-    semicover.disconnected.decide_colored = counted_decide_colored
-    for m, name, _, counted in patches:
-        setattr(m, name, counted)
-    try:
-        semicover.disconnected.decide(g, h, semantics, **kwargs)
-    finally:
-        Graph.__init__ = init
-        semicover.disconnected.decide_colored = decide_colored
-        for m, name, f, _ in patches:
-            setattr(m, name, f)
+def generation_work(run) -> dict[str, int]:
+    """Call run(), a generator call, and count its work: certificates,
+    first leaves and directed searches (canon._mask_certificate,
+    _first_leaf, _reaches), canon._refine calls, Graph constructions,
+    attachment sets (generate._orbit_firsts items), twin-prefix choices
+    (generate._prefix_choices items) and the classes run returns."""
+    from semicover import canon, generate
+    counts = dict.fromkeys(("certificates", "first_leaves", "directed_searches", "refinements",
+                            "graphs", "attachment_sets", "twin_prefix_choices"), 0)
+    counts["classes"] = len(_counted(run, [
+        (canon, "_mask_certificate", _calls(counts, "certificates")),
+        (canon, "_first_leaf", _calls(counts, "first_leaves")),
+        (canon, "_reaches", _calls(counts, "directed_searches")),
+        (canon, "_refine", _calls(counts, "refinements")),
+        (Graph, "__init__", _calls(counts, "graphs")),
+        (generate, "_orbit_firsts", _items(counts, "attachment_sets")),
+        (generate, "_prefix_choices", _items(counts, "twin_prefix_choices"))]))
     return counts
