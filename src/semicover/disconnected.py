@@ -6,11 +6,11 @@ additionally for surjectivity, or for all target vertex fibers to share
 one size, gives the surjective and equitable variants.  All three reduce
 to questions about the covering pattern: the bipartite graph recording
 which source component covers which target component, weighted by the
-vertex-count ratio.  Components with equal arrays (graph._split) form a
-class with one Graph.  One dichotomy.decide_colored call per target
-class, on the whole source, answers every source class at once when it
-says yes; on a no, one call per class pair picks the algorithm and gives
-the pairs' witness.  h keeps its split.
+vertex-count ratio.  graph.components gives equal components one shared
+Graph, which keys their class.  One dichotomy.decide_colored call per
+target class, on the whole source, answers every source class at once
+when it says yes; on a no, one call per class pair picks the algorithm
+and gives the pairs' witness.  h keeps its split.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .cover import (DartMapping, ResourceLimit, _fiber_sizes, find_cover,  # noqa: F401
                     verify_cover)
 from .dichotomy import decide_colored
-from .graph import Component, Graph, _component_labels, _planned, _split
+from .graph import Component, Graph, _planned, components
 from .matching import kuhn_matching
 
 # decide_equitable's bound on the states it keeps over all levels
@@ -91,28 +91,10 @@ class Decision:
         return out
 
 
-def _classed(g: Graph) -> list[Component]:
-    """A Component per component of g: components with equal arrays
-    (graph._split), all a decider reads, form a class and share one
-    Graph, built for the first member, which keys the class.  A
-    connected g is labelled once and kept whole, with identity ids,
-    without a split."""
-    label = _component_labels(g)
-    if max(label, default=-1) == 0:
-        return [Component(g, tuple(range(g.n)), tuple(range(g.n_darts)))]
-    graphs: dict[tuple, Graph] = {}
-    comps = []
-    for vs, ds, arrays in _split(g, label):
-        if arrays not in graphs:
-            graphs[arrays] = Graph(*arrays, [g.names[v] for v in vs])
-        comps.append(Component(graphs[arrays], vs, ds))
-    return comps
-
-
 def _target_classes(h: Graph) -> tuple[Component, ...]:
-    """_classed of a disconnected target, for graph._planned; () for a
+    """components of a disconnected target, for graph._planned; () for a
     connected h, whose one component is h itself."""
-    comps = _classed(h)
+    comps = components(h)
     return tuple(comps) if len(comps) > 1 else ()
 
 
@@ -123,10 +105,10 @@ def build_pattern(g: Graph, h: Graph, *, budget: int | None = None,
     Every target component is connected and non-empty, so decide_colored
     answers each pair: by a polynomial decider where one applies, by exact
     search under the dart budget elsewhere.  Pairs failing the
-    divisibility filter are skipped outright.  Components with equal
-    arrays (graph._split) form one class with one Graph, whose names are
-    its first member's, and equal pairs share one witness.  h's classes
-    are kept in h's plan, for every later call onto h.
+    divisibility filter are skipped outright.  Equal components share one
+    Graph (graph.components), which keys their class, and equal pairs
+    share one witness.  h's classes are kept in h's plan, for every later
+    call onto h.
 
     A source covers a target component exactly when each of its
     components does, and every route of decide_colored treats the
@@ -139,8 +121,8 @@ def build_pattern(g: Graph, h: Graph, *, budget: int | None = None,
     no, or when a condition fails, decide_colored runs once per (source
     class, target class), under the budget.
     """
-    comps_g = _classed(g)
-    comps_h = _planned(h, _target_classes) or _classed(h)
+    comps_g = components(g)
+    comps_h = _planned(h, _target_classes) or components(h)
     pattern = CoveringPattern(tuple(c.graph.n for c in comps_g),
                               tuple(c.graph.n for c in comps_h))
     decided: dict[tuple[Graph, Graph], DartMapping | None] = {}
@@ -289,9 +271,9 @@ def decide_equitable(pattern: CoveringPattern, n_g: int, n_h: int,
             return False, None, f"no feasible assignment for component g{i}"
         kept += len(nxt)
         levels.append(nxt)
+    # every fill stays <= k, and the last level's fills, weighted by the
+    # target component sizes, sum to n_g = k * n_h: it holds only (k,) * q
     state = (k,) * q
-    if state not in levels[p]:
-        return False, None, f"no assignment fills every target fiber to {k}"
     steps = []
     for level in reversed(levels[1:]):
         state, g, f = level[state]

@@ -296,7 +296,9 @@ def _parity_solve(adj: list[list[tuple[int, int]]],
 
 @dataclass(frozen=True)
 class Component:
-    """One connected component with maps back to the original ids."""
+    """One connected component with maps back to the original ids.  graph
+    may be shared with equal components (see components); vertex_ids
+    name the component's own vertices in the original graph."""
     graph: Graph
     vertex_ids: tuple[int, ...]
     dart_ids: tuple[int, ...]
@@ -321,13 +323,12 @@ def _component_labels(g: Graph) -> list[int]:
     return label
 
 
-def _split(g: Graph, label: list[int] | None = None,
+def _split(g: Graph, label: list[int],
            ) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple]]:
     """Each component's vertex ids, dart ids and arrays (n, vertex_of,
     link_of, dart_color, vertex_color) as _subgraph numbers them (links in
     the order of their ids), in one pass each over vertices, links, darts.
-    label is g's _component_labels, computed here when not given."""
-    label = _component_labels(g) if label is None else label
+    label is g's _component_labels."""
     vertex_of, link_of, dart_color = g.vertex_of, g.link_of, g.dart_color
     vertex_color = g.vertex_color
     verts: dict[int, list[int]] = {}    # by smallest vertex
@@ -352,12 +353,16 @@ def components(g: Graph) -> list[Component]:
 
     Isolated vertices form their own single-vertex components.  A
     connected g is its own component, with identity ids, and is not split.
+    Otherwise components with equal arrays (_split), all a decider reads,
+    share one Graph, built once and without names: vertex_ids name each
+    member's vertices through g.
     """
     label = _component_labels(g)
     if max(label, default=-1) == 0:
         return [Component(g, tuple(range(g.n)), tuple(range(g.n_darts)))]
-    return [Component(Graph(*arrays, [g.names[v] for v in vs]), vs, ds)
-            for vs, ds, arrays in _split(g, label)]
+    split = _split(g, label)
+    graphs = {arrays: Graph(*arrays) for arrays in dict.fromkeys(a for _, _, a in split)}
+    return [Component(graphs[arrays], vs, ds) for vs, ds, arrays in split]
 
 
 def _subgraph(g: Graph, verts: Sequence[int], darts: Sequence[int]) -> Graph:

@@ -25,6 +25,8 @@ def test_build_f():
     assert kinds(g).count(LOOP) == 3
     assert g.degree(0) == 8
     assert build_F(0, 0).n_darts == 0
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        build_F(-1, 0)
 
 
 def test_build_w():
@@ -34,6 +36,8 @@ def test_build_w():
     assert g.degree(0) == 1 + 4 + 3
     assert g.degree(1) == 5 + 8 + 3
     assert kinds(g).count(EDGE) == 3
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        build_W(0, 0, 1, -1, 0)
 
 
 def test_build_wd():
@@ -46,6 +50,10 @@ def test_build_wd():
     colorsets = {tuple(sorted(g.dart_color[d] for d in g.links[l]))
                  for l in range(g.n_links)}
     assert colorsets == {(1, 2)}
+    with pytest.raises(ValueError, match="needs connecting edges"):
+        build_WD(0, 0, 0)
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        build_WD(-1, 1, 0)
 
 
 def test_cycles_paths():
@@ -58,6 +66,8 @@ def test_cycles_paths():
     assert path(1, semi_ends=True).n_links in (1, 2)
     with pytest.raises(ValueError):
         cycle(0)
+    with pytest.raises(ValueError, match="path needs at least one vertex"):
+        path(0)
 
 
 def test_complete_graphs():

@@ -274,7 +274,15 @@ def test_usage_errors(capsys, tmp_path):
                       (("w", "0", "0", "2.5", "0", "0"),
                        "gen w: L must be an integer, got '2.5'"),
                       (("binpacking", "1,2", "x", "--out-g", out_g, "--out-h", out_h),
-                       "gen binpacking: BINS must be an integer, got 'x'")):
+                       "gen binpacking: BINS must be an integer, got 'x'"),
+                      (("binpacking", "2,x", "1", "--out-g", out_g, "--out-h", out_h),
+                       "bad item list: '2,x'"),
+                      (("binpacking", "0,2", "1", "--out-g", out_g, "--out-h", out_h),
+                       "items must be positive integers"),
+                      (("binpacking", "2,2", "--out-g", out_g, "--out-h", out_h),
+                       "binpacking needs: ITEMS BINS (e.g. 2,3,2,3 2)"),
+                      (("binpacking", "2,2", "0", "--out-g", out_g, "--out-h", out_h),
+                       "bins must be at least 1")):
         assert run(capsys, "gen", *spec) == (2, {"error": msg})
     for spec, msg in ((("f", "1"), "gen f needs: SEMIS LOOPS"),
                       (("w", "1", "1", "1", "1"), "gen w needs: K M L P Q"),

@@ -129,6 +129,8 @@ def test_empty_graph_conventions():
     assert decide(empty, empty, "surjective").answer
     assert decide(empty, empty, "equitable").answer
     assert not decide(cycle(3), empty, "lbhom").answer
+    d = decide(cycle(3), empty, "equitable")
+    assert (d.answer, d.reason) == (False, "target has no vertices")
 
 
 def test_isolated_source_component_blocks_lbhom():

@@ -97,6 +97,12 @@ def test_degree_sum_parity_gives_empty():
     assert connected_regular_graphs(9, 5) == []
 
 
+def test_no_vertices_or_a_negative_degree_gives_empty():
+    assert connected_regular_graphs(0, 3) == []
+    assert connected_regular_graphs(4, -1) == []
+    assert connected_simple_graphs(0) == []
+
+
 def test_complete_graphs_appear():
     for n in (4, 5, 6):
         out = connected_regular_graphs(n, n - 1)

@@ -9,10 +9,10 @@ import pytest
 from semicover.build import (build_F, build_W, build_WD, complete, complete_bipartite, cycle,
                              path, petersen)
 from semicover.graph import (EDGE, LOOP, SEMI, Graph, GraphBuilder, GraphFormatError,
-                             _signatures, _split, _subgraph, _type_weights, components,
-                             disjoint_union, induced_link_subgraph, induced_vertex_subgraph,
-                             is_bipartite, is_connected, is_regular, is_simple,
-                             parse_graph, serialize_graph, type_signature)
+                             _component_labels, _signatures, _split, _subgraph,
+                             _type_weights, components, disjoint_union, induced_link_subgraph,
+                             induced_vertex_subgraph, is_bipartite, is_connected, is_regular,
+                             is_simple, parse_graph, serialize_graph, type_signature)
 from util import (arrays, random_graph, random_lift, reference_components,
                   reference_is_bipartite, reference_parse_graph, renamed)
 
@@ -238,7 +238,8 @@ def test_split_matches_subgraph_per_component():
     """_split and components give, per component, the ids and the arrays
     of one _subgraph call, on seeded multigraphs with loops, semi-edges,
     parallel edges, dart and vertex colors, isolated vertices and
-    repeated names; a connected graph is its own component."""
+    repeated names; components with equal arrays share one Graph, and a
+    connected graph is its own component."""
     rng = random.Random(211)
     shapes = set()
     for _ in range(300):
@@ -246,11 +247,13 @@ def test_split_matches_subgraph_per_component():
                  for n in (rng.randrange(1, 6) for _ in range(rng.randrange(4)))]
         g = renamed(disjoint_union(parts), rng)
         want = reference_components(g)
-        split, comps = _split(g), components(g)
+        split, comps = _split(g, _component_labels(g)), components(g)
         assert [(vs, ds) for vs, ds, _ in split] == [(c.vertex_ids, c.dart_ids) for c in want]
         assert [a for _, _, a in split] == [arrays(c.graph) for c in want]
-        assert [(c.vertex_ids, c.dart_ids, arrays(c.graph), c.graph.names) for c in comps] == [
-            (c.vertex_ids, c.dart_ids, arrays(c.graph), c.graph.names) for c in want]
+        assert [(c.vertex_ids, c.dart_ids, arrays(c.graph)) for c in comps] == [
+            (c.vertex_ids, c.dart_ids, arrays(c.graph)) for c in want]
+        assert all((a.graph is b.graph) == (arrays(a.graph) == arrays(b.graph))
+                   for a in comps for b in comps)
         if len(want) == 1:
             assert comps[0].graph is g
         shapes.add(min(len(want), 3))
@@ -259,7 +262,12 @@ def test_split_matches_subgraph_per_component():
         edges = [tuple(sorted(g.link_ends(l))) for l in range(g.n_links)
                  if g.link_kind(l) == EDGE]
         shapes.update(("parallel",) * (len(set(edges)) < len(edges)))
-    assert shapes == {0, 1, 2, 3, SEMI, LOOP, EDGE, "isolated", "parallel"}
+        shapes.update(("shared",) * (len({id(c.graph) for c in comps}) < len(comps)))
+    a, b, c = components(disjoint_union([cycle(3), path(2), cycle(3)]))
+    assert a.graph is c.graph and a.graph is not b.graph
+    assert a.graph.names == ("v0", "v1", "v2")
+    assert (a.vertex_ids, c.vertex_ids) == ((0, 1, 2), (5, 6, 7))
+    assert shapes == {0, 1, 2, 3, SEMI, LOOP, EDGE, "isolated", "parallel", "shared"}
 
 
 def _counted(counts):
