@@ -10,6 +10,8 @@ bijection at every vertex and sends links onto links.
 from semicover import (GraphBuilder, build_F, complete, find_cover,
                        petersen, serialize_graph, verify_cover)
 
+from _stdout import run_demo
+
 
 def main():
     b = GraphBuilder()
@@ -40,4 +42,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    run_demo(main)

@@ -10,6 +10,8 @@ reports which reduction it used.
 from semicover import (build_F, cycle, decide_colored, disjoint_union,
                        petersen, verify_cover)
 
+from _stdout import run_demo
+
 
 def show(name, g, fk, fm):
     h = build_F(fk, fm)
@@ -40,4 +42,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    run_demo(main)

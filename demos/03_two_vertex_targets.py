@@ -12,6 +12,8 @@ exact search branches on the fibers and maps the darts at each leaf.
 from semicover import (GraphBuilder, build_W, cycle, decide_colored, path,
                        type_signature, verify_cover)
 
+from _stdout import run_demo
+
 
 def show(name, g, h):
     v = decide_colored(g, h)
@@ -76,4 +78,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    run_demo(main)

@@ -12,6 +12,8 @@ import json
 
 from semicover import build_F, cycle, decide, disjoint_union, gen_binpacking
 
+from _stdout import run_demo
+
 
 def main():
     g = disjoint_union([cycle(3), cycle(4)])
@@ -42,4 +44,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    run_demo(main)

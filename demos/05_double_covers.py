@@ -10,6 +10,8 @@ double cover.
 from semicover import (GraphBuilder, build_F, cycle, decide, double_cover,
                        is_bipartite, is_simple, petersen, verify_cover)
 
+from _stdout import run_demo
+
 
 def main():
     pet = petersen()
@@ -41,4 +43,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    run_demo(main)

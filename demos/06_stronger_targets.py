@@ -9,6 +9,8 @@ evidence up to that order while a counterexample is a proof.
 from semicover import (build_F, build_W, check_equivalent, check_stronger,
                        enumerate_simple_covers, isomorphic, petersen)
 
+from _stdout import run_demo
+
 
 def main():
     rep = check_stronger(build_F(2, 0), build_F(0, 1), 10)
@@ -31,4 +33,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    run_demo(main)

@@ -7,6 +7,8 @@ citing the inequality that settles each piece.
 
 from semicover import build_F, build_W, build_WD, classify
 
+from _stdout import run_demo
+
 
 def main():
     print("One-vertex targets F(semis, loops):")
@@ -35,4 +37,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    run_demo(main)

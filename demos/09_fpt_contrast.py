@@ -23,6 +23,8 @@ import time
 
 from semicover import decide, gen_binpacking, verify_cover
 
+from _stdout import run_demo
+
 SEED = 1
 
 
@@ -72,4 +74,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run_demo(main)

@@ -6,9 +6,12 @@ isomorphic, colors included.  It comes from individualisation-refinement
 its semi-edges and the sorted color pairs of its loops, and each neighbour
 is labelled with the sorted dart-color pairs of the parallel edges to it.
 The initial coloring sorts by self key, degree and distance profile (which
-splits regular graphs early).  The search individualises each vertex of the
-first non-singleton cell in turn, prunes by refinement trace, by twins and
-by automorphisms found from equal leaves, and keeps the best leaf.
+splits regular graphs early).  Refinement splits cells by each vertex's
+count of neighbours per (label, cell) until no cell splits; a round is one
+loop over the graph's arcs, listed once per root.  The search
+individualises each vertex of the first non-singleton cell in turn, prunes
+by refinement trace, by twins and by automorphisms found from equal
+leaves, and keeps the best leaf.
 
 A Graph and the neighbour bitmasks of a connected simple graph are two
 ways into one core (initial coloring, distances, refinement), and give
@@ -17,7 +20,9 @@ uses, also returns the automorphisms the search found, one permutation
 per pair of equal leaves and one swap per pruned twin, which together
 generate the automorphism group, and the canonical labelling, the best
 leaf's coloring: renaming each vertex by it gives the same masks for
-every graph of the class.
+every graph of the class.  A caller that has built a root state (the
+regular generator, to bucket a state by its root invariant) passes it to
+_mask_certificate, as to _certificate, and the root is not built again.
 
 A repeated graph needs no certificate, only a test against one stored
 graph.  _first_leaf records the traces along the search's first path, and
@@ -70,8 +75,13 @@ def _core(table: tuple, nbrs: list[list], selves: list, degrees: list[int]):
     # A vertex's code adds 2 ** (label rank * n + color) per neighbour; as a
     # color is the first position of its cell, the count for one cell and
     # label (at most the cell's size k) fits in its k bits: codes are exact.
+    # The arcs (vertex, neighbour, label rank * n), one per ordered pair of
+    # adjacent vertices, are listed once per root, so that each round of
+    # _refine, at the root and at every node of the search, is one loop
+    # over them; _distances and _best_leaf's twin test read nbrs.
     n = len(nbrs)
-    prof = (nbrs, [1 << i for i in range(n * len(table))])
+    arcs = [(v, w, x) for v, nb in enumerate(nbrs) for w, x in nb]
+    prof = (nbrs, arcs, [1 << i for i in range(n * len(table))])
     dist = _distances(nbrs)
     raw = [(selves[v], degrees[v], tuple(dist[v])) for v in range(n)]
     col, start = _positions(raw)
@@ -111,11 +121,13 @@ def _refine(prof, col: list[int], cells: int):
     """Split the cells of col by neighbour colors until it is equitable.  The
     trace is the sorted distinct vertex signatures, one per cell; for a
     discrete coloring it is the labelled adjacency."""
-    nbrs, power = prof
+    _, arcs, power = prof
     top = len(power)
     while True:
-        sigs = [col[v] << top | sum([power[col[w] + x] for w, x in nb])
-                for v, nb in enumerate(nbrs)]
+        # a code is below 2 ** top, so adding it to the shifted color is an or
+        sigs = [c << top for c in col]
+        for v, w, x in arcs:
+            sigs[v] += power[col[w] + x]
         new, start = _positions(sigs)
         if len(start) == cells:
             return col, tuple(start)
@@ -273,7 +285,14 @@ def _mask_state(masks: list[int]) -> tuple[tuple, tuple]:
     bitmasks.  The root is read from the masks alone: every self key is
     _PLAIN and every neighbour label _EDGE."""
     n = len(masks)
-    nbrs = [[(w, 0) for w in range(n) if m >> w & 1] for m in masks]
+    nbrs: list[list[tuple[int, int]]] = []
+    for m in masks:
+        nb = []
+        while m:
+            low = m & -m
+            nb.append((low.bit_length() - 1, 0))
+            m ^= low
+        nbrs.append(nb)
     root, state = _core((_EDGE,) if any(masks) else (), nbrs, [_PLAIN] * n,
                         [m.bit_count() for m in masks])
     if state is None:
@@ -281,13 +300,15 @@ def _mask_state(masks: list[int]) -> tuple[tuple, tuple]:
     return root, state
 
 
-def _mask_certificate(masks: list[int]) -> tuple[tuple, list[list[int]], list[int]]:
+def _mask_certificate(masks: list[int],
+                      root: tuple | None = None) -> tuple[tuple, list[list[int]], list[int]]:
     """The certificate of the connected simple graph with these neighbour
     bitmasks, equal to _certificate of that graph built as a Graph,
     generators of its automorphism group, as vertex permutations, and its
     canonical labelling: renaming each vertex v to label[v] gives the same
-    masks for every graph with this certificate."""
-    (table, keys, _), state = _mask_state(masks)
+    masks for every graph with this certificate.  root, when given, is
+    _mask_state(masks), already built by the caller."""
+    (table, keys, _), state = root or _mask_state(masks)
     leaf, gens, swaps, label = _best_leaf(*state)
     for u, v in swaps:
         gam = list(range(len(masks)))

@@ -98,7 +98,10 @@ def _regular_connected_search(n: int, d: int) -> list[Graph]:
     misses, the bucket holds two classes and becomes the set of its states'
     certificates, the first state's included, and later states are tested
     by certificate: a second miss would cost another exhaustive directed
-    search, and quartic partial states share root invariants often.
+    search, and quartic partial states share root invariants often.  A
+    state's certificate reuses the root state built for its key; a bucket
+    keeps only its first state's masks, not its root state, which would
+    more than double the search's peak memory.
     """
     # (depth, root invariant) -> the first state's (masks, first-leaf traces),
     # or the certificates of its states once it holds two classes
@@ -139,7 +142,7 @@ def _regular_connected_search(n: int, d: int) -> list[Graph]:
             if _reaches(state, kept[1]):
                 return False
             kept = seen[key] = {_mask_certificate(kept[0])[0]}
-        cert = _mask_certificate(masks)[0]
+        cert = _mask_certificate(masks, (root, state))[0]
         if cert in kept:
             return False
         kept.add(cert)

@@ -6,7 +6,7 @@ Run from the repository root (pytest does not collect this file):
 
 The corpus is test_dichotomy.small_targets(5): every connected target on
 one or two vertices with at most five links of the corpus link types.
-Seven sha256 digests are printed.  The first is over classify's verdict,
+Eight sha256 digests are printed.  The first is over classify's verdict,
 rules and pieces per target, the second over decide_colored's answer and
 method on h onto itself, on a seeded 2-fold lift of h and on a perturbed
 copy of that lift, and the third over those answers alone.  A refactor
@@ -39,6 +39,14 @@ unpinned: a change that refutes in another order moves it while the
 answers and methods stay.  Compare it between parent and change the
 same way.
 
+The eighth digest is over canonical certificates, and is pinned: the
+_certificate of every graph decide_colored is given above (each target,
+its lift and the perturbed lift), then the certificate, automorphism
+generators and canonical labelling that _mask_certificate gives for the
+masks of each class of connected_simple_graphs(6) and of
+connected_regular_graphs(10, 3).  A change to canon that claims the same
+certificates, labellings and generators leaves it where it was.
+
 The script exits 1 when a witness fails or a pinned digest differs from
 its pin below.  A change that alters a pinned digest on purpose updates
 the pin and says why in CHANGES.md.
@@ -51,9 +59,11 @@ import random
 import sys
 import time
 
+from semicover.canon import _certificate, _mask_certificate
 from semicover.cover import verify_cover
 from semicover.dichotomy import classify, decide_colored
 from semicover.disconnected import decide
+from semicover.generate import _masks, connected_regular_graphs, connected_simple_graphs
 from semicover.graph import disjoint_union
 from test_dichotomy import small_targets
 from util import perturb, random_lift
@@ -67,6 +77,7 @@ PINS = {
     "answers": "836374e78d8bc100e0f122be8c6dd7071458ba2228c2454884308ca04fbb0f9a",
     "decide": "958c3d4397fc78b6097c49b45d3780a3d024d80bac11618dcc88d1a7848a5e59",
     "decide_answers": "d5954b510890075c48a379c16eb4e8dd71a386a4bd4a73b4f70d1242924d72f9",
+    "certificates": "72c890a62168e7c0de38a43d0fa2dd1a5b19279b3944c9ea4582ab8c6fae5248",
 }
 
 
@@ -107,6 +118,15 @@ def decide_unions(corpus: list, digest, answers) -> int:
     return yes
 
 
+def certify_generated(digest) -> int:
+    """Feed (certificate, generators, labelling) of each generated class's
+    masks to digest; return the number of classes."""
+    classes = connected_simple_graphs(6) + connected_regular_graphs(10, 3)
+    for g in classes:
+        digest.update(repr(_mask_certificate(_masks(g))).encode())
+    return len(classes)
+
+
 def main() -> int:
     start = time.perf_counter()
     rng = random.Random(SEED)
@@ -115,6 +135,7 @@ def main() -> int:
     answered = hashlib.sha256()
     witnessed = hashlib.sha256()
     reasoned = hashlib.sha256()
+    certified = hashlib.sha256()
     targets = calls = yes = 0
     corpus = []
     for h in small_targets(MAX_LINKS):
@@ -124,6 +145,7 @@ def main() -> int:
         classified.update(repr((c.verdict, c.rules, sorted(c.pieces.items()))).encode())
         lift = random_lift(h, 2, rng)
         for g in (h, lift, perturb(lift, rng)):
+            certified.update(repr(_certificate(g)).encode())
             v = decide_colored(g, h)
             decided.update(repr((v.answer, v.method)).encode())
             answered.update(repr(v.answer).encode())
@@ -144,12 +166,14 @@ def main() -> int:
     except AssertionError as e:
         print(e, file=sys.stderr)
         return 1
+    generated = certify_generated(certified)
     print(f"targets {targets}, decide_colored calls {calls}, yes {yes}")
     print(f"unions {UNIONS}, decide calls {3 * UNIONS}, yes {decide_yes}")
+    print(f"certificates {calls + generated}, of them generated classes {generated}")
     status = 0
     for name, digest in (("classify", classified), ("decide_colored", decided),
                          ("answers", answered), ("decide", unions),
-                         ("decide_answers", union_answers)):
+                         ("decide_answers", union_answers), ("certificates", certified)):
         print(f"{name:14} {digest.hexdigest()}")
         if digest.hexdigest() != PINS[name]:
             print(f"{name} digest differs from its pin {PINS[name]}", file=sys.stderr)

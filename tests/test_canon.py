@@ -8,11 +8,11 @@ import pytest
 
 from semicover import generate
 from semicover.build import build_F, complete, complete_bipartite, cycle, petersen
-from semicover.canon import (CanonicalSet, _certificate, _first_leaf, _mask_certificate,
-                             _mask_state, _reaches, isomorphic)
+from semicover.canon import (CanonicalSet, _cell, _certificate, _child, _first_leaf,
+                             _mask_certificate, _mask_state, _reaches, _root, isomorphic)
 from semicover.generate import _from_masks, _masks, connected_simple_graphs
 from semicover.graph import Graph, GraphBuilder, disjoint_union
-from util import random_graph
+from util import random_graph, reference_refinements, renamed
 
 
 def shuffled_copy(g, rng):
@@ -308,6 +308,35 @@ def test_mask_certificate_generates_the_automorphism_group():
         x.add_nodes_from(range(n))
         want = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(x, x).isomorphisms_iter())
         assert len(group) == want, masks
+
+
+def test_refinement_matches_reference():
+    # _refine against a plain Counter refinement: the same stable partition
+    # at the root and after each individualisation along _first_leaf's path
+    rng = random.Random(40)
+    graphs = []
+    for n in (rng.randrange(1, 10) for _ in range(400)):
+        g = random_graph(rng, n, rng.randrange(n, 3 * n + 1), colors=(0, 1, 2))
+        if _root(g)[1] is not None:
+            graphs.append(renamed(g, rng))
+    masks = [_masks(g) for g in SYMMETRIC[:4]] + [_masks(cycle(9))]
+    masks += [random_connected_masks(rng, rng.randrange(1, 12)) for _ in range(150)]
+    cases = [(g, _root(g)[1]) for g in graphs]
+    cases += [(_from_masks(len(m), m), _mask_state(m)[1]) for m in masks]
+    assert len(graphs) > 200
+    for g, state in cases:
+        prof, c, t = state
+        partitions, traces, path = [c], [t], []
+        while len(t) < len(c):
+            s, cell = _cell(c)
+            path.append(cell[0])
+            c, t = _child(prof, c, s, cell[0], len(t))
+            partitions.append(c)
+            traces.append(t)
+        assert tuple(traces) == _first_leaf(state)
+        want = reference_refinements(g, path)
+        for col, cells in zip(partitions, want, strict=True):
+            assert {frozenset(v for v in range(g.n) if col[v] == x) for x in col} == cells, g.links
 
 
 def test_reaches_decides_isomorphism(monkeypatch):

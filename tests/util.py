@@ -1051,6 +1051,62 @@ def reference_components(g: Graph) -> list[Component]:
     return out
 
 
+def reference_refinements(g: Graph, path: list[int]) -> list[set[frozenset[int]]]:
+    """The stable partitions of colour refinement on connected g, as sets
+    of cells: at the root, then after individualising each vertex of path
+    in turn.  The root partition puts two vertices together when they
+    have equal self keys (colour, sorted semi-edge colours, sorted loop
+    colour pairs), dart counts and sorted BFS distances to all vertices.
+    A round splits each cell by the Counter of (label, cell) over a
+    vertex's distinct neighbours, where a neighbour's label is the sorted
+    dart-colour pairs of the parallel edges to it, until no cell splits."""
+    n, vo, dc = g.n, g.vertex_of, g.dart_color
+    bundles: list[dict[int, list]] = [{} for _ in range(n)]
+    semis: list[list[int]] = [[] for _ in range(n)]
+    loops: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for ds in g.links:
+        u = vo[ds[0]]
+        if len(ds) == 1:
+            semis[u].append(dc[ds[0]])
+        elif u == vo[ds[1]]:
+            loops[u].append(tuple(sorted((dc[ds[0]], dc[ds[1]]))))
+        else:
+            for a, b in (ds, ds[::-1]):
+                bundles[vo[a]].setdefault(vo[b], []).append((dc[a], dc[b]))
+    labelled = [[(w, tuple(sorted(ps))) for w, ps in row.items()] for row in bundles]
+
+    def distances(v: int) -> tuple:
+        dist = {v: 0}
+        queue = [v]
+        for u in queue:
+            for w, _ in labelled[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return tuple(sorted(dist.values()))
+
+    def refined(colour: list) -> list[int]:
+        while True:
+            sigs = [(colour[v], frozenset(Counter((lab, colour[w]) for w, lab in row).items()))
+                    for v, row in enumerate(labelled)]
+            ids: dict = {}
+            new = [ids.setdefault(sig, len(ids)) for sig in sigs]
+            if len(ids) == len(set(colour)):
+                return new
+            colour = new
+
+    def cells(colour: list[int]) -> set[frozenset[int]]:
+        return {frozenset(v for v in range(n) if colour[v] == c) for c in set(colour)}
+
+    colour = refined([(g.vertex_color[v], tuple(sorted(semis[v])), tuple(sorted(loops[v])),
+                       len(g.darts_at[v]), distances(v)) for v in range(n)])
+    out = [cells(colour)]
+    for v in path:
+        colour = refined([(colour[u], u == v) for u in range(n)])
+        out.append(cells(colour))
+    return out
+
+
 def arrays(g: Graph) -> tuple:
     """All a decider reads of a graph: everything but the names."""
     return g.n, g.vertex_of, g.link_of, g.dart_color, g.vertex_color
@@ -1150,16 +1206,18 @@ def decide_work(g: Graph, h: Graph, semantics: str = "lbhom", **kwargs) -> dict[
 def generation_work(run) -> dict[str, int]:
     """Call run(), a generator call, and count its work: certificates,
     first leaves and directed searches (canon._mask_certificate,
-    _first_leaf, _reaches), canon._refine calls, Graph constructions,
+    _first_leaf, _reaches), roots (canon._mask_state calls, those inside
+    _mask_certificate included), canon._refine calls, Graph constructions,
     attachment sets (generate._orbit_firsts items), twin-prefix choices
     (generate._prefix_choices items) and the classes run returns."""
     from semicover import canon, generate
-    counts = dict.fromkeys(("certificates", "first_leaves", "directed_searches", "refinements",
-                            "graphs", "attachment_sets", "twin_prefix_choices"), 0)
+    counts = dict.fromkeys(("certificates", "first_leaves", "directed_searches", "roots",
+                            "refinements", "graphs", "attachment_sets", "twin_prefix_choices"), 0)
     counts["classes"] = len(_counted(run, [
         (canon, "_mask_certificate", _calls(counts, "certificates")),
         (canon, "_first_leaf", _calls(counts, "first_leaves")),
         (canon, "_reaches", _calls(counts, "directed_searches")),
+        (canon, "_mask_state", _calls(counts, "roots")),
         (canon, "_refine", _calls(counts, "refinements")),
         (Graph, "__init__", _calls(counts, "graphs")),
         (generate, "_orbit_firsts", _items(counts, "attachment_sets")),

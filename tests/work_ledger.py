@@ -64,11 +64,13 @@ ROWS = [
     Row("connected_regular_graphs(12, 3)",
         lambda: generation_work(lambda: connected_regular_graphs(12, 3)),
         {"certificates": (0, 86), "first_leaves": (0, 219), "directed_searches": (0, 692),
-         "refinements": (0, 2924), "twin_prefix_choices": (1, 6648), "classes": (85, 85)}),
+         "roots": (0, 984), "refinements": (0, 2851), "twin_prefix_choices": (1, 6648),
+         "classes": (85, 85)}),
     Row("connected_regular_graphs(10, 4)",
         lambda: generation_work(lambda: connected_regular_graphs(10, 4)),
         {"certificates": (0, 289), "first_leaves": (0, 266), "directed_searches": (0, 339),
-         "refinements": (0, 4202), "twin_prefix_choices": (1, 3757), "classes": (59, 59)}),
+         "roots": (0, 889), "refinements": (0, 3918), "twin_prefix_choices": (1, 3757),
+         "classes": (59, 59)}),
     # decide builds one source Graph per class of components and splits the
     # source once; onto a target it has decided before it builds no target
     # Graph, no plan and no target split
